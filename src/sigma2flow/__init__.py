@@ -2,8 +2,8 @@
 discretization, conformal energies, the normalized descent flow, and the
 glued comparison-metric construction, with a CLI (`sigma2`) on top.
 
-Numerics run on numpy; the flow's hot kernel optionally JIT-compiles with
-numba (set SIGMA2_NUMBA=0 to force the pure-numpy path).
+Numerics run on numpy; the Jacobi sweep of ``symfun`` optionally
+JIT-compiles with numba (set SIGMA2_NUMBA=0 to force plain Python).
 """
 
 from ._accel import USE_NUMBA, backend_name

@@ -1,13 +1,11 @@
 """Kernel backend selection.
 
-Hot loops compile with numba when it is importable and ``SIGMA2_NUMBA`` is not
-set to ``0``; otherwise a pure-numpy fallback runs the same algorithms.
-``SIGMA2_THREADS`` caps the numba thread pool (kernels here are serial by
-design, the cap is honored for forward compatibility).
+The Jacobi sweep loop of ``symfun`` compiles with numba when it is importable
+and ``SIGMA2_NUMBA`` is not set to ``0``; otherwise the same code runs as
+plain Python.  ``SIGMA2_THREADS`` caps the numba thread pool (the sweep is
+serial by design, the cap is honored for forward compatibility).
 
-Results are bit-reproducible per backend: the compiled path accumulates with
-serial compensated sums, the numpy path relies on numpy's deterministic
-pairwise reduction.  The two backends may differ in the last ulp.
+Results are bit-reproducible per backend; the two may differ in the last ulp.
 """
 
 from __future__ import annotations

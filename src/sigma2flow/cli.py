@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -147,9 +148,25 @@ def emit_trace(records, path: str | None) -> None:
         write_monitor_csv(records, path)
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float, nested ones too, made None."""
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def emit_summary(payload: dict, path: str | None) -> None:
-    """Write the JSON summary to a file, or stdout when no path is given."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write the JSON summary to a file, or stdout when no path is given.
+
+    A non-finite number (a monitor of a failed run, say) is written as
+    ``null``, so the output is always strict JSON.
+    """
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

@@ -40,7 +40,8 @@ length comes from the embedded local-error estimate: each step is
 ``STEP_TOL``, so halving ``dt_safety`` halves the steps.  The first step is the
 explicit parabolic step ``dt_safety * dx^2 / max_i lambda_i``.  V_eps is never
 projected back onto its start value; its drift measures the time-stepping
-error.
+error.  The monitors only a record reads (min sigma_2(g), the gradient bound
+and the dF2/dt formula) are computed only at the states that become records.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from ._accel import USE_NUMBA, jit
 from .discretize import RadialGrid, stencil_tables
 from .geometry import ConeViolation, ConformalField, functional_V, schouten_fields
 
@@ -195,211 +196,26 @@ class FlowResult:
         return self.status == "converged"
 
 
-# scalar slot layout shared by both velocity kernels; with ``full`` unset the
-# kernels need only fill the first four (what the velocity itself needs), the
-# monitor slots from _S_MIN_S2G on are then unspecified
+# Scalar slots of one kernel evaluation, grouped by the level that fills
+# them.  A _STAGE evaluation (an RKC inner stage) fills what the velocity
+# needs; _STEP adds what the step loop reads (the stage count, convergence
+# and blow-up checks); _RECORD adds what a monitor record reads.  The slot
+# list of a lower level is shorter, so reading a slot it lacks raises.
+_STAGE = 0
+_STEP = 1
+_RECORD = 2
+
 _S_F2 = 0
 _S_VEPS = 1
 _S_REPS = 2
 _S_SEPS = 3
-_S_MIN_S2G = 4
-_S_SUPGRAD = 5
-_S_LAMMAX = 6
-_S_MINU = 7
-_S_SUPV = 8
+_S_LAMMAX = 4
+_S_SUPV = 5
+_S_MINU = 6
+_S_MIN_S2G = 7
+_S_SUPGRAD = 8
 _S_DF2 = 9
 _NS = 10
-
-
-def _velocity_numpy(u, out_v, out_s, idx, cd, lat, pole, s_r0, s_t0,
-                    an_r2, wdens, n, eps, full):
-    up, upp = np.einsum("kij,ij->ki", cd, u[idx])
-    # arrays lead scalar products: ``arr * c`` skips the float.__mul__
-    # attempt that ``c * arr`` makes first, and rounds identically
-    up2 = up * up
-    g2h = up2 * 0.5
-    tang = np.where(pole, upp, up * lat)
-    w_r = upp + g2h + s_r0
-    w_t = tang - g2h + s_t0
-    var = up2 * an_r2
-    s1 = w_r + w_t * (n - 1.0)
-    s2 = w_t * (n - 1.0) * (w_r + w_t * (0.5 * (n - 2.0))) - var * 0.5
-    if s1.min() <= 0.0 or s2.min() <= 0.0:
-        return 0
-    a = np.sqrt(s2)
-    log_eb = u * (eps - 2.0)
-    eb = np.exp(log_eb)
-    e4 = np.exp(u * (4.0 - n))
-    ev = e4 * eb * eb
-    f2i = e4 * s2
-    f2 = float((wdens * f2i).sum())
-    wev = wdens * ev
-    veps = float(wev.sum())
-    reps = f2 / veps
-    b = eb * math.sqrt(reps)
-    log_a = np.log(a)
-    log_b = log_eb + 0.5 * math.log(reps)
-    # h(s) = log s + (log s if s <= 1 else s - 1)
-    hd = (log_a + np.where(a <= 1.0, log_a, a - 1.0)) \
-        - (log_b + np.where(b <= 1.0, log_b, b - 1.0))
-    seps = float((wev * hd).sum()) / veps
-    np.multiply(hd - seps, 0.5, out=out_v)
-    out_s[_S_F2] = f2
-    out_s[_S_VEPS] = veps
-    out_s[_S_REPS] = reps
-    out_s[_S_SEPS] = seps
-    if not full:
-        return 1
-    hp = np.where(a <= 1.0, 2.0 / a, 1.0 + 1.0 / a)
-    out_s[_S_MIN_S2G] = float((np.exp(4.0 * u) * s2).min())
-    out_s[_S_SUPGRAD] = float((up2 + np.maximum(np.abs(upp), np.abs(tang))).max())
-    out_s[_S_LAMMAX] = float((hp * (n - 1.0) * s1 / (2.0 * a)).max())
-    out_s[_S_MINU] = float(u.min())
-    out_s[_S_SUPV] = float(np.abs(out_v).max())
-    out_s[_S_DF2] = -0.5 * (n - 4.0) * float((wdens * hd * (f2i - reps * ev)).sum())
-    return 1
-
-
-def _velocity_serial(u, out_v, out_s, idx, cd, lat, pole, s_r0, s_t0,
-                     an_r2, wdens, n, eps, full):
-    # Same computation as _velocity_numpy, written as explicit loops with
-    # Neumaier-compensated accumulators; this is the version numba compiles.
-    N = u.shape[0]
-    nm1 = n - 1.0
-    a = np.empty(N)
-    s1 = np.empty(N)
-    s2 = np.empty(N)
-    eb = np.empty(N)
-    ev = np.empty(N)
-    f2i = np.empty(N)
-    hd = np.empty(N)
-
-    f2_s = 0.0
-    f2_c = 0.0
-    ve_s = 0.0
-    ve_c = 0.0
-    supgrad = 0.0
-    min_u = np.inf
-    for i in range(N):
-        upi = 0.0
-        uppi = 0.0
-        for k in range(6):
-            uk = u[idx[i, k]]
-            upi += cd[0, i, k] * uk
-            uppi += cd[1, i, k] * uk
-        g2h = 0.5 * upi * upi
-        tang = uppi if pole[i] else upi * lat[i]
-        w_r = uppi + g2h + s_r0[i]
-        w_t = tang - g2h + s_t0[i]
-        var = upi * upi * an_r2[i]
-        s1i = w_r + nm1 * w_t
-        s2i = nm1 * w_t * (w_r + 0.5 * (n - 2.0) * w_t) - 0.5 * var
-        if s1i <= 0.0 or s2i <= 0.0:
-            return 0
-        s1[i] = s1i
-        s2[i] = s2i
-        a[i] = math.sqrt(s2i)
-        ui = u[i]
-        ebi = math.exp((eps - 2.0) * ui)
-        e4i = math.exp((4.0 - n) * ui)
-        evi = e4i * ebi * ebi
-        eb[i] = ebi
-        ev[i] = evi
-        f2ii = e4i * s2i
-        f2i[i] = f2ii
-
-        x = wdens[i] * f2ii
-        t = f2_s + x
-        if abs(f2_s) >= abs(x):
-            f2_c += (f2_s - t) + x
-        else:
-            f2_c += (x - t) + f2_s
-        f2_s = t
-
-        x = wdens[i] * evi
-        t = ve_s + x
-        if abs(ve_s) >= abs(x):
-            ve_c += (ve_s - t) + x
-        else:
-            ve_c += (x - t) + ve_s
-        ve_s = t
-
-        gb = upi * upi + max(abs(uppi), abs(tang))
-        if gb > supgrad:
-            supgrad = gb
-        if ui < min_u:
-            min_u = ui
-
-    f2 = f2_s + f2_c
-    veps = ve_s + ve_c
-    reps = f2 / veps
-    rt_reps = math.sqrt(reps)
-
-    sn_s = 0.0
-    sn_c = 0.0
-    df_s = 0.0
-    df_c = 0.0
-    lam_max = 0.0
-    for i in range(N):
-        ai = a[i]
-        bi = rt_reps * eb[i]
-        ha = 2.0 * math.log(ai) if ai <= 1.0 else ai - 1.0 + math.log(ai)
-        hb = 2.0 * math.log(bi) if bi <= 1.0 else bi - 1.0 + math.log(bi)
-        hdi = ha - hb
-        hd[i] = hdi
-
-        x = wdens[i] * ev[i] * hdi
-        t = sn_s + x
-        if abs(sn_s) >= abs(x):
-            sn_c += (sn_s - t) + x
-        else:
-            sn_c += (x - t) + sn_s
-        sn_s = t
-
-        x = wdens[i] * hdi * (f2i[i] - reps * ev[i])
-        t = df_s + x
-        if abs(df_s) >= abs(x):
-            df_c += (df_s - t) + x
-        else:
-            df_c += (x - t) + df_s
-        df_s = t
-
-        hpa = 2.0 / ai if ai <= 1.0 else 1.0 + 1.0 / ai
-        lam = hpa * nm1 * s1[i] / (2.0 * ai)
-        if lam > lam_max:
-            lam_max = lam
-
-    seps = (sn_s + sn_c) / veps
-    sup_v = 0.0
-    for i in range(N):
-        vi = 0.5 * (hd[i] - seps)
-        out_v[i] = vi
-        if abs(vi) > sup_v:
-            sup_v = abs(vi)
-
-    min_s2g = 0.0
-    if full:
-        min_s2g = np.inf
-        for i in range(N):
-            s2g = math.exp(4.0 * u[i]) * s2[i]
-            if s2g < min_s2g:
-                min_s2g = s2g
-
-    out_s[_S_F2] = f2
-    out_s[_S_VEPS] = veps
-    out_s[_S_REPS] = reps
-    out_s[_S_SEPS] = seps
-    out_s[_S_MIN_S2G] = min_s2g
-    out_s[_S_SUPGRAD] = supgrad
-    out_s[_S_LAMMAX] = lam_max
-    out_s[_S_MINU] = min_u
-    out_s[_S_SUPV] = sup_v
-    out_s[_S_DF2] = -0.5 * (n - 4.0) * (df_s + df_c)
-    return 1
-
-
-_velocity = jit(_velocity_serial) if USE_NUMBA else _velocity_numpy
-
 
 # ---------------------------------------------------------------------------
 # initial fields
@@ -440,21 +256,74 @@ def initial_field(name: str, grid: RadialGrid, amplitude: float = 0.1) -> np.nda
 # ---------------------------------------------------------------------------
 # driver
 
-def _kernel_inputs(grid: RadialGrid, background):
-    idx, cd1 = stencil_tables(grid, 1)
-    _, cd2 = stencil_tables(grid, 2)
+class _KernelTables(NamedTuple):
+    """Per-grid inputs of the velocity kernel.
+
+    Both derivative stencils are applied as one 5-point band over ``u[pad]``,
+    which is u with two ghost nodes at each end (mirrored at an even end).
+    The band matches the stencil tables at every node except ``fix_rows``
+    (one-sided closures at a genuine boundary), which keep their table rows
+    on the 11 nodes around them.
+    """
+
+    pad: np.ndarray         # (N + 4,) node index of each padded sample
+    band: np.ndarray        # (3, 5) centered rows for u'', u', u'
+    fix_rows: np.ndarray    # nodes where the band differs from the tables
+    fix_nodes: np.ndarray   # (len(fix_rows), 11) the nodes around each
+    fix_coef: np.ndarray    # (3, len(fix_rows), 11) their u'', u', u' rows
+    lat: np.ndarray         # factor of u' in the tangential Hessian
+    pole: np.ndarray        # axis nodes, where the tangential Hessian is u''
+    base: np.ndarray        # (2, N) background Schouten branches s_r0, s_t0
+    aniso_half: np.ndarray | None  # half the anisotropy factor of |u'|^2
+    weights: np.ndarray     # quadrature weights times the volume density
+
+
+def _kernel_inputs(grid: RadialGrid, background) -> _KernelTables:
+    N = grid.num_points
+    last = N - 1
+    pad = np.clip(np.arange(-2, N + 2), 0, last)
+    if grid.left_even:
+        pad[:2] = (2, 1)
+    if grid.right_even:
+        pad[-2:] = (last - 1, last - 2)
+    # a table stencil, and the band through pad, reaches at most five nodes
+    # from its own, so both are compared as rows over offsets -5..5
+    rows = np.arange(N)[:, None]
+    taps = pad[rows + np.arange(5)] - rows + 5
+    tables = np.zeros((2, N, 11))
+    banded = np.zeros((2, N, 11))
+    for k, order in enumerate((2, 1)):
+        idx, coef = stencil_tables(grid, order)
+        offset = np.where(coef != 0.0, idx - rows + 5, 5)
+        np.add.at(tables[k], (np.broadcast_to(rows, idx.shape), offset), coef)
+        np.add.at(banded[k], (np.broadcast_to(rows, taps.shape), taps), tables[k, 2, 3:8])
+    fix_rows = np.flatnonzero(
+        (np.abs(banded - tables) > 1e-12 * np.abs(tables[:, 2]).max()).any(axis=(0, 2)))
+    rows = fix_rows[:, None]
     x = grid.x
     s_r0, s_t0 = background.base_schouten(x)
-    return (
-        np.ascontiguousarray(idx),
-        np.ascontiguousarray(np.stack([cd1, cd2])),
-        np.ascontiguousarray(background.lateral(x)),
-        np.ascontiguousarray(background.pole_mask(x)),
-        np.ascontiguousarray(s_r0),
-        np.ascontiguousarray(s_t0),
-        np.ascontiguousarray(background.aniso_over_r2(x)),
-        np.ascontiguousarray(grid.weights),
+    aniso_half = 0.5 * np.asarray(background.aniso_over_r2(x), dtype=float)
+    return _KernelTables(
+        pad=pad,
+        band=tables[[0, 1, 1], 2, 3:8],
+        fix_rows=fix_rows,
+        fix_nodes=np.clip(rows + np.arange(-5, 6), 0, last),
+        fix_coef=tables[[0, 1, 1]][:, fix_rows],
+        lat=np.array(background.lateral(x), dtype=float),
+        pole=np.array(background.pole_mask(x), dtype=bool),
+        base=np.array([s_r0, s_t0], dtype=float),
+        aniso_half=aniso_half if aniso_half.any() else None,
+        weights=np.array(grid.weights, dtype=float),
     )
+
+
+def _cached_kernel_inputs(grid: RadialGrid, background) -> _KernelTables:
+    key = ("kernel", background)
+    tables = grid._ops.get(key)
+    if tables is None:
+        tables = _kernel_inputs(grid, background)
+        grid._ops[key] = tables
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +341,29 @@ _RKC_BETA = 0.653
 #: starts) have spectral radius up to 1.02 lambda_max / h^2, and 1.25 keeps
 #: the usual 20% margin
 _RHO_PER_LAM = 1.25
+#: rows of an RKC step's buffer: y_0, F_0 and three (y_k, F_k) pairs
+_RKC_ROWS = 8
 #: largest factor by which the controller lets one step grow or shrink
 _GROWTH_MAX = 10.0
 _GROWTH_MIN = 0.1
 
 
+def _rkc_row(k: int) -> int:
+    """Row of stage state y_k in an RKC step's buffer; F_k is the next row."""
+    return 0 if k == 0 else 2 + 2 * (k % 3)
+
+
 @lru_cache(maxsize=None)
-def _rkc_coefficients(s: int):
-    """Stage coefficients (mu, nu, mu~, gamma~) of damped RKC2 with s stages."""
+def _rkc_tableau(s: int):
+    """Damped RKC2 with s stages, as weights on the rows of a step's buffer.
+
+    A step starts from y_0 with velocity F_0; stage j gives y_j and the
+    velocity F_j at it.  Stage j needs only y_0, F_0, y_{j-2}, y_{j-1} and
+    F_{j-1}, so the buffer holds y_0, F_0 and three rotating (y_k, F_k) pairs
+    (``_rkc_row``).  Row j (1 <= j <= s) of ``fixed + dt * per_dt`` weights
+    y_j on the buffer; row s + 1 weights the embedded error estimate
+    ``0.8 (y_0 - y_s) + 0.4 dt (F_0 + F_s)``.
+    """
     w0 = 1.0 + _RKC_DAMPING / (s * s)
     tj = np.zeros(s + 1)
     d1 = np.zeros(s + 1)
@@ -493,18 +377,22 @@ def _rkc_coefficients(s: int):
     b = np.empty(s + 1)
     b[2:] = d2[2:] / (d1[2:] * d1[2:])
     b[0] = b[1] = b[2]
-    a = 1.0 - b * tj
-    mu = np.zeros(s + 1)
-    nu = np.zeros(s + 1)
-    mut = np.zeros(s + 1)
-    gamt = np.zeros(s + 1)
-    mut[1] = b[1] * w1
+    fixed = np.zeros((s + 2, _RKC_ROWS))
+    per_dt = np.zeros((s + 2, _RKC_ROWS))
+    fixed[1, 0] = 1.0
+    per_dt[1, 1] = b[1] * w1
     for j in range(2, s + 1):
-        mu[j] = 2.0 * b[j] * w0 / b[j - 1]
-        nu[j] = -b[j] / b[j - 2]
-        mut[j] = 2.0 * b[j] * w1 / b[j - 1]
-        gamt[j] = -a[j - 1] * mut[j]
-    return mu, nu, mut, gamt
+        mu = 2.0 * b[j] * w0 / b[j - 1]
+        nu = -b[j] / b[j - 2]
+        mut = 2.0 * b[j] * w1 / b[j - 1]
+        fixed[j, 0] += 1.0 - mu - nu
+        fixed[j, _rkc_row(j - 1)] += mu
+        fixed[j, _rkc_row(j - 2)] += nu
+        per_dt[j, _rkc_row(j - 1) + 1] += mut
+        per_dt[j, 1] += -(1.0 - b[j - 1] * tj[j - 1]) * mut
+    fixed[s + 1, 0], fixed[s + 1, _rkc_row(s)] = 0.8, -0.8
+    per_dt[s + 1, 1] = per_dt[s + 1, _rkc_row(s) + 1] = 0.4
+    return fixed, per_dt
 
 
 def _stage_count(dt: float, lam_max: float, h2: float) -> int:
@@ -513,58 +401,129 @@ def _stage_count(dt: float, lam_max: float, h2: float) -> int:
     return max(2, math.ceil(math.sqrt(1.0 + z / _RKC_BETA)))
 
 
-class _Stepper:
-    """The RKC step and its step-size controller.
+#: signs of |u'|^2 / 2 in the radial and tangential Schouten branches
+_HALF_GRAD_SIGNS = np.array([[0.5], [-0.5]])
 
-    ``advance`` takes one step of a given length from a state whose velocity
-    is known, evaluating the kernel once per stage; every evaluation is
-    checked against the cone.  The velocity and monitor slots at the new
-    state come back with it, so the next step starts from them.  The local
-    error is the embedded estimate of Sommeijer, Shampine & Verwer,
-    ``0.8 (u0 - u1) + 0.4 dt (v0 + v1)``, in the sup norm relative to
-    ``STEP_TOL``.
+
+class _Stepper:
+    """The velocity kernel, the RKC step and its step-size controller.
+
+    ``velocity`` evaluates the flow at one state; ``advance`` takes one step
+    of a given length from a state whose velocity is known, evaluating the
+    kernel once per stage, and checks every evaluation against the cone.
+    The velocity and slots at the new state come back with it, so the next
+    step starts from them.  The local error is the embedded estimate of
+    Sommeijer, Shampine & Verwer, ``0.8 (u0 - u1) + 0.4 dt (v0 + v1)``, in
+    the sup norm relative to ``STEP_TOL``.
     """
 
-    def __init__(self, args, n, eps, h2, dt_safety):
-        self.args = args
+    def __init__(self, tables: _KernelTables, n, eps, h2, dt_safety):
+        self.tables = tables
         self.n = n
-        self.eps = eps
         self.h2 = h2
         self.dt_safety = dt_safety
         self.evaluations = 0
+        # exponents of e^{(4-n)u} (F2), e^{(2 eps-n)u} (V_eps), e^{(2 eps-4)u} (b^2)
+        self.exponents = np.array([[4.0 - n], [2.0 * eps - n], [2.0 * eps - 4.0]])
+        # [w_r, w_t] -> [sigma_1, (n-1) (w_r + (n-2)/2 w_t)]; w_t times the
+        # second is sigma_2 before the anisotropy, in product form
+        self.mix = np.array([[1.0, n - 1.0], [n - 1.0, 0.5 * (n - 1.0) * (n - 2.0)]])
 
-    def velocity(self, u, full):
-        """(v, slots) at u, or None outside the cone."""
-        v = np.empty(u.size)
-        s = np.empty(_NS)
+    def velocity(self, u, level, out=None):
+        """(v, slots) at u, or None outside the cone.
+
+        ``u`` is a float array; ``level`` says which slots to fill, and the
+        velocity goes to ``out`` when it is given.
+        """
         self.evaluations += 1
-        if _velocity(u, v, s, *self.args, self.n, self.eps, full) == 0:
+        tb = self.tables
+        n = self.n
+        # the five shifted copies of u the band needs, as strided views of
+        # one padded gather
+        padded = u[tb.pad]
+        step = padded.itemsize
+        windows = np.ndarray((5, u.size), padded.dtype, padded, 0, (step, step))
+        d = tb.band @ windows
+        if tb.fix_rows.size:
+            d[:, tb.fix_rows] = np.einsum("krj,rj->kr", tb.fix_coef, u[tb.fix_nodes])
+        upp, tang, up = d[0], d[1], d[2]
+        tang *= tb.lat
+        np.copyto(tang, upp, where=tb.pole)
+        up2 = up * up
+        w = up2 * _HALF_GRAD_SIGNS
+        w += d[:2]
+        w += tb.base
+        # rows sigma_1, sigma_2, then b^2 once r_eps is known
+        q = np.empty((3, u.size))
+        np.matmul(self.mix, w, out=q[:2])
+        s1, s2 = q[0], q[1]
+        s2 *= w[1]
+        if tb.aniso_half is not None:
+            s2 -= up2 * tb.aniso_half
+        if np.minimum.reduce(q[:2], axis=None) <= 0.0:
             return None
-        return v, s
+        e = self.exponents * u
+        np.exp(e, out=e)
+        f2i = e[0] * s2
+        f2 = float(np.dot(f2i, tb.weights))
+        wv = e[1] * tb.weights
+        veps = float(np.add.reduce(wv))
+        reps = f2 / veps
+        np.multiply(e[2], reps, out=q[2])
+        ab = np.sqrt(q[1:])
+        # h(s) + 1 = log min(s^2, s) + max(s, 1), for s = a and s = b
+        hab = np.minimum(q[1:], ab)
+        np.log(hab, out=hab)
+        hab += np.maximum(ab, 1.0)
+        hd = hab[0] - hab[1]
+        seps = float(np.dot(wv, hd)) / veps
+        v = np.subtract(hd, seps, out=out)
+        v *= 0.5
+        slots = [f2, veps, reps, seps]
+        if level >= _STEP:
+            # lambda = h'(a) (n-1) sigma_1 / (2a), with h'(a) = 1/a + max(1/a, 1)
+            ia = 1.0 / ab[0]
+            lam = np.maximum(ia, 1.0)
+            lam += ia
+            lam *= ia
+            lam *= s1
+            slots += (float(np.maximum.reduce(lam)) * (0.5 * (n - 1.0)),
+                      float(np.maximum.reduce(np.abs(v))),
+                      float(np.minimum.reduce(u)))
+        if level == _RECORD:
+            grad = np.maximum.reduce(np.abs(d[:2]))
+            grad += up2
+            slots += (float(np.minimum.reduce(np.exp(u * 4.0) * s2)),
+                      float(np.maximum.reduce(grad)),
+                      -0.5 * (n - 4.0) * float(np.dot((f2i - e[1] * reps) * tb.weights, hd)))
+        return v, slots
 
     def first_dt(self, slots) -> float:
         """The explicit parabolic step, which starts the controller."""
         return self.dt_safety * self.h2 / slots[_S_LAMMAX]
 
-    def advance(self, u, v0, slots0, dt):
-        """One RKC step: (u1, v1, slots1, err), or None on cone exit."""
+    def advance(self, u, v0, slots0, dt, level):
+        """One RKC step: (u1, v1, slots1, err), or None on cone exit.
+
+        The last stage is evaluated at ``level``, the inner ones at _STAGE.
+        """
         stages = _stage_count(dt, slots0[_S_LAMMAX], self.h2)
-        mu, nu, mut, gamt = _rkc_coefficients(stages)
-        y2 = u
-        y1 = u + v0 * (mut[1] * dt)
-        for j in range(2, stages + 1):
-            ev = self.velocity(y1, 0)
+        fixed, per_dt = _rkc_tableau(stages)
+        weights = per_dt * dt
+        weights += fixed
+        rows = np.zeros((_RKC_ROWS, u.size))
+        rows[0] = u
+        rows[1] = v0
+        for j in range(1, stages + 1):
+            y = weights[j] @ rows
+            row = _rkc_row(j)
+            rows[row] = y
+            ev = self.velocity(y, level if j == stages else _STAGE, rows[row + 1])
             if ev is None:
                 return None
-            y = u * (1.0 - mu[j] - nu[j]) + y1 * mu[j] + y2 * nu[j] \
-                + ev[0] * (mut[j] * dt) + v0 * (gamt[j] * dt)
-            y2, y1 = y1, y
-        ev = self.velocity(y1, 1)
-        if ev is None:
-            return None
-        est = (u - y1) * 0.8 + (v0 + ev[0]) * (0.4 * dt)
-        err = float(np.abs(est).max()) / STEP_TOL
-        return y1, ev[0], ev[1], err
+        est = weights[stages + 1] @ rows
+        err = float(np.maximum.reduce(np.abs(est))) / STEP_TOL
+        return y, ev[0], ev[1], err
 
     def next_dt(self, dt: float, err: float) -> float:
         """Next step length after a step of length dt with scaled error err.
@@ -577,6 +536,12 @@ class _Stepper:
             return _GROWTH_MAX * dt
         fac = self.dt_safety * err ** (-1.0 / 3.0)
         return dt * min(_GROWTH_MAX, max(_GROWTH_MIN, fac))
+
+
+def _state_stepper(background, grid: RadialGrid, eps: float,
+                   dt_safety: float) -> _Stepper:
+    return _Stepper(_cached_kernel_inputs(grid, background), background.n,
+                    float(eps), grid.h * grid.h, dt_safety)
 
 
 def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None) -> FlowResult:
@@ -600,8 +565,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         raise ValueError("the flow needs dimension n >= 5")
     if config.record_dt <= 0.0:
         raise ValueError("record_dt must be positive")
-    stepper = _Stepper(_kernel_inputs(grid, background), n, float(config.eps),
-                       grid.h * grid.h, config.dt_safety)
+    stepper = _state_stepper(background, grid, config.eps, config.dt_safety)
 
     records: list[MonitorRecord] = []
     aux: list[tuple[float, float, float]] = []
@@ -627,10 +591,10 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         prev_rec_f2 = s[_S_F2]
         n_rec += 1
 
-    ev = stepper.velocity(u, 1)
+    ev = stepper.velocity(u, _RECORD)
     if ev is None:
         status = "cone_exit"
-        s = np.full(_NS, math.nan)
+        s = [math.nan] * _NS
     else:
         v, s = ev
         v0_ref = s[_S_VEPS]
@@ -658,10 +622,14 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
             break
 
         # land exactly on the next record time or t_max; stretching the step
-        # by up to 10% to get there avoids a sliver step after it
+        # by up to 10% to get there avoids a sliver step after it.  Only a
+        # step that lands there fills the record slots.
         stop = min(n_rec * config.record_dt, config.t_max)
-        step_dt, t_new = (stop - t, stop) if t + 1.1 * dt >= stop else (dt, t + dt)
-        nxt = stepper.advance(u, v, s, step_dt)
+        if t + 1.1 * dt >= stop:
+            step_dt, t_new, level = stop - t, stop, _RECORD
+        else:
+            step_dt, t_new, level = dt, t + dt, _STEP
+        nxt = stepper.advance(u, v, s, step_dt, level)
         if nxt is None:
             status = "cone_exit"
             break
@@ -676,6 +644,10 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         steps += 1
 
     if status != "cone_exit" and (not records or records[-1].t < t):
+        if len(s) < _NS:
+            # the run stopped between record times; the state passed the
+            # cone check when it was accepted, so this evaluation succeeds
+            s = stepper.velocity(u, _RECORD)[1]
         push_record()
 
     # equilibrium residual against sigma_2(W)^{1/2} = r_eps^{1/2} e^{(eps-2)u}
@@ -710,24 +682,12 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
 # ---------------------------------------------------------------------------
 # single-step driver
 
-def _cached_kernel_inputs(grid: RadialGrid, background):
-    key = ("kernel", background)
-    args = grid._ops.get(key)
-    if args is None:
-        args = _kernel_inputs(grid, background)
-        grid._ops[key] = args
-    return args
-
-
-def _probe(background, field: ConformalField, eps: float, full: int = 1):
-    """One velocity evaluation; returns (v, scalar slots)."""
-    args = _cached_kernel_inputs(field.grid, background)
-    v = np.empty(field.u.size)
-    s = np.empty(_NS)
-    ok = _velocity(field.u, v, s, *args, background.n, float(eps), full)
-    if ok == 0:
+def _probe(background, field: ConformalField, eps: float):
+    """One velocity evaluation with every slot; returns (v, slots)."""
+    ev = _state_stepper(background, field.grid, eps, 0.8).velocity(field.u, _RECORD)
+    if ev is None:
         raise ConeViolation("field leaves Gamma_2^+; the flow velocity is undefined")
-    return v, s
+    return ev
 
 
 def normalizers(background, field: ConformalField, eps: float) -> tuple[float, float]:
@@ -764,12 +724,6 @@ class FlowState:
     dt_safety: float = 0.8
 
 
-def _state_stepper(background, grid: RadialGrid, eps: float,
-                   dt_safety: float) -> _Stepper:
-    return _Stepper(_cached_kernel_inputs(grid, background), background.n,
-                    float(eps), grid.h * grid.h, dt_safety)
-
-
 def flow_state(background, field: ConformalField, eps: float,
                dt_safety: float = 0.8, t: float = 0.0) -> FlowState:
     """Package a field as a steppable state, with monitors evaluated.
@@ -795,12 +749,12 @@ def step(state: FlowState) -> FlowState:
     grid = state.field.grid
     stepper = _state_stepper(state.background, grid, state.eps, state.dt_safety)
     u = state.field.u
-    ev = stepper.velocity(u, 1)
+    ev = stepper.velocity(u, _STEP)
     if ev is None:
         raise ConeViolation("field leaves Gamma_2^+; the flow velocity is undefined")
     dt = state.dt
     while True:
-        nxt = stepper.advance(u, ev[0], ev[1], dt)
+        nxt = stepper.advance(u, ev[0], ev[1], dt, _RECORD)
         if nxt is None:
             raise ConeViolation("an RKC stage leaves Gamma_2^+")
         u1, _, s1, err = nxt
@@ -890,9 +844,10 @@ def continuation(background, u0, eps_ladder, base_config: FlowConfig | None = No
     n = background.n
     rungs: list[ContinuationRung] = []
     u = np.array(u0, dtype=float)
+    grid = background.make_grid(u.size)
     for eps in eps_ladder:
         eps = float(eps)
-        res = flow_run(background, u, replace(base_config, eps=eps))
+        res = flow_run(background, u, replace(base_config, eps=eps), grid=grid)
         if res.status == "cone_exit":
             rungs.append(ContinuationRung(eps, res.status, math.nan, math.nan,
                                           math.nan, math.nan, math.nan, res.u))

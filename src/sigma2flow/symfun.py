@@ -5,8 +5,8 @@ use closed diagonal forms instead and never route through this module).
 Eigenvalues come from a hand-rolled cyclic Jacobi iteration so that results
 are bit-reproducible across platforms; no LAPACK call sits on that path.  The
 sweep loop is the one hot spot — cross-check harnesses push thousands of
-matrices through it — so it compiles under the accelerator flag like the flow
-kernels, with the same code running as plain Python when ``SIGMA2_NUMBA=0``.
+matrices through it — so it compiles under the accelerator flag, with the
+same code running as plain Python when ``SIGMA2_NUMBA=0``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._accel import jit
+from ._accel import USE_NUMBA, jit
 
 __all__ = [
     "jacobi_eigenvalues",
@@ -50,16 +50,18 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 @jit
-def _jacobi_sweeps(a: np.ndarray, tol: float, max_sweeps: int) -> None:
+def _jacobi_sweeps(a, tol: float, max_sweeps: int) -> None:
     # Entries are only compared in magnitude, against the largest entry and
     # against the diagonal; no entry that may be negligible is squared, so the
     # sweep is scale-free and raises nothing spurious under strict
-    # floating-point error modes.
-    n = a.shape[0]
+    # floating-point error modes.  Rows are indexed ``a[i][j]`` so the same
+    # code runs compiled on a 2-d array and as plain Python on a list of
+    # float lists.
+    n = len(a)
     scale = 0.0
     for i in range(n):
         for j in range(n):
-            x = abs(a[i, j])
+            x = abs(a[i][j])
             if x > scale:
                 scale = x
     floor = tol * scale
@@ -67,18 +69,18 @@ def _jacobi_sweeps(a: np.ndarray, tol: float, max_sweeps: int) -> None:
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a[p][q]
                 g = abs(apq)
                 if g <= floor:
                     continue
-                app = a[p, p]
-                aqq = a[q, q]
+                app = a[p][p]
+                aqq = a[q][q]
                 # Rutishauser's rule: an entry negligible against both
                 # diagonal entries could not move either; drop it
                 g = 100.0 * g
                 if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
+                    a[p][q] = 0.0
+                    a[q][p] = 0.0
                     continue
                 rotated = True
                 theta = (aqq - app) / (2.0 * apq)
@@ -98,21 +100,21 @@ def _jacobi_sweeps(a: np.ndarray, tol: float, max_sweeps: int) -> None:
                     t = -t
                 s = t * c
                 shift = t * apq
-                a[p, p] = app - shift
-                a[q, q] = aqq + shift
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+                a[p][p] = app - shift
+                a[q][q] = aqq + shift
+                a[p][q] = 0.0
+                a[q][p] = 0.0
                 for k in range(n):
                     if k == p or k == q:
                         continue
-                    akp = a[k, p]
-                    akq = a[k, q]
+                    akp = a[k][p]
+                    akq = a[k][q]
                     x = c * akp - s * akq
                     y = s * akp + c * akq
-                    a[k, p] = x
-                    a[p, k] = x
-                    a[k, q] = y
-                    a[q, k] = y
+                    a[k][p] = x
+                    a[p][k] = x
+                    a[k][q] = y
+                    a[q][k] = y
         if not rotated:
             break
 
@@ -130,11 +132,14 @@ def jacobi_eigenvalues(a, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.n
     scales the eigenvalues by ``c``, down to scales at which ``tol`` times the
     largest entry underflows.  Returns the eigenvalues sorted ascending.
     """
-    a = _check_symmetric(a).copy()
+    a = _check_symmetric(a)
     if a.shape[0] == 1:
         return a[0, :1].copy()
-    _jacobi_sweeps(a, float(tol), int(max_sweeps))
-    return np.sort(np.diag(a))
+    # plain Python does the same IEEE arithmetic on floats several times
+    # faster than on numpy scalars; the compiled sweep takes the array
+    rows = a.copy() if USE_NUMBA else a.tolist()
+    _jacobi_sweeps(rows, float(tol), int(max_sweeps))
+    return np.sort(np.array([rows[i][i] for i in range(len(rows))]))
 
 
 def elementary_symmetric(w) -> np.ndarray:
@@ -178,11 +183,9 @@ def sigma_k_minors(a, k: int) -> float:
         return 1.0
     if k == 1:
         return float(np.trace(a))
-    total = 0.0
-    for idx in combinations(range(n), k):
-        sub = a[np.ix_(idx, idx)]
-        total += float(np.linalg.det(sub))
-    return total
+    idx = np.array(list(combinations(range(n), k)))
+    minors = a[idx[:, :, None], idx[:, None, :]]
+    return float(np.add.reduce(np.linalg.det(minors)))
 
 
 def sigma2_stable(a) -> float:

@@ -956,10 +956,15 @@ class _PatchProfile:
             raise ConstructionError(
                 "assemble", f"gluing edge delta1 = {self.delta1:.4g} reaches the "
                 f"transition radius r8 = {self.r8}")
+        self.blend_w = blend_frac * min(self.delta, self.delta1 - self.delta)
+        if not self.delta1 + 0.5 * self.blend_w < self.r8:
+            raise ConstructionError(
+                "assemble", f"the tube region is empty: its blend window ends at "
+                f"{self.delta1 + 0.5 * self.blend_w:.4g}, past the transition "
+                f"radius r8 = {self.r8}")
         self.trans = _TransitionCore(n, gamma, eps, self.r8, self.r7,
                                      self.r6, self.r5, self.r4)
         self.b0, self.b1 = self.glue.b0, self.trans.b1
-        self.blend_w = blend_frac * min(self.delta, self.delta1 - self.delta)
         self.bounds = [
             self.delta - 0.5 * self.blend_w, self.delta + 0.5 * self.blend_w,
             self.delta1 - 0.5 * self.blend_w, self.delta1 + 0.5 * self.blend_w,
@@ -1248,15 +1253,17 @@ def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
                  A: float = 0.01, eps_margin: float | None = None,
                  r_cut: float = 0.12, cut_width: float = 0.04,
                  blend_frac: float = 0.1,
-                 fit_exponents=(2.0, 2.5)) -> MarginSweep:
+                 fit_exponents=None) -> MarginSweep:
     """Assemble at several bubble scales and fit the lam^2 energy response.
 
     The fit basis carries the leading remainder exponent alongside lam^2, so
-    the extracted coefficient is not polluted by the next order; the target
-    is B^{(4-n)/n} C delta_r.
+    the extracted coefficient is not polluted by the next order; by default
+    that exponent is (n-4)/2.  The target is B^{(4-n)/n} C delta_r.
     """
     if delta_r >= 0.0:
         raise ConstructionError("sweep", "the sweep needs a strict deficit delta_r < 0")
+    if fit_exponents is None:
+        fit_exponents = (2.0, (n - 4) / 2)
     reports = []
     for lam in lams:
         bp = BubbleParams(n, lam, radii[-1], beta, delta_r)

@@ -107,6 +107,15 @@ def test_construct_failure_returns_numeric_error(capsys):
     assert d["error"].startswith("[glue]")
 
 
+def test_construct_empty_tube_returns_numeric_error(capsys):
+    rc, cap = run_cli(capsys, ["construct", "--lambda", "8.70664478545601e-4",
+                               "--beta", "0.2544625557993091", "--gamma", "1.05"])
+    assert rc == 3
+    d = json.loads(cap.out)
+    assert d["status"] == "error"
+    assert d["error"].startswith("[assemble] the tube region is empty")
+
+
 def test_sweep(capsys):
     rc, cap = run_cli(capsys, ["sweep", "--lambdas", "1e-3,1e-4"])
     assert rc == 0
@@ -117,12 +126,21 @@ def test_sweep(capsys):
     assert d["K2_rel_dev"] < 0.1
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_inadmissible_start_exits_numeric(capsys):
-    rc, cap = run_cli(capsys, ["flow", "--grid-points", "64", "--amplitude", "3.0",
-                               "--t-max", "0.5"])
-    assert rc == 3
-    d = json.loads(cap.out)
-    assert d["status"] == "cone_exit"
+    for argv in (["flow", "--grid-points", "64", "--amplitude", "3.0", "--t-max", "0.5"],
+                 ["flow", "--amplitude", "3"]):
+        rc, cap = run_cli(capsys, argv)
+        assert rc == 3
+        d = _strict_json(cap.out)
+        assert d["status"] == "cone_exit"
+        assert d["F2"] is None and d["equilibrium_residual"] is None
 
 
 def test_usage_errors(capsys):

@@ -1,9 +1,11 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import sigma2flow.flow as flow_module
 from sigma2flow.discretize import sphere_latitude
 from sigma2flow.flow import (
     INITIAL_FIELDS,
@@ -25,7 +27,15 @@ from sigma2flow.flow import (
     velocity,
     write_monitor_csv,
 )
-from sigma2flow.geometry import ConeViolation, ConformalField, RoundSphere, functional_V
+from sigma2flow.geometry import (
+    ConeViolation,
+    ConformalField,
+    CurvatureModel,
+    FlatRadialBall,
+    RoundSphere,
+    functional_V,
+    schouten_fields,
+)
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +223,113 @@ def test_continuation_warm_starts(s5_grid):
     for r in rungs:
         assert r.Y2_estimate == pytest.approx(39.003151786888736, rel=1e-12)
     assert rungs[0].Y_eps == pytest.approx(2.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the velocity kernel against an evaluation built from the geometry module
+
+_KERNEL_CASES = [
+    (RoundSphere(5), 128),
+    (RoundSphere(9), 160),
+    (FlatRadialBall(9, 1.0), 120),
+    (CurvatureModel(9, 1.0, -1.0, 0.3, 0.2), 120),
+]
+
+
+def _kernel_field(background, num_points):
+    grid = background.make_grid(num_points)
+    x = grid.x
+    if isinstance(background, RoundSphere):
+        u = 0.1 * np.cos(x) + 0.03 * np.cos(3.0 * x)
+    else:
+        u = 0.5 * x * x + 0.005 * np.cos(2.0 * np.pi * x / x[-1])
+    return ConformalField(grid, u)
+
+
+def _reference_flow(background, field, eps):
+    """Velocity and monitors from schouten_fields, gauge_h and the weights."""
+    grid, u, n = field.grid, field.u, background.n
+    f = schouten_fields(grid, background, u)
+    w = grid.weights
+    f2i = np.exp((4.0 - n) * u) * f.sigma2
+    ev = np.exp((2.0 * eps - n) * u)
+    F2, V = float(w @ f2i), float(w @ ev)
+    r = F2 / V
+    hd = gauge_h(np.sqrt(f.sigma2)) - gauge_h(math.sqrt(r) * np.exp((eps - 2.0) * u))
+    s = float(w @ (ev * hd)) / V
+    tang = np.where(background.pole_mask(grid.x), f.upp, f.up * background.lateral(grid.x))
+    monitors = {
+        "F2": F2, "V_eps": V, "r_eps": r, "s_eps": s,
+        "min_sigma2": float(np.min(np.exp(4.0 * u) * f.sigma2)),
+        "sup_grad": float(np.max(f.up ** 2 + np.maximum(np.abs(f.upp), np.abs(tang)))),
+        "dF2dt_formula": -0.5 * (n - 4.0) * float(w @ (hd * (f2i - r * ev))),
+    }
+    return 0.5 * (hd - s), monitors, np.abs(hd).max()
+
+
+@pytest.mark.parametrize("eps", [2.0, 0.5])
+@pytest.mark.parametrize("background,num_points", _KERNEL_CASES,
+                         ids=["S5", "S9", "flat_ball", "curvature_model"])
+def test_velocity_matches_geometry_evaluation(background, num_points, eps):
+    field = _kernel_field(background, num_points)
+    v_ref, mon, hd_scale = _reference_flow(background, field, eps)
+    v = velocity(background, field, eps)
+    assert np.abs(v - v_ref).max() <= 1e-11 * np.abs(v_ref).max()
+    r_eps, s_eps = normalizers(background, field, eps)
+    assert r_eps == pytest.approx(mon["r_eps"], rel=1e-12)
+    assert s_eps == pytest.approx(mon["s_eps"], rel=1e-12, abs=1e-12 * hd_scale)
+    rec = flow_state(background, field, eps).monitors
+    for name in ("F2", "V_eps", "r_eps", "min_sigma2", "sup_grad"):
+        assert getattr(rec, name) == pytest.approx(mon[name], rel=1e-11), name
+    assert rec.dF2dt_formula == pytest.approx(mon["dF2dt_formula"], rel=1e-9)
+
+
+def _assert_record_is_full_evaluation(sphere, grid, u, eps, rec):
+    full = flow_state(sphere, ConformalField(grid, u), eps).monitors
+    for name in ("F2", "V_eps", "r_eps", "s_eps", "min_sigma2", "sup_grad",
+                 "dF2dt_formula"):
+        assert getattr(rec, name) == getattr(full, name), name
+
+
+def test_records_equal_full_evaluations(s5_grid):
+    # each record of a run to t = 0.2 is read at the state that a run to the
+    # record's own time ends in, since both runs take the same steps up to it
+    sphere, grid = s5_grid
+    u0 = initial_field("cosine", grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=0.2, record_dt=0.05, tol_converge=0.0)
+    res = flow_run(sphere, u0, cfg, grid=grid)
+    assert len(res.records) == 5
+    for k, rec in enumerate(res.records):
+        part = res if k == 4 else flow_run(sphere, u0, replace(cfg, t_max=rec.t), grid=grid)
+        assert part.t == rec.t
+        _assert_record_is_full_evaluation(sphere, grid, part.u, 2.0, rec)
+    # runs that end between record times: at t_max, on convergence, at max_steps
+    for cfg in (FlowConfig(eps=2.0, t_max=0.07, record_dt=0.05, tol_converge=0.0),
+                FlowConfig(eps=2.0, t_max=5.0, record_dt=0.05, tol_converge=1e-2),
+                FlowConfig(eps=2.0, t_max=5.0, max_steps=5, tol_converge=0.0)):
+        res = flow_run(sphere, u0, cfg, grid=grid)
+        assert res.records[-1].t == res.t
+        assert res.t != round(res.t / cfg.record_dt) * cfg.record_dt
+        _assert_record_is_full_evaluation(sphere, grid, res.u, 2.0, res.records[-1])
+        assert res.aux_track[-1, 1] == res.u.min()
+
+
+def test_stencil_tables_built_once_per_grid(monkeypatch):
+    calls = []
+    real = flow_module.stencil_tables
+
+    def counting(grid, order):
+        calls.append(order)
+        return real(grid, order)
+
+    monkeypatch.setattr(flow_module, "stencil_tables", counting)
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    u0 = initial_field("cosine", grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=0.05, tol_converge=0.0)
+    flow_run(sphere, u0, cfg, grid=grid)
+    flow_run(sphere, u0, cfg, grid=grid)
+    assert sorted(calls) == [1, 2]
+    calls.clear()
+    continuation(sphere, u0, (2.0, 1.5, 1.0), t_max=0.05)
+    assert sorted(calls) == [1, 2]

@@ -138,6 +138,7 @@ def test_sigma_k_minors_matches_det_and_trace():
     assert sigma_k_minors(a, 1) == pytest.approx(np.trace(a))
     assert sigma_k_minors(a, 5) == pytest.approx(np.linalg.det(a))
     assert sigma_k_minors(a, 0) == 1.0
+    assert sigma_k_minors(a, 3) == pytest.approx(sigma_k(a, 3), rel=1e-12)
 
 
 def test_sigma2_stable_near_cancellation():

@@ -411,6 +411,11 @@ def test_margin_sweep_fit(sweep):
     assert ms.F2_tilde == tuple(rep.F2_tilde for rep in ms.reports)
 
 
+def test_margin_sweep_fits_the_dimension_remainder():
+    # the remainder exponent of the fit is (n - 4)/2: 3 at n = 10
+    assert margin_sweep(10, (1e-3, 3e-4, 1e-4), 1.05, 0.26).K2_rel_dev < 0.1
+
+
 def test_margin_sweep_validation():
     with pytest.raises(ConstructionError, match="strict deficit delta_r < 0"):
         margin_sweep(delta_r=0.0)
