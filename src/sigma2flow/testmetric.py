@@ -103,9 +103,11 @@ def _smoothstep_dd(s):
 
 def _cumulative_spline(f, a: float, b: float, m: int = 20001,
                        geometric: bool = True) -> CubicSpline:
-    """Spline of x -> integral_a^x f, built from a dense cumulative rule."""
+    """Spline of x -> integral_a^x f on [a, b] (NaN outside), from a dense
+    cumulative rule."""
     t = np.geomspace(a, b, m) if geometric else np.linspace(a, b, m)
-    return CubicSpline(t, cumulative_simpson(f(t), x=t, initial=0.0))
+    return CubicSpline(t, cumulative_simpson(f(t), x=t, initial=0.0),
+                       extrapolate=False)
 
 
 def _refine(edges: np.ndarray, per_panel: int = 33) -> np.ndarray:
@@ -481,8 +483,11 @@ class _GluingCore:
                 hi = mid
         self.delta1 = delta1 = 0.5 * (lo + hi)
 
-        self._w = _cumulative_spline(lambda t: self.alpha(t) / t, delta, delta1, 20001)
-        self.w_total = float(self._w(delta1))
+        # the potential is tabled on the whole range of H, anchored at delta,
+        # so the seam windows on both sides of [delta, delta1] read it too
+        self._w = _cumulative_spline(lambda t: self.alpha(t) / t, 0.5 * delta, 1.5, 40001)
+        self._w_delta = float(self._w(delta))
+        self.w_total = float(self._w(delta1)) - self._w_delta
         # annulus value at its inner edge; the bubble shift follows from it
         self.u_inner = gamma * math.log(delta1) - self.w_total
         self.b0 = self.u_inner - math.log(lam + delta * delta)
@@ -508,7 +513,7 @@ class _GluingCore:
         return (self.A * r * r * a - 0.25 * (self.n - 4) * quad) / r
 
     def u(self, r):
-        return self.u_inner + self._w(r)
+        return self.u_inner + (self._w(r) - self._w_delta)
 
     def derivatives(self, r):
         r = np.asarray(r, dtype=float)

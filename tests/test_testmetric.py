@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sigma2flow.discretize import sphere_measure
+from sigma2flow.discretize import gauss_panels, log_edges, sphere_measure
 from sigma2flow.geometry import CurvatureModel, FlatRadialBall
 from sigma2flow.testmetric import (
     TRANSITION_RADII,
@@ -335,8 +335,8 @@ def test_assemble_margin(assembled):
     assert am.eps_margin == 0.15  # auto: min(0.15, 0.8 (2 - gamma)/5)
     assert am.beta_in_proof_range
     assert am.Y2_sphere == pytest.approx(37.96504289994781, rel=1e-12)
-    assert am.F2_tilde == pytest.approx(37.96503550666213, rel=1e-10)
-    assert am.margin == pytest.approx(7.393285677892436e-06, rel=1e-4)
+    assert am.F2_tilde == pytest.approx(37.96503550127057, rel=1e-10)
+    assert am.margin == pytest.approx(7.3986772335388196e-06, rel=1e-4)
     assert am.margin > 0.0
     assert am.flat is not None and am.flat.margin > 0.0
 
@@ -373,6 +373,21 @@ def test_assemble_profile_eval(assembled):
     np.testing.assert_allclose(u, [-7.39590422, -3.47438548, 0.69314718], atol=1e-6)
 
 
+def test_seam_windows_read_the_annulus_potential(assembled):
+    # the seam blends evaluate the annulus a half window past both of its
+    # edges; there, too, u must be u(delta) plus the integral of alpha/t
+    prof = assembled.profile
+    glue = prof.glue
+    half = 0.5 * prof.blend_w
+    for r in np.concatenate([np.linspace(prof.delta - half, prof.delta, 5),
+                             np.linspace(prof.delta1, prof.delta1 + half, 5)]):
+        lo, hi = sorted((prof.delta, float(r)))
+        w = gauss_panels(lambda t: glue.alpha(t) / t, log_edges(lo, hi, 8)) if hi > lo else 0.0
+        want = glue.u_inner + (w if r > prof.delta else -w)
+        assert float(glue.u(r)) == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert float(prof.eval_region(np.array([r]), "annulus")[0][0]) == float(glue.u(r))
+
+
 def test_assemble_validation():
     bp = BubbleParams(9, 1e-4, delta_r=-1.0)
     with pytest.raises(ConstructionError, match=r"gamma must lie in \(1, 2\)"):
@@ -388,7 +403,7 @@ def test_assemble_validation():
 def test_margin_sweep_positive_margins(sweep):
     ms = sweep
     assert ms.lams == (1e-3, 3e-4, 1e-4)
-    expected = (1.3829000895171362e-03, 9.40922706291758e-05, 7.393285677892436e-06)
+    expected = (1.383115416345504e-03, 9.412432289224171e-05, 7.3986772335388196e-06)
     for got, want in zip(ms.margins, expected):
         assert got == pytest.approx(want, rel=1e-4)
         assert got > 0.0
