@@ -19,6 +19,11 @@ constant ``b0`` and the outer cap the constant ``b1``.  All energies use
     vol = integral e^{-n u} dvol_flat,
 
 and the scale-invariant energy is F2 / vol^{(n-4)/n}.
+
+Every radial profile (bubble, annulus, transition, assembled patch) is a
+triple ``(u, u', u'')`` at given radii; the piecewise ones come from one
+region dispatcher, and energies, volumes and cone values of all of them come
+from the same routines.
 """
 
 from __future__ import annotations
@@ -26,11 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .discretize import gauss_panels, log_edges, sphere_measure
 from .geometry import (
@@ -79,6 +82,17 @@ STANDARD_RADII = (0.65, 0.85, 1.0, 1.15, 1.8, 2.5)
 # taper and a bridge that ends by r = 1.
 TRANSITION_RADII = (0.06, 0.10, 0.20, 0.30, 1.00, 6.00)
 
+# Node spacing (in log r) of the antiderivative tables.  The cubic Hermite
+# interpolant between nodes errs by about h^4 |f'''| / 384, which for the
+# slope integrands here is below 1e-15 relative.
+_LOG_STEP = 2.5e-4
+
+# 3-point Gauss-Legendre rule on [0, 1] for the table intervals, and the
+# 24-point rule on [-1, 1] for the energy panels (as in ``gauss_panels``)
+_TAB_Z, _TAB_W = np.polynomial.legendre.leggauss(3)
+_TAB_Z, _TAB_W = 0.5 * (_TAB_Z + 1.0), 0.5 * _TAB_W
+_PANEL_Z, _PANEL_W = np.polynomial.legendre.leggauss(24)
+
 
 class ConstructionError(RuntimeError):
     """A gluing stage failed a regime or cone constraint."""
@@ -101,13 +115,31 @@ def _smoothstep_dd(s):
     return 60.0 * s * (1.0 - 3.0 * s + 2.0 * s * s)
 
 
-def _cumulative_spline(f, a: float, b: float, m: int = 20001,
-                       geometric: bool = True) -> CubicSpline:
-    """Spline of x -> integral_a^x f on [a, b] (NaN outside), from a dense
-    cumulative rule."""
-    t = np.geomspace(a, b, m) if geometric else np.linspace(a, b, m)
-    return CubicSpline(t, cumulative_simpson(f(t), x=t, initial=0.0),
-                       extrapolate=False)
+def _antiderivative(f, lo: float, anchor: float, hi: float):
+    """x -> integral_anchor^x f on [lo, hi], as a callable that raises outside.
+
+    Nodes are geometric on both sides of ``anchor`` (itself a node); the node
+    values are Gauss-Legendre sums per node interval, and between nodes a
+    cubic Hermite interpolant takes the exact slope ``f``.
+    """
+    left = np.geomspace(lo, anchor, 1 + math.ceil(math.log(anchor / lo) / _LOG_STEP))
+    right = np.geomspace(anchor, hi, 1 + math.ceil(math.log(hi / anchor) / _LOG_STEP))
+    t = np.concatenate([left, right[1:]])
+    h = np.diff(t)
+    F = np.concatenate([[0.0], np.cumsum(h * (f(t[:-1, None] + h[:, None] * _TAB_Z) @ _TAB_W))])
+    F -= F[left.size - 1]
+    slope = f(t)
+
+    def value(r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < lo) or np.any(r > hi):
+            raise ValueError(f"radius outside the antiderivative table [{lo:.6g}, {hi:.6g}]")
+        i = np.minimum(np.searchsorted(t, r, side="right") - 1, h.size - 1)
+        s = (r - t[i]) / h[i]
+        return (F[i] + s * s * (3.0 - 2.0 * s) * (F[i + 1] - F[i])
+                + h[i] * s * (1.0 - s) * ((1.0 - s) * slope[i] - s * slope[i + 1]))
+
+    return value
 
 
 def _refine(edges: np.ndarray, per_panel: int = 33) -> np.ndarray:
@@ -117,18 +149,62 @@ def _refine(edges: np.ndarray, per_panel: int = 33) -> np.ndarray:
     return np.concatenate(parts)
 
 
-# the round cap conformal factor and its derivatives
-def _cap_u(r):
-    return np.log1p(r * r)
+def _bubble(lam: float, r, b0: float = 0.0):
+    """(u, u', u'') of the bubble u = log(lam + r^2) + b0."""
+    v = lam + r * r
+    return np.log(v) + b0, 2.0 * r / v, 2.0 / v - 4.0 * r * r / (v * v)
 
 
-def _cap_up(r):
-    return 2.0 * r / (1.0 + r * r)
-
-
-def _cap_upp(r):
+def _cap(r):
+    """(c, c', c'') of the round cap factor c = log(1 + r^2)."""
     rr = r * r
-    return (2.0 - 2.0 * rr) / (1.0 + rr) ** 2
+    return np.log1p(rr), 2.0 * r / (1.0 + rr), (2.0 - 2.0 * rr) / (1.0 + rr) ** 2
+
+
+def _dispatch(profile, r):
+    """(u, u', u'') of a piecewise profile at arbitrary radii.
+
+    Radius r belongs to region k of ``profile.REGIONS`` when
+    ``bounds[k-1] < r <= bounds[k]``; ``profile.eval_region`` evaluates it.
+    """
+    r = np.asarray(r, dtype=float)
+    out = np.empty((3,) + r.shape)
+    idx = np.searchsorted(profile.bounds, r, side="left")
+    for k, name in enumerate(profile.REGIONS):
+        m = idx == k
+        if np.any(m):
+            out[:, m] = profile.eval_region(r[m], name)
+    return out[0], out[1], out[2]
+
+
+def _sigma_pair(r, derivs, model, n: int):
+    """sigma_1(W) and sigma_2(W) of a profile with (u, u', u'') = derivs at r."""
+    u, up, upp = derivs
+    return sigma_pair_radial(n, *schouten_pointwise(model, r, u, up, upp))
+
+
+def _cone_values(r, derivs, model, n: int):
+    """(e^{2u} sigma_1, e^{4u} sigma_2): the sigma pair of the metric e^{-2u} g0."""
+    s1, s2 = _sigma_pair(r, derivs, model, n)
+    u = derivs[0]
+    return np.exp(2.0 * u) * s1, np.exp(4.0 * u) * s2
+
+
+def _panel_nodes(edges):
+    """Nodes and weights of the 24-point Gauss-Legendre rule on every panel."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * _PANEL_Z).ravel(), (half * _PANEL_W).ravel()
+
+
+def _masses(r, weights, derivs, model, n: int):
+    """Quadrature sums of e^{(4-n)u} sigma_2(W) and e^{-nu} against |S^{n-1}| r^{n-1} dr."""
+    _, s2 = _sigma_pair(r, derivs, model, n)
+    measure = sphere_measure(n - 1) * r ** (n - 1) * weights
+    u = derivs[0]
+    return (math.fsum((np.exp((4.0 - n) * u) * s2 * measure).tolist()),
+            math.fsum((np.exp(-float(n) * u) * measure).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +328,11 @@ def sphere_constants(n: int) -> SphereConstants:
 # ---------------------------------------------------------------------------
 # bubble trace pair
 
-class TracePair(tuple):
+class TracePair(NamedTuple):
     """(tr A, tr A^2) of the bubble Schouten matrix."""
 
-    __slots__ = ()
-
-    def __new__(cls, tr_a, tr_a2):
-        return tuple.__new__(cls, (tr_a, tr_a2))
-
-    @property
-    def tr_a(self):
-        return self[0]
-
-    @property
-    def tr_a2(self):
-        return self[1]
+    tr_a: object
+    tr_a2: object
 
 
 def lemma4_traces(bp: BubbleParams, r) -> TracePair:
@@ -287,11 +353,7 @@ def lemma4_traces(bp: BubbleParams, r) -> TracePair:
     if np.any(r <= 0.0) or np.any(r >= bp.r0):
         raise ValueError("radius must lie strictly inside (0, r0)")
     n = bp.n
-    v = bp.lam + r * r
-    u = np.log(v)
-    up = 2.0 * r / v
-    upp = 2.0 / v - 4.0 * r * r / (v * v)
-    w_r, w_t, var = schouten_pointwise(bp.model(), r, u, up, upp)
+    w_r, w_t, var = schouten_pointwise(bp.model(), r, *_bubble(bp.lam, r))
     tr_a = w_r + (n - 1) * w_t
     tr_a2 = w_r * w_r + (n - 1) * w_t * w_t + var
     if scalar:
@@ -334,34 +396,13 @@ def lemma5_integrals(bp: BubbleParams) -> Lemma5Report:
     extrapolation (done in the tests) is needed to see the constants sharply.
     """
     n, lam = bp.n, bp.lam
-    delta = bp.delta
-    model = bp.model()
-    om = sphere_measure(n - 1)
-
     sl = 2.0 * math.sqrt(lam)
-    if sl < delta:
-        edges = np.concatenate([np.linspace(0.0, sl, 13)[:-1], log_edges(sl, delta, 48)])
+    if sl < bp.delta:
+        edges = np.concatenate([np.linspace(0.0, sl, 13)[:-1], log_edges(sl, bp.delta, 48)])
     else:
-        edges = np.linspace(0.0, delta, 25)
-
-    def fields(r):
-        v = lam + r * r
-        u = np.log(v)
-        up = 2.0 * r / v
-        upp = 2.0 / v - 4.0 * r * r / (v * v)
-        return u, schouten_pointwise(model, r, u, up, upp)
-
-    def f_energy(r):
-        u, (w_r, w_t, var) = fields(r)
-        _, s2 = sigma_pair_radial(n, w_r, w_t, var)
-        return np.exp((4.0 - n) * u) * s2 * om * r ** (n - 1)
-
-    def f_volume(r):
-        v = lam + r * r
-        return v ** (-float(n)) * om * r ** (n - 1)
-
-    energy = gauss_panels(f_energy, edges)
-    volume = gauss_panels(f_volume, edges)
+        edges = np.linspace(0.0, bp.delta, 25)
+    r, w = _panel_nodes(edges)
+    energy, volume = _masses(r, w, _bubble(lam, r), bp.model(), n)
 
     sc = sphere_constants(n)
     s2_scaled = energy * lam ** (0.5 * n - 2.0)
@@ -383,25 +424,18 @@ def lemma5_integrals(bp: BubbleParams) -> Lemma5Report:
 # ---------------------------------------------------------------------------
 # Bernoulli slope profile
 
-def _bernoulli_h(r, A: float, n: int, anchor: float = 1.0):
-    """H(r) = -(nA/8) * integral_anchor^r t^{-(n-6)/2} e^{n A t^2/8} dt."""
-    r = np.asarray(r, dtype=float)
-    if A == 0.0:
-        return np.zeros(r.shape)
+def _bernoulli_h(A: float, n: int, lo: float, hi: float, anchor: float = 1.0):
+    """H(r) = -(nA/8) * integral_anchor^r t^{-(n-6)/2} e^{n A t^2/8} dt on [lo, hi]."""
+    if A == 0.0 or lo == hi:
+        return lambda r: np.zeros(np.shape(r))
+    table = _antiderivative(lambda t: t ** (-0.5 * (n - 6)) * np.exp(n * A * t * t / 8.0),
+                            lo, anchor, hi)
+    return lambda r: -0.125 * n * A * table(r)
 
-    def kernel(t):
-        return t ** (-0.5 * (n - 6)) * np.exp(n * A * t * t / 8.0)
 
-    flat = np.atleast_1d(r).ravel()
-    out = np.empty(flat.shape)
-    for i, ri in enumerate(flat):
-        if ri == anchor:
-            out[i] = 0.0
-            continue
-        lo, hi = (anchor, ri) if ri > anchor else (ri, anchor)
-        val = gauss_panels(kernel, log_edges(lo, hi, 16))
-        out[i] = val if ri > anchor else -val
-    return -0.125 * n * A * out.reshape(r.shape)
+def _slope(r, a1: float, h, A: float, n: int):
+    """alpha from 1/alpha = 1/2 + (a1 + H(r)) r^{(n-4)/2} e^{-n A r^2 / 8}."""
+    return 1.0 / (0.5 + (a1 + h(r)) * r ** (0.5 * (n - 4)) * np.exp(-n * A * r * r / 8.0))
 
 
 def bernoulli_alpha(r, a1: float, A: float, n: int, anchor: float = 1.0):
@@ -416,9 +450,8 @@ def bernoulli_alpha(r, a1: float, A: float, n: int, anchor: float = 1.0):
     scalar = r.ndim == 0
     if np.any(r <= 0.0):
         raise ValueError("need r > 0")
-    p = 0.5 * (n - 4)
-    y = 0.5 + (a1 + _bernoulli_h(r, A, n, anchor)) * r ** p * np.exp(-n * A * r * r / 8.0)
-    alpha = 1.0 / y
+    h = _bernoulli_h(A, n, min(float(r.min()), anchor), max(float(r.max()), anchor), anchor)
+    alpha = _slope(r, a1, h, A, n)
     if np.any(alpha <= 0.0) or np.any(alpha >= 2.0):
         raise ValueError("slope left the admissible band (0, 2)")
     return float(alpha) if scalar else alpha
@@ -449,77 +482,63 @@ class _GluingCore:
     Normalization: the tube side is exactly ``u = gamma log r`` at delta1;
     the bubble ``log(lam + r^2)`` must then be shifted by ``b0`` to meet the
     annulus at delta.  Both matchings are C^1 by construction.
+
+    H and the potential are tabled on [delta/2, 1.5], which holds the seam
+    windows on both sides of [delta, delta1]; the potential is anchored at
+    delta.
     """
 
-    def __init__(self, n: int, lam: float, beta: float, gamma: float, A: float,
-                 upper: float = 1.0):
+    def __init__(self, n: int, lam: float, beta: float, gamma: float, A: float):
         self.n, self.lam, self.beta, self.gamma, self.A = n, lam, beta, gamma, A
         self.delta = delta = lam ** beta
-        self.p = p = 0.5 * (n - 4)
-
-        if A > 0.0:
-            self._h_base = _cumulative_spline(
-                lambda t: t ** (-0.5 * (n - 6)) * np.exp(n * A * t * t / 8.0),
-                0.5 * delta, 1.5, 24001)
-        else:
-            self._h_base = None
-        self.a1 = (lam / (2.0 * delta * delta)) * delta ** (-p) \
+        lo, hi = 0.5 * delta, 1.5
+        self._h = _bernoulli_h(A, n, lo, hi)
+        self.a1 = (lam / (2.0 * delta * delta)) * delta ** (-0.5 * (n - 4)) \
             * math.exp(n * A * delta * delta / 8.0) - float(self._h(delta))
 
         alpha_delta = 2.0 * delta * delta / (lam + delta * delta)
         if alpha_delta <= gamma:
             raise ConstructionError(
                 "glue", f"bubble-edge slope {alpha_delta:.4f} does not exceed gamma={gamma}")
-        if self.alpha(min(upper, 1.0)) > gamma:
+        if self.alpha(1.0) > gamma:
             raise ConstructionError(
-                "glue", "the slope stays above gamma out to r = "
-                f"{min(upper, 1.0):g}; delta1 would leave the unit ball")
-        lo, hi = delta, min(upper, 1.0)
+                "glue", "the slope stays above gamma out to r = 1; "
+                "delta1 would leave the unit ball")
+        lo_b, hi_b = delta, 1.0
         for _ in range(200):
-            mid = math.sqrt(lo * hi)
+            mid = math.sqrt(lo_b * hi_b)
             if self.alpha(mid) > gamma:
-                lo = mid
+                lo_b = mid
             else:
-                hi = mid
-        self.delta1 = delta1 = 0.5 * (lo + hi)
+                hi_b = mid
+        self.delta1 = delta1 = 0.5 * (lo_b + hi_b)
 
-        # the potential is tabled on the whole range of H, anchored at delta,
-        # so the seam windows on both sides of [delta, delta1] read it too
-        self._w = _cumulative_spline(lambda t: self.alpha(t) / t, 0.5 * delta, 1.5, 40001)
-        self._w_delta = float(self._w(delta))
-        self.w_total = float(self._w(delta1)) - self._w_delta
+        self._w = _antiderivative(lambda t: self.alpha(t) / t, lo, delta, hi)
         # annulus value at its inner edge; the bubble shift follows from it
-        self.u_inner = gamma * math.log(delta1) - self.w_total
+        self.u_inner = gamma * math.log(delta1) - float(self._w(delta1))
         self.b0 = self.u_inner - math.log(lam + delta * delta)
         # constant of the closed-form potential, matched at the tube edge
         self.a2 = gamma * math.log(delta1) - (4.0 / (4.0 - n)) * math.log(
             delta1 ** (0.5 * (4.0 - n)) + 2.0 * self.a1)
 
-    def _h(self, r):
-        if self._h_base is None:
-            return np.zeros(np.shape(r))
-        return -0.125 * self.n * self.A * (self._h_base(r) - self._h_base(1.0))
-
     def alpha(self, r):
-        r = np.asarray(r, dtype=float)
-        y = 0.5 + (self.a1 + self._h(r)) * r ** self.p \
-            * np.exp(-self.n * self.A * r * r / 8.0)
-        return 1.0 / y
+        return _slope(np.asarray(r, dtype=float), self.a1, self._h, self.A, self.n)
 
-    def alpha_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        a = self.alpha(r)
+    def _alpha_prime(self, r, a):
         quad = 2.0 * a - a * a - self.A * r * r * a
         return (self.A * r * r * a - 0.25 * (self.n - 4) * quad) / r
 
+    def alpha_prime(self, r):
+        r = np.asarray(r, dtype=float)
+        return self._alpha_prime(r, self.alpha(r))
+
     def u(self, r):
-        return self.u_inner + (self._w(r) - self._w_delta)
+        return self.u_inner + self._w(r)
 
     def derivatives(self, r):
         r = np.asarray(r, dtype=float)
         a = self.alpha(r)
-        ap = self.alpha_prime(r)
-        return self.u(r), a / r, (ap * r - a) / (r * r)
+        return self.u(r), a / r, (self._alpha_prime(r, a) * r - a) / (r * r)
 
 
 @dataclass
@@ -619,29 +638,15 @@ def glue_lemma6(bp: BubbleParams, gamma: float, A: float = 0.01,
 
     # true pointwise cone check against the bubble's background model
     model = bp.model()
-    u, up, upp = core.derivatives(r)
-    w_r, w_t, var = schouten_pointwise(model, r, u, up, upp)
-    s1, s2 = sigma_pair_radial(n, w_r, w_t, var)
+    s1, s2 = _sigma_pair(r, core.derivatives(r), model, n)
     cone_ok = bool(s1.min() > 0.0 and s2.min() > 0.0)
     s_r0, s_t0 = model.base_schouten(r)
     pad_scale = 0.5 * A * float(alpha.min())
     padding_dominates = bool(
         max(np.abs(s_r0 / (r * r)).max(), np.abs(s_t0 / (r * r)).max()) <= pad_scale)
 
-    om = sphere_measure(n - 1)
-
-    def f_energy(rr):
-        uu, uup, uupp = core.derivatives(rr)
-        ww_r, ww_t, vvar = schouten_pointwise(model, rr, uu, uup, uupp)
-        _, ss2 = sigma_pair_radial(n, ww_r, ww_t, vvar)
-        return np.exp((4.0 - n) * uu) * ss2 * om * rr ** (n - 1)
-
-    def f_volume(rr):
-        return np.exp(-float(n) * core.u(rr)) * om * rr ** (n - 1)
-
-    ann_edges = log_edges(delta, delta1, 64)
-    energy = gauss_panels(f_energy, ann_edges)
-    volume = gauss_panels(f_volume, ann_edges)
+    rq, wq = _panel_nodes(log_edges(delta, delta1, 64))
+    energy, volume = _masses(rq, wq, core.derivatives(rq), model, n)
     energy_norm = delta ** (4.0 + n * (1.0 - gamma)) * lam ** (-3.0 + 2.0 * gamma)
     vol_exp = 2.0 * n * (2.0 - gamma) / (n - 4.0)
     volume_norm = (delta ** ((n + 4.0 - n * gamma) / (2.0 * (2.0 - gamma))) / lam) ** vol_exp
@@ -675,10 +680,13 @@ def glue_lemma6(bp: BubbleParams, gamma: float, A: float = 0.01,
 class _TransitionCore:
     """Slope taper + cap cutoff on (0, r0], tube-normalized (u = gamma log r)."""
 
+    REGIONS = ("tube", "ramp", "tube_cap", "taper", "bridge", "outer")
+
     def __init__(self, n: int, gamma: float, eps: float, r8: float, r7: float,
                  r6: float, r5: float, r4: float):
         self.n, self.gamma, self.eps = n, gamma, eps
         self.r8, self.r7, self.r6, self.r5, self.r4 = r8, r7, r6, r5, r4
+        self.bounds = (r8, r7, r6, r5, r4)
         self.top = top = 2.0 - 5.0 * eps
         self.qhat = qhat = 0.5 - 1.25 * eps
         if not top > gamma:
@@ -687,8 +695,7 @@ class _TransitionCore:
         self.delta_t = gamma * r6 ** qhat / (top - gamma)
         self.alpha5 = float(self._taper_alpha(r5))
         self.w_r5 = gamma * math.log(r6) + float(self._taper_w(r5))
-        self._w_bridge = _cumulative_spline(
-            lambda t: self._bridge_alpha(t) / t, r5, r4, 20001, geometric=False)
+        self._w_bridge = _antiderivative(lambda t: self._bridge_alpha(t) / t, r5, r5, r4)
         self.b1 = self.w_r5 + float(self._w_bridge(r4))
 
     # taper branch: closed-form slope solving the eps-padded equation
@@ -734,38 +741,32 @@ class _TransitionCore:
         g = self.gamma
         if region == "tube":
             return g * np.log(r), g / r, -g / (r * r)
+        cap, capp, cappp = _cap(r)
+        if region == "outer":
+            return cap + self.b1, capp, cappp
         if region == "ramp":
             span = self.r7 - self.r8
             s = (r - self.r8) / span
             S = smoothstep(s)
             Sd = _smoothstep_d(s) / span
             Sdd = _smoothstep_dd(s) / (span * span)
-            cap, capp, cappp = _cap_u(r), _cap_up(r), _cap_upp(r)
-            u = g * np.log(r) + S * cap
-            up = g / r + Sd * cap + S * capp
-            upp = -g / (r * r) + Sdd * cap + 2.0 * Sd * capp + S * cappp
-            return u, up, upp
+            return (g * np.log(r) + S * cap,
+                    g / r + Sd * cap + S * capp,
+                    -g / (r * r) + Sdd * cap + 2.0 * Sd * capp + S * cappp)
         if region == "tube_cap":
-            return (g * np.log(r) + _cap_u(r),
-                    g / r + _cap_up(r),
-                    -g / (r * r) + _cap_upp(r))
+            return g * np.log(r) + cap, g / r + capp, -g / (r * r) + cappp
         if region == "taper":
-            a = self._taper_alpha(r)
-            ap = self._taper_alpha_prime(r)
-            w = self.gamma * math.log(self.r6) + self._taper_w(r)
-            return (w + _cap_u(r),
-                    a / r + _cap_up(r),
-                    (ap * r - a) / (r * r) + _cap_upp(r))
-        if region == "bridge":
-            a = self._bridge_alpha(r)
-            ap = self._bridge_alpha_prime(r)
+            a, ap = self._taper_alpha(r), self._taper_alpha_prime(r)
+            w = g * math.log(self.r6) + self._taper_w(r)
+        elif region == "bridge":
+            a, ap = self._bridge_alpha(r), self._bridge_alpha_prime(r)
             w = self.w_r5 + self._w_bridge(r)
-            return (w + _cap_u(r),
-                    a / r + _cap_up(r),
-                    (ap * r - a) / (r * r) + _cap_upp(r))
-        if region == "outer":
-            return _cap_u(r) + self.b1, _cap_up(r), _cap_upp(r)
-        raise KeyError(region)
+        else:
+            raise KeyError(region)
+        return w + cap, a / r + capp, (ap * r - a) / (r * r) + cappp
+
+    def derivatives(self, r):
+        return _dispatch(self, r)
 
 
 @dataclass
@@ -803,44 +804,10 @@ class TransitionProfile:
         return self.core.xi(r)
 
     def u(self, r):
-        r = np.asarray(r, dtype=float)
-        return self._dispatch(r)[0]
+        return self.core.derivatives(r)[0]
 
     def derivatives(self, r):
-        return self._dispatch(np.asarray(r, dtype=float))
-
-    def _dispatch(self, r):
-        c = self.core
-        bounds = [c.r8, c.r7, c.r6, c.r5, c.r4]
-        names = ["tube", "ramp", "tube_cap", "taper", "bridge", "outer"]
-        u = np.empty(r.shape)
-        up = np.empty(r.shape)
-        upp = np.empty(r.shape)
-        idx = np.searchsorted(bounds, r, side="left")
-        for k, name in enumerate(names):
-            m = idx == k
-            if np.any(m):
-                u[m], up[m], upp[m] = c.eval_region(r[m], name)
-        return u, up, upp
-
-
-def _transition_cone_samples(core: _TransitionCore, r0: float):
-    zones = [
-        ("tube", np.linspace(0.5 * core.r8, core.r8, 65)),
-        ("ramp", np.linspace(core.r8, core.r7, 257)),
-        ("tube_cap", np.linspace(core.r7, core.r6, 129)),
-        ("taper", np.linspace(core.r6, core.r5, 129)),
-        ("bridge", np.linspace(core.r5, core.r4, 257)),
-        ("outer", np.linspace(core.r4, min(1.5 * core.r4, 0.98 * r0), 65)),
-    ]
-    model = FlatRadialBall(core.n, r0)
-    out = []
-    for name, r in zones:
-        u, up, upp = core.eval_region(r, name)
-        w_r, w_t, var = schouten_pointwise(model, r, u, up, upp)
-        s1, s2 = sigma_pair_radial(core.n, w_r, w_t, var)
-        out.append((name, r, np.exp(2.0 * u) * s1, np.exp(4.0 * u) * s2))
-    return out
+        return self.core.derivatives(r)
 
 
 def transition_lemma7(gamma: float, eps_margin: float, radii,
@@ -869,18 +836,22 @@ def transition_lemma7(gamma: float, eps_margin: float, radii,
         raise ConstructionError(
             "transition", "radii must be six increasing positive values (r8 .. r4, r0)")
     r8, r7, r6, r5, r4, r0 = radii
+    model = FlatRadialBall(n, r0)
 
     scale = 1.0
-    steps = 0
-    core = None
-    samples = None
-    window_min = interior_min = math.nan
     for steps in range(48):
-        core = _TransitionCore(n, gamma, eps_margin, r8 * scale, r7 * scale, r6, r5, r4)
-        samples = _transition_cone_samples(core, r0)
-        by_name = {name: (rr, m1, m2) for name, rr, m1, m2 in samples}
-        interior_min = float(by_name["taper"][2].min())
-        window_min = float(min(by_name["tube"][2].min(), by_name["ramp"][2].min()))
+        core = c = _TransitionCore(n, gamma, eps_margin, r8 * scale, r7 * scale, r6, r5, r4)
+        # (r, e^{2u} sigma_1, e^{4u} sigma_2) on sample nodes of every zone
+        samples = {}
+        for name, r in (("tube", np.linspace(0.5 * c.r8, c.r8, 65)),
+                        ("ramp", np.linspace(c.r8, c.r7, 257)),
+                        ("tube_cap", np.linspace(c.r7, c.r6, 129)),
+                        ("taper", np.linspace(c.r6, c.r5, 129)),
+                        ("bridge", np.linspace(c.r5, c.r4, 257)),
+                        ("outer", np.linspace(c.r4, min(1.5 * c.r4, 0.98 * r0), 65))):
+            samples[name] = (r, *_cone_values(r, c.eval_region(r, name), model, n))
+        interior_min = float(samples["taper"][2].min())
+        window_min = float(min(samples["tube"][2].min(), samples["ramp"][2].min()))
         if not shrink or (window_min > 0.0 and window_min >= 0.1 * interior_min):
             break
         scale *= 0.8
@@ -889,18 +860,11 @@ def transition_lemma7(gamma: float, eps_margin: float, radii,
             "transition",
             f"cutoff window still unsafe after shrinking to r7 = {core.r7:.4g}")
 
-    worst_r = math.nan
-    worst_val = math.inf
-    min_s1 = math.inf
-    min_s2 = math.inf
-    for name, rr, m1, m2 in samples:
-        min_s1 = min(min_s1, float(m1.min()))
-        m2min = float(m2.min())
-        if m2min < worst_val:
-            worst_val = m2min
-            worst_r = float(rr[int(np.argmin(m2))])
-        min_s2 = min(min_s2, m2min)
+    min_s1 = min(float(m1.min()) for _, m1, _ in samples.values())
+    worst_rr, _, worst_m2 = min(samples.values(), key=lambda smp: smp[2].min())
+    min_s2 = float(worst_m2.min())
     if min_s1 <= 0.0 or min_s2 <= 0.0:
+        worst_r = float(worst_rr[int(np.argmin(worst_m2))])
         raise ConstructionError(
             "transition", f"cone violation at r = {worst_r:.6g} "
             f"(min sigma_1 = {min_s1:.3e}, min sigma_2 = {min_s2:.3e})")
@@ -909,8 +873,7 @@ def transition_lemma7(gamma: float, eps_margin: float, radii,
     h = 1e-6 * r_ode
     a0 = core._taper_alpha(r_ode)
     ap = (core._taper_alpha(r_ode + h) - core._taper_alpha(r_ode - h)) / (2.0 * h)
-    eps = eps_margin
-    residual = 0.25 * (2.0 * a0 - a0 * a0 - eps * a0) + r_ode * ap - eps * a0
+    residual = 0.25 * (2.0 * a0 - a0 * a0 - eps_margin * a0) + r_ode * ap - eps_margin * a0
 
     return TransitionProfile(
         n=n, gamma=gamma, eps_margin=eps_margin,
@@ -953,7 +916,7 @@ class _PatchProfile:
                "ramp", "tube_cap", "taper", "bridge", "outer")
 
     def __init__(self, n, lam, beta, gamma, A, eps, radii, blend_frac=0.1):
-        self.n, self.lam, self.gamma = n, lam, gamma
+        self.lam = lam
         self.r8, self.r7, self.r6, self.r5, self.r4, self.r0 = radii
         self.glue = _GluingCore(n, lam, beta, gamma, A)
         self.delta, self.delta1 = self.glue.delta, self.glue.delta1
@@ -976,10 +939,6 @@ class _PatchProfile:
             self.r8, self.r7, self.r6, self.r5, self.r4,
         ]
 
-    def _bubble(self, r):
-        v = self.lam + r * r
-        return np.log(v) + self.b0, 2.0 * r / v, 2.0 / v - 4.0 * r * r / (v * v)
-
     def _blend(self, r, left: str, right: str, center: float):
         s = (r - (center - 0.5 * self.blend_w)) / self.blend_w
         S = smoothstep(s)
@@ -995,7 +954,7 @@ class _PatchProfile:
     def eval_region(self, r, region):
         r = np.asarray(r, dtype=float)
         if region == "bubble":
-            return self._bubble(r)
+            return _bubble(self.lam, r, self.b0)
         if region == "seam_inner":
             return self._blend(r, "bubble", "annulus", self.delta)
         if region == "annulus":
@@ -1004,18 +963,8 @@ class _PatchProfile:
             return self._blend(r, "annulus", "tube", self.delta1)
         return self.trans.eval_region(r, region)
 
-    def dispatch(self, r):
-        """(u, u', u'') for arbitrary radii via region lookup."""
-        r = np.asarray(r, dtype=float)
-        u = np.empty(r.shape)
-        up = np.empty(r.shape)
-        upp = np.empty(r.shape)
-        idx = np.searchsorted(self.bounds, r, side="left")
-        for k, name in enumerate(self.REGIONS):
-            m = idx == k
-            if np.any(m):
-                u[m], up[m], upp[m] = self.eval_region(r[m], name)
-        return u, up, upp
+    def derivatives(self, r):
+        return _dispatch(self, r)
 
     def pieces(self):
         """Quadrature panel edges per region (outer region handled separately)."""
@@ -1098,86 +1047,7 @@ class AssembledMetric:
     profile: _PatchProfile = field(repr=False)
 
     def u_eval(self, r):
-        return self.profile.dispatch(np.asarray(r, dtype=float))[0]
-
-
-def _assemble_one(bp: BubbleParams, gamma: float, radii, A: float, eps: float,
-                  r_cut: float, cut_width: float, blend_frac: float):
-    n = bp.n
-    prof = _PatchProfile(n, bp.lam, bp.beta, gamma, A, eps, radii, blend_frac)
-    model = bp.model(r_cut, cut_width)
-    om = sphere_measure(n - 1)
-
-    def masses(region):
-        def f_energy(r):
-            u, up, upp = prof.eval_region(r, region)
-            w_r, w_t, var = schouten_pointwise(model, r, u, up, upp)
-            _, s2 = sigma_pair_radial(n, w_r, w_t, var)
-            return np.exp((4.0 - n) * u) * s2 * om * r ** (n - 1)
-
-        def f_volume(r):
-            u = prof.eval_region(r, region)[0]
-            return np.exp(-float(n) * u) * om * r ** (n - 1)
-
-        return f_energy, f_volume
-
-    region_reports = []
-    total_e = []
-    total_v = []
-    node_chunks = []
-    for name, edges in prof.pieces():
-        f_e, f_v = masses(name)
-        e = gauss_panels(f_e, edges)
-        v = gauss_panels(f_v, edges)
-        r = _refine(edges, 33)
-        u, up, upp = prof.eval_region(r, name)
-        w_r, w_t, var = schouten_pointwise(model, r, u, up, upp)
-        s1, s2 = sigma_pair_radial(n, w_r, w_t, var)
-        m1 = np.exp(2.0 * u) * s1
-        m2 = np.exp(4.0 * u) * s2
-        region_reports.append(RegionReport(name, float(edges[0]), float(edges[-1]),
-                                           e, v, float(m1.min()), float(m2.min())))
-        total_e.append(e)
-        total_v.append(v)
-        node_chunks.append((r, u, m1, m2))
-
-    # outer region: substitute r = r4/s and integrate s over (0, 1]
-    f_e, f_v = masses("outer")
-    r4 = prof.r4
-
-    def g_energy(s):
-        return f_e(r4 / s) * r4 / (s * s)
-
-    def g_volume(s):
-        return f_v(r4 / s) * r4 / (s * s)
-
-    s_edges = log_edges(1e-9, 1.0, 65)
-    e_out = gauss_panels(g_energy, s_edges)
-    v_out = gauss_panels(g_volume, s_edges)
-    r_out = np.geomspace(r4, 40.0, 1025)
-    u, up, upp = prof.eval_region(r_out, "outer")
-    w_r, w_t, var = schouten_pointwise(model, r_out, u, up, upp)
-    s1, s2 = sigma_pair_radial(n, w_r, w_t, var)
-    m1 = np.exp(2.0 * u) * s1
-    m2 = np.exp(4.0 * u) * s2
-    region_reports.append(RegionReport("outer", r4, math.inf, e_out, v_out,
-                                       float(m1.min()), float(m2.min())))
-    total_e.append(e_out)
-    total_v.append(v_out)
-    node_chunks.append((r_out, u, m1, m2))
-
-    F2 = math.fsum(total_e)
-    vol = math.fsum(total_v)
-    F2t = F2 / vol ** ((n - 4.0) / n)
-    sc = sphere_constants(n)
-
-    r_nodes = np.concatenate([c[0] for c in node_chunks])
-    u_nodes = np.concatenate([c[1] for c in node_chunks])
-    s1_nodes = np.concatenate([c[2] for c in node_chunks])
-    s2_nodes = np.concatenate([c[3] for c in node_chunks])
-
-    return prof, tuple(region_reports), F2, vol, F2t, sc, \
-        (r_nodes, u_nodes, s1_nodes, s2_nodes)
+        return self.profile.derivatives(r)[0]
 
 
 def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
@@ -1201,15 +1071,34 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     if eps_margin is None:
         eps_margin = min(0.15, 0.8 * (2.0 - gamma) / 5.0)
     n = bp.n
-    proof_hi = (n - 4.0) / (2.0 * n)
-    beta_ok = 0.25 < bp.beta < proof_hi
+    beta_ok = 0.25 < bp.beta < (n - 4.0) / (2.0 * n)
 
-    prof, regions, F2, vol, F2t, sc, nodes = _assemble_one(
-        bp, gamma, radii, A, eps_margin, r_cut, cut_width, blend_frac)
+    prof = _PatchProfile(n, bp.lam, bp.beta, gamma, A, eps_margin, radii, blend_frac)
+    model = bp.model(r_cut, cut_width)
+    # per region: name, extent, quadrature nodes and weights, cone nodes
+    plan = [(name, float(edges[0]), float(edges[-1]), *_panel_nodes(edges), _refine(edges, 33))
+            for name, edges in prof.pieces()]
+    # outer region: substitute r = r4/s and integrate s over (0, 1]
+    r4 = prof.r4
+    s, ws = _panel_nodes(log_edges(1e-9, 1.0, 65))
+    plan.append(("outer", r4, math.inf, r4 / s, ws * r4 / (s * s), np.geomspace(r4, 40.0, 1025)))
 
-    flat_metric = None
-    slope = math.nan
-    target = math.nan
+    regions = []
+    nodes = []
+    for name, r_lo, r_hi, rq, wq, rc in plan:
+        e, v = _masses(rq, wq, prof.eval_region(rq, name), model, n)
+        d = prof.eval_region(rc, name)
+        m1, m2 = _cone_values(rc, d, model, n)
+        regions.append(RegionReport(name, r_lo, r_hi, e, v, float(m1.min()), float(m2.min())))
+        nodes.append((rc, d[0], m1, m2))
+    r_nodes, u_nodes, s1_nodes, s2_nodes = (np.concatenate(c) for c in zip(*nodes))
+
+    F2 = math.fsum(rr.energy for rr in regions)
+    vol = math.fsum(rr.volume for rr in regions)
+    F2t = F2 / vol ** ((n - 4.0) / n)
+    sc = sphere_constants(n)
+
+    flat_metric, slope, target = None, math.nan, math.nan
     if bp.delta_r != 0.0:
         flat_bp = BubbleParams(n, bp.lam, bp.r0, bp.beta, 0.0)
         flat_metric = assemble_and_compare(flat_bp, gamma, radii, A, eps_margin,
@@ -1217,14 +1106,13 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
         slope = (F2t - flat_metric.F2_tilde) / bp.lam ** 2
         target = sc.B ** ((4.0 - n) / n) * sc.require_C() * bp.delta_r
 
-    r_nodes, u_nodes, s1_nodes, s2_nodes = nodes
     return AssembledMetric(
         bp=bp, gamma=gamma, radii=radii, A=A, eps_margin=eps_margin,
         r_cut=r_cut, cut_width=cut_width,
         beta_in_proof_range=beta_ok,
         delta=prof.delta, delta1=prof.delta1,
         a1=prof.glue.a1, b0=prof.b0, b1=prof.b1,
-        regions=regions,
+        regions=tuple(regions),
         gamma2_ok=bool(all(rr.in_cone for rr in regions)),
         r_nodes=r_nodes, u_nodes=u_nodes,
         sigma1_nodes=s1_nodes, sigma2_nodes=s2_nodes,

@@ -1,9 +1,14 @@
 """Command-line interface tests, run in-process through parse_and_dispatch."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sigma2flow
 from sigma2flow.cli import parse_and_dispatch
 from sigma2flow.flow import MONITOR_COLUMNS
 
@@ -198,3 +203,17 @@ def test_unwritable_json_is_io_error(capsys):
 def test_version_flag(capsys):
     assert parse_and_dispatch(["--version"]) == 0
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only dependency: a fresh interpreter that imports the CLI
+    # must not pull in scipy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sigma2flow.__file__).parents[1]) + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sigma2flow.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
