@@ -2,11 +2,9 @@
 discretization, conformal energies, the normalized descent flow, and the
 glued comparison-metric construction, with a CLI (`sigma2`) on top.
 
-Numerics run on numpy; the Jacobi sweep of ``symfun`` optionally
-JIT-compiles with numba (set SIGMA2_NUMBA=0 to force plain Python).
+Numerics run on numpy, the only dependency.
 """
 
-from ._accel import USE_NUMBA, backend_name
 from .discretize import (
     DerivativeOperator,
     RadialGrid,
@@ -40,15 +38,11 @@ from .geometry import (
     SchoutenFields,
     divergence_identity_residual,
     functional_F2,
-    functional_F2_tilde_eps,
     functional_V,
-    functional_V_eps,
     normalized_F2,
     round_schouten_sigma2,
-    schouten_conformal,
     schouten_fields,
     schouten_pointwise,
-    sigma2_metric,
     sigma_pair_radial,
     smoothstep,
     sobolev_quotient,
@@ -67,12 +61,9 @@ from .flow import (
     flow_state,
     gauge_h,
     gauge_h_prime,
-    h_eval,
-    h_prime,
     initial_field,
     local_estimate_monitor,
     normalizers,
-    run,
     step,
     velocity,
     write_monitor_csv,

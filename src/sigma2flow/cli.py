@@ -27,7 +27,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._accel import backend_name
 from .discretize import sphere_latitude
 from .flow import (
     FlowConfig,
@@ -177,7 +176,7 @@ def emit_summary(payload: dict, path: str | None) -> None:
 def _summary(command: str, config: dict, status: str, **scalars) -> dict:
     return {
         "version": __version__,
-        "backend": backend_name(),
+        "backend": "numpy",
         "command": command,
         "config": config,
         "status": status,

@@ -60,8 +60,6 @@ from .geometry import ConeViolation, ConformalField, functional_V, schouten_fiel
 __all__ = [
     "gauge_h",
     "gauge_h_prime",
-    "h_eval",
-    "h_prime",
     "FlowConfig",
     "MonitorRecord",
     "MONITOR_COLUMNS",
@@ -72,7 +70,6 @@ __all__ = [
     "velocity",
     "step",
     "flow_run",
-    "run",
     "eigen_solve",
     "EigenResult",
     "continuation",
@@ -101,10 +98,6 @@ def gauge_h_prime(s):
     if np.any(s <= 0.0):
         raise ValueError("gauge argument must be positive")
     return np.where(s <= 1.0, 2.0 / s, 1.0 + 1.0 / s)
-
-
-h_eval = gauge_h
-h_prime = gauge_h_prime
 
 
 # ---------------------------------------------------------------------------
@@ -768,21 +761,6 @@ def step(state: FlowState) -> FlowState:
     return FlowState(ConformalField(grid, u1), t_new, state.eps,
                      float(stepper.next_dt(dt, err)), rec, state.background,
                      state.dt_safety)
-
-
-def run(background, init, eps: float, config: FlowConfig | None = None) -> FlowResult:
-    """Integrate the flow from an initial field at the given eps.
-
-    ``init`` may be a ConformalField (its grid is used) or a plain sample
-    array (the background's natural grid of matching size is built).
-    """
-    if config is None:
-        config = FlowConfig(eps=float(eps))
-    elif config.eps != float(eps):
-        config = replace(config, eps=float(eps))
-    if isinstance(init, ConformalField):
-        return flow_run(background, init.u, config, grid=init.grid)
-    return flow_run(background, np.asarray(init, dtype=float), config)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ both are plain background integrals of pointwise expressions in u.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +45,11 @@ __all__ = [
     "ConformalField",
     "SchoutenFields",
     "schouten_fields",
-    "schouten_conformal",
     "schouten_pointwise",
     "sigma_pair_radial",
-    "sigma2_metric",
     "functional_F2",
     "functional_V",
-    "functional_V_eps",
     "normalized_F2",
-    "functional_F2_tilde_eps",
     "sobolev_quotient",
     "divergence_identity_residual",
     "round_schouten_sigma2",
@@ -262,14 +257,6 @@ class SchoutenFields:
     sigma2: np.ndarray
 
 
-def _spread(args):
-    """Accept either (grid, background, u, ...) or (background, field, ...)."""
-    if isinstance(args[0], RadialGrid):
-        return args[0], args[1], args[2], args[3:]
-    field = args[1]
-    return field.grid, args[0], field.u, args[2:]
-
-
 def schouten_fields(grid: RadialGrid, background, u) -> SchoutenFields:
     """Differentiate u on the grid and evaluate both Schouten branches."""
     u = np.asarray(u, dtype=float)
@@ -280,23 +267,11 @@ def schouten_fields(grid: RadialGrid, background, u) -> SchoutenFields:
     return SchoutenFields(grid, u, up, upp, w_r, w_t, var, s1, s2)
 
 
-def schouten_conformal(background, field: ConformalField) -> SchoutenFields:
-    """Schouten branches of e^{-2u} g0 for a packaged field."""
-    return schouten_fields(field.grid, background, field.u)
-
-
-def sigma2_metric(*args) -> np.ndarray:
-    """sigma_2 of the metric e^{-2u} g0, i.e. e^{4u} sigma_2(W)."""
-    grid, background, u, _ = _spread(args)
-    f = schouten_fields(grid, background, u)
-    return np.exp(4.0 * f.u) * f.sigma2
-
-
 # ---------------------------------------------------------------------------
 # functionals
 
-def functional_F2(*args, fields: SchoutenFields | None = None) -> float:
-    grid, background, u, _ = _spread(args)
+def functional_F2(grid: RadialGrid, background, u, *,
+                  fields: SchoutenFields | None = None) -> float:
     f = fields if fields is not None else schouten_fields(grid, background, u)
     n = background.n
     return integrate(grid, np.exp((4.0 - n) * f.u) * f.sigma2)
@@ -306,12 +281,6 @@ def functional_V(grid: RadialGrid, background, u, eps: float) -> float:
     u = np.asarray(u, dtype=float)
     n = background.n
     return integrate(grid, np.exp((2.0 * eps - n) * u))
-
-
-def functional_V_eps(*args) -> float:
-    """Regularized volume, callable as (grid, bg, u, eps) or (bg, field, eps)."""
-    grid, background, u, rest = _spread(args)
-    return functional_V(grid, background, u, float(rest[0]))
 
 
 def normalized_F2(grid: RadialGrid, background, u, eps: float | None = None) -> float:
@@ -330,19 +299,12 @@ def normalized_F2(grid: RadialGrid, background, u, eps: float | None = None) -> 
     return v ** (-(n - 4.0) / (n - 2.0 * eps)) * f2
 
 
-def functional_F2_tilde_eps(*args) -> float:
-    """Regularized scale-invariant energy, (grid, bg, u, eps) or (bg, field, eps)."""
-    grid, background, u, rest = _spread(args)
-    return normalized_F2(grid, background, u, float(rest[0]))
-
-
-def sobolev_quotient(*args) -> float:
+def sobolev_quotient(grid: RadialGrid, background, u) -> float:
     """Volume-normalized F2, guarded by a strict cone check.
 
     Raises ConeViolation if sigma_1(W) or sigma_2(W) fails to be strictly
     positive somewhere — the quotient is only meaningful inside Gamma_2^+.
     """
-    grid, background, u, _ = _spread(args)
     f = schouten_fields(grid, background, u)
     if not (np.all(f.sigma1 > 0.0) and np.all(f.sigma2 > 0.0)):
         raise ConeViolation(
@@ -355,7 +317,7 @@ def sobolev_quotient(*args) -> float:
     return vol ** (-(n - 4.0) / n) * f2
 
 
-def divergence_identity_residual(*args) -> float:
+def divergence_identity_residual(grid: RadialGrid, background, u) -> float:
     """Relative defect of the integral identity behind the energy estimates.
 
     For any smooth radial u (and a background without Hessian anisotropy),
@@ -370,7 +332,6 @@ def divergence_identity_residual(*args) -> float:
     shrinks at the accuracy order of the stencils.  Returns
     |LHS - RHS| / (|LHS| + |RHS|).
     """
-    grid, background, u, _ = _spread(args)
     n = background.n
     f = schouten_fields(grid, background, u)
     ew = np.exp((4.0 - n) * f.u)

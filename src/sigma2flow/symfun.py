@@ -5,8 +5,8 @@ use closed diagonal forms instead and never route through this module).
 Eigenvalues come from a hand-rolled cyclic Jacobi iteration so that results
 are bit-reproducible across platforms; no LAPACK call sits on that path.  The
 sweep loop is the one hot spot — cross-check harnesses push thousands of
-matrices through it — so it compiles under the accelerator flag, with the
-same code running as plain Python when ``SIGMA2_NUMBA=0``.
+matrices through it — so it runs on plain Python floats, which do the same
+IEEE arithmetic several times faster than numpy scalars.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 from itertools import combinations
 
 import numpy as np
-
-from ._accel import USE_NUMBA, jit
 
 __all__ = [
     "jacobi_eigenvalues",
@@ -49,14 +47,11 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@jit
 def _jacobi_sweeps(a, tol: float, max_sweeps: int) -> None:
     # Entries are only compared in magnitude, against the largest entry and
     # against the diagonal; no entry that may be negligible is squared, so the
     # sweep is scale-free and raises nothing spurious under strict
-    # floating-point error modes.  Rows are indexed ``a[i][j]`` so the same
-    # code runs compiled on a 2-d array and as plain Python on a list of
-    # float lists.
+    # floating-point error modes.  ``a`` is a list of float lists.
     n = len(a)
     scale = 0.0
     for i in range(n):
@@ -135,9 +130,7 @@ def jacobi_eigenvalues(a, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.n
     a = _check_symmetric(a)
     if a.shape[0] == 1:
         return a[0, :1].copy()
-    # plain Python does the same IEEE arithmetic on floats several times
-    # faster than on numpy scalars; the compiled sweep takes the array
-    rows = a.copy() if USE_NUMBA else a.tolist()
+    rows = a.tolist()
     _jacobi_sweeps(rows, float(tol), int(max_sweeps))
     return np.sort(np.array([rows[i][i] for i in range(len(rows))]))
 

@@ -29,12 +29,11 @@ from sigma2flow.flow import (
     initial_field,
 )
 from sigma2flow.geometry import (
-    ConformalField,
     FlatRadialBall,
     RoundSphere,
     divergence_identity_residual,
     normalized_F2,
-    schouten_conformal,
+    schouten_fields,
     schouten_pointwise,
 )
 from sigma2flow.symfun import (
@@ -209,7 +208,7 @@ def test_criterion_08_bubble_trace_exactness():
     # same comparison through the grid pipeline, whose derivatives are finite
     # differences: truncation-limited, so it carries its own tolerance
     grid = ball_radius(n, 400, 2.5)
-    sf = schouten_conformal(model, ConformalField(grid, np.log(lam + grid.x ** 2)))
+    sf = schouten_fields(grid, model, np.log(lam + grid.x ** 2))
     sl = slice(50, 350)
     vg = lam + grid.x[sl] ** 2
     np.testing.assert_allclose(

@@ -17,12 +17,9 @@ from sigma2flow.flow import (
     flow_state,
     gauge_h,
     gauge_h_prime,
-    h_eval,
-    h_prime,
     initial_field,
     local_estimate_monitor,
     normalizers,
-    run,
     step,
     velocity,
     write_monitor_csv,
@@ -48,7 +45,6 @@ def test_gauge_continuous_and_c1_at_the_knee():
     assert gauge_h(1.0 - 1e-9) == pytest.approx(gauge_h(1.0 + 1e-9), abs=1e-8)
     assert gauge_h_prime(1.0 - 1e-9) == pytest.approx(2.0, rel=1e-6)
     assert gauge_h_prime(1.0 + 1e-9) == pytest.approx(2.0, rel=1e-6)
-    assert h_eval is gauge_h and h_prime is gauge_h_prime
 
 
 def test_gauge_matches_its_derivative():
@@ -121,15 +117,16 @@ def test_flow_run_decays_to_round(s5_grid):
     assert np.abs(spread).max() < 1e-6
 
 
-def test_run_wrapper_matches_flow_run(s5_grid):
+def test_flow_run_from_a_packaged_field(s5_grid):
     sphere, grid = s5_grid
     u0 = initial_field("cosine", grid, 0.08)
     cfg = FlowConfig(eps=2.0, t_max=0.3, tol_converge=0.0)
     a = flow_run(sphere, u0, cfg, grid=grid)
-    b = run(sphere, ConformalField(grid, u0), 2.0, cfg)
+    field = ConformalField(grid, u0)
+    b = flow_run(sphere, field.u, cfg, grid=field.grid)
     assert a.u.tobytes() == b.u.tobytes()
     assert a.steps == b.steps
-    c = run(sphere, ConformalField(grid, u0), 2.0)
+    c = flow_run(sphere, field.u, FlowConfig(eps=2.0), grid=field.grid)
     assert c.status in ("converged", "t_max")
 
 

@@ -14,14 +14,10 @@ from sigma2flow.geometry import (
     RoundSphere,
     divergence_identity_residual,
     functional_F2,
-    functional_F2_tilde_eps,
     functional_V,
-    functional_V_eps,
     normalized_F2,
     round_schouten_sigma2,
-    schouten_conformal,
     schouten_fields,
-    sigma2_metric,
     smoothstep,
     sobolev_quotient,
 )
@@ -48,8 +44,8 @@ def test_round_schouten_sigma2_constant():
 
 def test_sigma2_metric_round_value(s5):
     sphere, grid = s5
-    vals = sigma2_metric(grid, sphere, np.zeros(grid.num_points))
-    np.testing.assert_allclose(vals, 2.5, rtol=1e-13)
+    f = schouten_fields(grid, sphere, np.zeros(grid.num_points))
+    np.testing.assert_allclose(np.exp(4.0 * f.u) * f.sigma2, 2.5, rtol=1e-13)
 
 
 def test_round_energy_constants(s5):
@@ -62,19 +58,19 @@ def test_round_energy_constants(s5):
     assert normalized_F2(grid, sphere, u0) == pytest.approx(39.003151786888736, rel=1e-14)
 
 
-def test_packaged_field_dispatch_agrees(s5):
+def test_packaged_field_matches_its_samples(s5):
     sphere, grid = s5
     u = 0.2 * np.cos(grid.x)
     field = ConformalField(grid, u)
     a = schouten_fields(grid, sphere, u)
-    b = schouten_conformal(sphere, field)
+    b = schouten_fields(field.grid, sphere, field.u)
     np.testing.assert_array_equal(a.sigma2, b.sigma2)
     np.testing.assert_array_equal(
-        sigma2_metric(grid, sphere, u), sigma2_metric(sphere, field))
-    assert functional_F2(grid, sphere, u) == functional_F2(sphere, field)
-    assert functional_V_eps(grid, sphere, u, 1.5) == functional_V_eps(sphere, field, 1.5)
-    assert functional_F2_tilde_eps(grid, sphere, u, 1.5) == functional_F2_tilde_eps(
-        sphere, field, 1.5)
+        np.exp(4.0 * a.u) * a.sigma2, np.exp(4.0 * b.u) * b.sigma2)
+    assert functional_F2(grid, sphere, u) == functional_F2(field.grid, sphere, field.u)
+    assert functional_V(grid, sphere, u, 1.5) == functional_V(field.grid, sphere, field.u, 1.5)
+    assert normalized_F2(grid, sphere, u, 1.5) == normalized_F2(
+        field.grid, sphere, field.u, 1.5)
 
 
 def test_conformal_field_validates_shape(s5):
