@@ -83,8 +83,8 @@ STANDARD_RADII = (0.65, 0.85, 1.0, 1.15, 1.8, 2.5)
 TRANSITION_RADII = (0.06, 0.10, 0.20, 0.30, 1.00, 6.00)
 
 # Node spacing (in log r) of the antiderivative tables.  The cubic Hermite
-# interpolant between nodes errs by about h^4 |f'''| / 384, which for the
-# slope integrands here is below 1e-15 relative.
+# interpolant between nodes errs by about h^4 |f'''| / 384, which keeps the
+# potentials here within about 1e-14 of a direct quadrature.
 _LOG_STEP = 2.5e-4
 
 # 3-point Gauss-Legendre rule on [0, 1] for the table intervals, and the
@@ -491,15 +491,17 @@ class _GluingCore:
     def __init__(self, n: int, lam: float, beta: float, gamma: float, A: float):
         self.n, self.lam, self.beta, self.gamma, self.A = n, lam, beta, gamma, A
         self.delta = delta = lam ** beta
-        lo, hi = 0.5 * delta, 1.5
-        self._h = _bernoulli_h(A, n, lo, hi)
-        self.a1 = (lam / (2.0 * delta * delta)) * delta ** (-0.5 * (n - 4)) \
-            * math.exp(n * A * delta * delta / 8.0) - float(self._h(delta))
-
+        # beyond delta = 1 (lam > 1) this slope is below 1, so the tables
+        # below always hold delta
         alpha_delta = 2.0 * delta * delta / (lam + delta * delta)
         if alpha_delta <= gamma:
             raise ConstructionError(
                 "glue", f"bubble-edge slope {alpha_delta:.4f} does not exceed gamma={gamma}")
+
+        lo, hi = 0.5 * delta, 1.5
+        self._h = _bernoulli_h(A, n, lo, hi)
+        self.a1 = (lam / (2.0 * delta * delta)) * delta ** (-0.5 * (n - 4)) \
+            * math.exp(n * A * delta * delta / 8.0) - float(self._h(delta))
         if self.alpha(1.0) > gamma:
             raise ConstructionError(
                 "glue", "the slope stays above gamma out to r = 1; "
@@ -840,16 +842,16 @@ def transition_lemma7(gamma: float, eps_margin: float, radii,
 
     scale = 1.0
     for steps in range(48):
-        core = c = _TransitionCore(n, gamma, eps_margin, r8 * scale, r7 * scale, r6, r5, r4)
+        core = _TransitionCore(n, gamma, eps_margin, r8 * scale, r7 * scale, r6, r5, r4)
         # (r, e^{2u} sigma_1, e^{4u} sigma_2) on sample nodes of every zone
         samples = {}
-        for name, r in (("tube", np.linspace(0.5 * c.r8, c.r8, 65)),
-                        ("ramp", np.linspace(c.r8, c.r7, 257)),
-                        ("tube_cap", np.linspace(c.r7, c.r6, 129)),
-                        ("taper", np.linspace(c.r6, c.r5, 129)),
-                        ("bridge", np.linspace(c.r5, c.r4, 257)),
-                        ("outer", np.linspace(c.r4, min(1.5 * c.r4, 0.98 * r0), 65))):
-            samples[name] = (r, *_cone_values(r, c.eval_region(r, name), model, n))
+        for name, r in (("tube", np.linspace(0.5 * core.r8, core.r8, 65)),
+                        ("ramp", np.linspace(core.r8, core.r7, 257)),
+                        ("tube_cap", np.linspace(core.r7, r6, 129)),
+                        ("taper", np.linspace(r6, r5, 129)),
+                        ("bridge", np.linspace(r5, r4, 257)),
+                        ("outer", np.linspace(r4, min(1.5 * r4, 0.98 * r0), 65))):
+            samples[name] = (r, *_cone_values(r, core.eval_region(r, name), model, n))
         interior_min = float(samples["taper"][2].min())
         window_min = float(min(samples["tube"][2].min(), samples["ramp"][2].min()))
         if not shrink or (window_min > 0.0 and window_min >= 0.1 * interior_min):
@@ -1068,6 +1070,9 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     if len(radii) != 6 or not all(a < b for a, b in zip(radii, radii[1:])):
         raise ConstructionError(
             "assemble", "radii must be six increasing values (r8, r7, r6, r5, r4, r0)")
+    # a wider seam window would reach past the annulus tables
+    if not 0.0 < blend_frac < 1.0:
+        raise ConstructionError("assemble", f"blend_frac must lie in (0, 1), got {blend_frac}")
     if eps_margin is None:
         eps_margin = min(0.15, 0.8 * (2.0 - gamma) / 5.0)
     n = bp.n

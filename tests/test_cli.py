@@ -105,11 +105,13 @@ def test_construct_defaults(capsys):
 
 
 def test_construct_failure_returns_numeric_error(capsys):
-    rc, cap = run_cli(capsys, ["construct", "--gamma", "1.99"])
-    assert rc == 3
-    d = json.loads(cap.out)
-    assert d["status"] == "error"
-    assert d["error"].startswith("[glue]")
+    # the second case has lam > 1, so delta = lam**beta > 1
+    for argv in (["--gamma", "1.99"], ["--lambda", "5", "--beta", "0.45"]):
+        rc, cap = run_cli(capsys, ["construct", *argv])
+        assert rc == 3
+        d = json.loads(cap.out)
+        assert d["status"] == "error"
+        assert d["error"].startswith("[glue]")
 
 
 def test_construct_empty_tube_returns_numeric_error(capsys):

@@ -394,6 +394,8 @@ def test_assemble_validation():
         assemble_and_compare(bp, 2.5)
     with pytest.raises(ConstructionError, match="six increasing values"):
         assemble_and_compare(bp, 1.05, radii=(0.65, 0.85, 1.0))
+    with pytest.raises(ConstructionError, match=r"blend_frac must lie in \(0, 1\)"):
+        assemble_and_compare(bp, 1.05, blend_frac=1.5)
 
 
 # ---------------------------------------------------------------------------
