@@ -491,8 +491,8 @@ class _GluingCore:
     def __init__(self, n: int, lam: float, beta: float, gamma: float, A: float):
         self.n, self.lam, self.beta, self.gamma, self.A = n, lam, beta, gamma, A
         self.delta = delta = lam ** beta
-        # beyond delta = 1 (lam > 1) this slope is below 1, so the tables
-        # below always hold delta
+        # for lam > 1 (delta > 1) this slope is below 1, so past this check
+        # delta lies inside the tables on [delta/2, 1.5]
         alpha_delta = 2.0 * delta * delta / (lam + delta * delta)
         if alpha_delta <= gamma:
             raise ConstructionError(
