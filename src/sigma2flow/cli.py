@@ -245,7 +245,7 @@ def _cmd_eigen(cfg: dict, args) -> int:
     cfg = dict(cfg)
     cfg["eps"] = 2.0
     background, grid, u0, fc = _flow_pieces(cfg)
-    res = eigen_solve(background, u0, fc)
+    res = eigen_solve(background, u0, fc, grid=grid)
     if args.csv is not None:
         emit_trace(res.flow.records, args.csv)
     payload = _summary(
@@ -372,6 +372,7 @@ def _cmd_construct(cfg: dict, args) -> int:
         F2_tilde=rep.F2_tilde,
         Y2_sphere=rep.Y2_sphere,
         margin=rep.margin,
+        margin_positive=rep.margin > 0,
         lambda2_slope=rep.lambda2_slope,
         lambda2_target=rep.lambda2_target,
         beta_in_proof_range=rep.beta_in_proof_range,

@@ -706,6 +706,8 @@ class FlowState:
     """One integrator state: the field plus its step bookkeeping.
 
     ``dt`` is the length of the next step, as proposed by the controller.
+    ``velocity`` and ``slots`` are the kernel's output at ``field.u``, which
+    the next step starts from; ``flow_state`` and ``step`` fill them.
     """
 
     field: ConformalField
@@ -714,6 +716,8 @@ class FlowState:
     dt: float
     monitors: MonitorRecord
     background: object
+    velocity: np.ndarray
+    slots: list
     dt_safety: float = 0.8
 
 
@@ -724,12 +728,12 @@ def flow_state(background, field: ConformalField, eps: float,
     The first step is the explicit midpoint step ``dt_safety h^2 / lambda_max``;
     the error controller takes over from there.
     """
-    _, s = _probe(background, field, eps)
+    v, s = _probe(background, field, eps)
     stepper = _state_stepper(background, field.grid, eps, dt_safety)
     rec = MonitorRecord(t, s[_S_F2], s[_S_VEPS], s[_S_REPS], s[_S_SEPS],
                         s[_S_MIN_S2G], s[_S_SUPGRAD], math.nan, s[_S_DF2])
     return FlowState(field, t, eps, float(stepper.first_dt(s)), rec, background,
-                     dt_safety)
+                     v, s, dt_safety)
 
 
 def step(state: FlowState) -> FlowState:
@@ -737,20 +741,18 @@ def step(state: FlowState) -> FlowState:
 
     A step whose error estimate exceeds the tolerance is retaken with the
     shorter length the controller proposes, so ``t`` advances by at most
-    ``state.dt``.  Raises ConeViolation if any stage leaves Gamma_2^+.
+    ``state.dt``.  The kernel runs once per RKC stage: the step starts from
+    the velocity the state carries.  Raises ConeViolation if any stage
+    leaves Gamma_2^+.
     """
     grid = state.field.grid
     stepper = _state_stepper(state.background, grid, state.eps, state.dt_safety)
-    u = state.field.u
-    ev = stepper.velocity(u, _STEP)
-    if ev is None:
-        raise ConeViolation("field leaves Gamma_2^+; the flow velocity is undefined")
     dt = state.dt
     while True:
-        nxt = stepper.advance(u, ev[0], ev[1], dt, _RECORD)
+        nxt = stepper.advance(state.field.u, state.velocity, state.slots, dt, _RECORD)
         if nxt is None:
             raise ConeViolation("an RKC stage leaves Gamma_2^+")
-        u1, _, s1, err = nxt
+        u1, v1, s1, err = nxt
         if err <= 1.0:
             break
         dt = stepper.next_dt(dt, err)
@@ -760,7 +762,7 @@ def step(state: FlowState) -> FlowState:
                         (s1[_S_F2] - state.monitors.F2) / dt, s1[_S_DF2])
     return FlowState(ConformalField(grid, u1), t_new, state.eps,
                      float(stepper.next_dt(dt, err)), rec, state.background,
-                     state.dt_safety)
+                     v1, s1, state.dt_safety)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +775,8 @@ class EigenResult:
     flow: FlowResult
 
 
-def eigen_solve(background, u0, config: FlowConfig | None = None, **overrides) -> EigenResult:
+def eigen_solve(background, u0, config: FlowConfig | None = None,
+                grid: RadialGrid | None = None, **overrides) -> EigenResult:
     """First nonlinear eigenvalue of the sigma_2 operator via the eps=2 flow.
 
     At eps = 2 the equilibrium equation is sigma_2(W) = lambda with the
@@ -787,7 +790,7 @@ def eigen_solve(background, u0, config: FlowConfig | None = None, **overrides) -
         config = FlowConfig(**kw)
     if config.eps != 2.0:
         raise ValueError("the eigenvalue mode runs the eps = 2 flow")
-    res = flow_run(background, u0, config)
+    res = flow_run(background, u0, config, grid=grid)
     return EigenResult(lambda1=res.r_eps, u=res.u, flow=res)
 
 

@@ -143,10 +143,14 @@ def _antiderivative(f, lo: float, anchor: float, hi: float):
 
 
 def _refine(edges: np.ndarray, per_panel: int = 33) -> np.ndarray:
-    parts = [np.linspace(a, b, per_panel, endpoint=False)
-             for a, b in zip(edges[:-1], edges[1:])]
-    parts.append(edges[-1:])
-    return np.concatenate(parts)
+    """``per_panel`` equispaced points per panel, then the last edge.
+
+    Per panel this is the arithmetic of ``np.linspace(a, b, per_panel,
+    endpoint=False)``, for all panels at once.
+    """
+    a = edges[:-1, None]
+    step = (edges[1:, None] - a) / per_panel
+    return np.append((np.arange(per_panel) * step + a).ravel(), edges[-1])
 
 
 def _bubble(lam: float, r, b0: float = 0.0):
@@ -506,13 +510,15 @@ class _GluingCore:
             raise ConstructionError(
                 "glue", "the slope stays above gamma out to r = 1; "
                 "delta1 would leave the unit ball")
+        # geometric bisection; a step that leaves the bracket as it was has
+        # reached float resolution, and every later step would repeat it
         lo_b, hi_b = delta, 1.0
         for _ in range(200):
             mid = math.sqrt(lo_b * hi_b)
-            if self.alpha(mid) > gamma:
-                lo_b = mid
-            else:
-                hi_b = mid
+            bracket = (mid, hi_b) if self.alpha(mid) > gamma else (lo_b, mid)
+            if bracket == (lo_b, hi_b):
+                break
+            lo_b, hi_b = bracket
         self.delta1 = delta1 = 0.5 * (lo_b + hi_b)
 
         self._w = _antiderivative(lambda t: self.alpha(t) / t, lo, delta, hi)
@@ -899,8 +905,11 @@ def transition_lemma7(gamma: float, eps_margin: float, radii,
 class _PatchProfile:
     """Full radial profile on (0, infinity): bubble through outer cap.
 
-    Regions, inner to outer (seams carry C^2 blends of their neighbours over
-    a window of width ``blend_frac * min(delta, delta1 - delta)``):
+    Regions, inner to outer.  Only the two seams, at delta and delta1, are
+    C^2 blends of their neighbours, over a window of width
+    ``blend_frac * min(delta, delta1 - delta)``.  The other joints meet as
+    they are: the transition is C^1 at r6 and r5, where the slope's
+    derivative switches on and off, so u'' (and sigma_2 with it) jumps there.
 
         bubble       u = log(lam + r^2) + b0
         seam_inner   blend(bubble, annulus) at delta
@@ -1061,8 +1070,11 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     Returns the assembled profile with per-region energies, the pointwise
     cone report, the scale-invariant energy, and its margin below the round
     sphere's value.  When the bubble carries a curvature deficit, a flat
-    twin (same construction, deficit 0) is built and the measured lam^2
-    energy response is reported against ``B^{(4-n)/n} C delta_r``.
+    twin (same construction, deficit 0) is compared as well and the
+    measured lam^2 energy response is reported against
+    ``B^{(4-n)/n} C delta_r``.  The profile does not depend on the deficit,
+    so the twin shares it, with its quadrature nodes and the node
+    derivatives; only the background model differs.
     """
     if not 1.0 < gamma < 2.0:
         raise ConstructionError("assemble", f"gamma must lie in (1, 2), got {gamma}")
@@ -1079,7 +1091,6 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     beta_ok = 0.25 < bp.beta < (n - 4.0) / (2.0 * n)
 
     prof = _PatchProfile(n, bp.lam, bp.beta, gamma, A, eps_margin, radii, blend_frac)
-    model = bp.model(r_cut, cut_width)
     # per region: name, extent, quadrature nodes and weights, cone nodes
     plan = [(name, float(edges[0]), float(edges[-1]), *_panel_nodes(edges), _refine(edges, 33))
             for name, edges in prof.pieces()]
@@ -1087,48 +1098,54 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     r4 = prof.r4
     s, ws = _panel_nodes(log_edges(1e-9, 1.0, 65))
     plan.append(("outer", r4, math.inf, r4 / s, ws * r4 / (s * s), np.geomspace(r4, 40.0, 1025)))
-
-    regions = []
-    nodes = []
-    for name, r_lo, r_hi, rq, wq, rc in plan:
-        e, v = _masses(rq, wq, prof.eval_region(rq, name), model, n)
-        d = prof.eval_region(rc, name)
-        m1, m2 = _cone_values(rc, d, model, n)
-        regions.append(RegionReport(name, r_lo, r_hi, e, v, float(m1.min()), float(m2.min())))
-        nodes.append((rc, d[0], m1, m2))
-    r_nodes, u_nodes, s1_nodes, s2_nodes = (np.concatenate(c) for c in zip(*nodes))
-
-    F2 = math.fsum(rr.energy for rr in regions)
-    vol = math.fsum(rr.volume for rr in regions)
-    F2t = F2 / vol ** ((n - 4.0) / n)
+    # (u, u', u'') on the quadrature and the cone nodes of every region
+    derivs = [(prof.eval_region(rq, name), prof.eval_region(rc, name))
+              for name, _, _, rq, _, rc in plan]
     sc = sphere_constants(n)
 
-    flat_metric, slope, target = None, math.nan, math.nan
-    if bp.delta_r != 0.0:
-        flat_bp = BubbleParams(n, bp.lam, bp.r0, bp.beta, 0.0)
-        flat_metric = assemble_and_compare(flat_bp, gamma, radii, A, eps_margin,
-                                           r_cut, cut_width, blend_frac)
-        slope = (F2t - flat_metric.F2_tilde) / bp.lam ** 2
-        target = sc.B ** ((4.0 - n) / n) * sc.require_C() * bp.delta_r
+    def compare(params: BubbleParams, flat: AssembledMetric | None) -> AssembledMetric:
+        """The profile against the background of ``params``."""
+        model = params.model(r_cut, cut_width)
+        regions = []
+        nodes = []
+        for (name, r_lo, r_hi, rq, wq, rc), (dq, dc) in zip(plan, derivs):
+            e, v = _masses(rq, wq, dq, model, n)
+            m1, m2 = _cone_values(rc, dc, model, n)
+            regions.append(RegionReport(name, r_lo, r_hi, e, v, float(m1.min()), float(m2.min())))
+            nodes.append((rc, dc[0], m1, m2))
+        r_nodes, u_nodes, s1_nodes, s2_nodes = (np.concatenate(c) for c in zip(*nodes))
 
-    return AssembledMetric(
-        bp=bp, gamma=gamma, radii=radii, A=A, eps_margin=eps_margin,
-        r_cut=r_cut, cut_width=cut_width,
-        beta_in_proof_range=beta_ok,
-        delta=prof.delta, delta1=prof.delta1,
-        a1=prof.glue.a1, b0=prof.b0, b1=prof.b1,
-        regions=tuple(regions),
-        gamma2_ok=bool(all(rr.in_cone for rr in regions)),
-        r_nodes=r_nodes, u_nodes=u_nodes,
-        sigma1_nodes=s1_nodes, sigma2_nodes=s2_nodes,
-        F2=F2, volume=vol, F2_tilde=F2t,
-        Y2_sphere=sc.Y2_sphere,
-        margin=sc.Y2_sphere - F2t,
-        flat=flat_metric,
-        lambda2_slope=slope,
-        lambda2_target=target,
-        profile=prof,
-    )
+        F2 = math.fsum(rr.energy for rr in regions)
+        vol = math.fsum(rr.volume for rr in regions)
+        F2t = F2 / vol ** ((n - 4.0) / n)
+        slope, target = math.nan, math.nan
+        if flat is not None:
+            slope = (F2t - flat.F2_tilde) / params.lam ** 2
+            target = sc.B ** ((4.0 - n) / n) * sc.require_C() * params.delta_r
+
+        return AssembledMetric(
+            bp=params, gamma=gamma, radii=radii, A=A, eps_margin=eps_margin,
+            r_cut=r_cut, cut_width=cut_width,
+            beta_in_proof_range=beta_ok,
+            delta=prof.delta, delta1=prof.delta1,
+            a1=prof.glue.a1, b0=prof.b0, b1=prof.b1,
+            regions=tuple(regions),
+            gamma2_ok=bool(all(rr.in_cone for rr in regions)),
+            r_nodes=r_nodes, u_nodes=u_nodes,
+            sigma1_nodes=s1_nodes, sigma2_nodes=s2_nodes,
+            F2=F2, volume=vol, F2_tilde=F2t,
+            Y2_sphere=sc.Y2_sphere,
+            margin=sc.Y2_sphere - F2t,
+            flat=flat,
+            lambda2_slope=slope,
+            lambda2_target=target,
+            profile=prof,
+        )
+
+    flat = None
+    if bp.delta_r != 0.0:
+        flat = compare(BubbleParams(n, bp.lam, bp.r0, bp.beta, 0.0), None)
+    return compare(bp, flat)
 
 
 @dataclass

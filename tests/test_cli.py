@@ -96,6 +96,7 @@ def test_construct_defaults(capsys):
     assert d["b0"] == pytest.approx(1.0495454590284963, rel=1e-9)
     assert d["b1"] == pytest.approx(0.5760522185134601, rel=1e-9)
     assert d["margin"] == pytest.approx(-6.538123998467427e-05, rel=1e-4)
+    assert d["margin_positive"] is False
     assert d["beta_in_proof_range"] is False  # beta = 0.3 > (n-4)/(2n)
     assert d["beta_warning"] is True
     names = [r["name"] for r in d["regions"]]

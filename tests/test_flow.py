@@ -103,6 +103,46 @@ def test_single_step_conserves_volume(s5_grid):
     assert math.isfinite(st1.monitors.dF2dt_measured)
 
 
+def test_step_evaluates_the_kernel_once_per_stage(s5_grid, monkeypatch):
+    sphere, grid = s5_grid
+    state = flow_state(sphere, ConformalField(grid, initial_field("cosine", grid, 0.1)), 2.0)
+    evals, stages = [], []
+    real_velocity = flow_module._Stepper.velocity
+    real_stage_count = flow_module._stage_count
+
+    def counting_velocity(self, *args, **kwargs):
+        evals.append(1)
+        return real_velocity(self, *args, **kwargs)
+
+    def counting_stages(*args):
+        stages.append(real_stage_count(*args))
+        return stages[-1]
+
+    monkeypatch.setattr(flow_module._Stepper, "velocity", counting_velocity)
+    monkeypatch.setattr(flow_module, "_stage_count", counting_stages)
+    for _ in range(5):
+        evals.clear()
+        stages.clear()
+        state = step(state)
+        assert len(evals) == sum(stages) > 0
+
+
+def test_step_chain_matches_fresh_evaluations(s5_grid):
+    # the velocity a state carries is the kernel's at its field: stepping
+    # from a fresh evaluation gives the same next state, bit for bit
+    sphere, grid = s5_grid
+    state = flow_state(sphere, ConformalField(grid, initial_field("cosine", grid, 0.1)), 2.0)
+    for _ in range(20):
+        fresh = flow_state(sphere, state.field, 2.0)
+        assert fresh.velocity.tobytes() == state.velocity.tobytes()
+        assert fresh.slots == state.slots
+        ref = step(replace(state, velocity=fresh.velocity, slots=fresh.slots))
+        state = step(state)
+        assert state.field.u.tobytes() == ref.field.u.tobytes()
+        assert (state.t, state.dt) == (ref.t, ref.dt)
+        assert state.monitors.astuple() == ref.monitors.astuple()
+
+
 def test_flow_run_decays_to_round(s5_grid):
     sphere, grid = s5_grid
     u0 = initial_field("cosine", grid, 0.1)
@@ -203,6 +243,21 @@ def test_eigen_solver_round_s5(s5_grid):
     res = eigen_solve(sphere, initial_field("cosine", grid, 0.1))
     assert res.flow.status == "converged"
     assert res.lambda1 == pytest.approx(2.5, abs=1e-9)
+
+
+def test_eigen_solver_runs_on_a_given_grid(s5_grid, monkeypatch):
+    sphere, grid = s5_grid
+    u0 = initial_field("cosine", grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=0.05, tol_converge=0.0)
+    flow_run(sphere, u0, cfg, grid=grid)
+
+    def no_tables(grid, order):
+        raise AssertionError("kernel tables rebuilt")
+
+    monkeypatch.setattr(flow_module, "stencil_tables", no_tables)
+    res = eigen_solve(sphere, u0, cfg, grid=grid)
+    assert res.flow.grid is grid
+    assert res.u.tobytes() == flow_run(sphere, u0, cfg, grid=grid).u.tobytes()
 
 
 def test_eigen_solver_rejects_other_eps(s5_grid):

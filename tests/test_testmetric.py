@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sigma2flow.testmetric as testmetric_module
 from sigma2flow.discretize import gauss_panels, log_edges, sphere_measure
 from sigma2flow.geometry import CurvatureModel, FlatRadialBall
 from sigma2flow.testmetric import (
@@ -259,6 +260,22 @@ def test_glue_scaling_constants(glue15):
     assert 0.3 < other.volume_const / glue15.volume_const < 3.0
 
 
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_delta1_is_the_full_bisection(n):
+    # the bisection stops once a step leaves its bracket unchanged; delta1
+    # must be the value that all 200 steps give
+    for lam, gamma in ((1e-4, 1.5), (1e-3, 1.05)):
+        core = testmetric_module._GluingCore(n, lam, 0.26, gamma, 0.01)
+        lo, hi = core.delta, 1.0
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if core.alpha(mid) > gamma:
+                lo = mid
+            else:
+                hi = mid
+        assert core.delta1 == 0.5 * (lo + hi)
+
+
 def test_glue_validation():
     bp = BubbleParams(9, 1e-4)
     with pytest.raises(ConstructionError, match=r"gamma must lie in \(1, 2\)"):
@@ -388,6 +405,33 @@ def test_seam_windows_read_the_annulus_potential(assembled):
         assert float(prof.eval_region(np.array([r]), "annulus")[0][0]) == float(glue.u(r))
 
 
+def test_refine_is_per_panel_linspace(assembled):
+    refine = testmetric_module._refine
+    pieces = [edges for _, edges in assembled.profile.pieces()]
+    pieces.append(np.geomspace(1e-9, 40.0, 7))
+    for edges in pieces:
+        for per_panel in (1, 5, 33):
+            want = np.concatenate([np.linspace(a, b, per_panel, endpoint=False)
+                                   for a, b in zip(edges[:-1], edges[1:])] + [edges[-1:]])
+            assert refine(edges, per_panel).tobytes() == want.tobytes()
+
+
+def test_flat_twin_shares_the_profile(monkeypatch):
+    builds = []
+    real = testmetric_module._GluingCore.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(testmetric_module._GluingCore, "__init__", counting)
+    am = assemble_and_compare(BubbleParams(9, 1e-4, delta_r=-1.0), 1.05)
+    assert len(builds) == 1
+    assert am.flat.profile is am.profile
+    assert am.flat.bp.delta_r == 0.0 and am.flat.flat is None
+    assert am.flat.regions != am.regions
+
+
 def test_assemble_validation():
     bp = BubbleParams(9, 1e-4, delta_r=-1.0)
     with pytest.raises(ConstructionError, match=r"gamma must lie in \(1, 2\)"):
@@ -436,3 +480,14 @@ def test_margin_sweep_fits_the_dimension_remainder():
 def test_margin_sweep_validation():
     with pytest.raises(ConstructionError, match="strict deficit delta_r < 0"):
         margin_sweep(delta_r=0.0)
+
+
+def test_construction_under_strict_float_errors():
+    # no overflow, underflow, division or invalid operation anywhere in the
+    # sweep's assemblies or in the gluing annulus
+    with np.errstate(all="raise"):
+        margin_sweep()
+        margin_sweep(12, (1e-3, 3e-4, 1e-4), 1.05, 0.26)
+        for lam in (1e-3, 1e-5):
+            glue_lemma6(BubbleParams(9, lam), 1.5)
+            glue_lemma6(BubbleParams(10, lam, delta_r=-1.0), 1.05)
