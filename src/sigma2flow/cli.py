@@ -46,7 +46,6 @@ from .geometry import (
 from .symfun import (
     elementary_symmetric,
     jacobi_eigenvalues,
-    sigma_k,
     sigma_k_minors,
 )
 from .testmetric import (
@@ -309,12 +308,12 @@ def _cmd_verify(cfg: dict, args) -> int:
         q, _ = np.linalg.qr(rng.standard_normal((m, m)))
         a = q @ np.diag(rng.standard_normal(m)) @ q.T
         a = 0.5 * (a + a.T)
-        s2_direct = float(elementary_symmetric(jacobi_eigenvalues(a))[2])
-        s2_eig = sigma_k(a, 2)
+        s2_eig = float(elementary_symmetric(jacobi_eigenvalues(a))[2])
         s2_minor = sigma_k_minors(a, 2)
-        scale = max(1.0, abs(s2_direct))
-        worst = max(worst, abs(s2_eig - s2_direct) / scale,
-                    abs(s2_minor - s2_direct) / scale)
+        s2_trace = float(0.5 * (np.trace(a) ** 2 - np.sum(a * a)))
+        scale = max(1.0, abs(s2_eig))
+        worst = max(worst, abs(s2_minor - s2_eig) / scale,
+                    abs(s2_trace - s2_eig) / scale)
 
     background = RoundSphere(n)
     grid = sphere_latitude(n, int(cfg["grid_points"]))
@@ -354,6 +353,14 @@ _CONSTRUCT_DEFAULTS = {
 }
 
 
+def _finite_energies(reports) -> bool:
+    """True when every assembly, and its flat twin, has a finite F2, volume
+    and margin; an overflowing quadrature (at large n, say) yields none."""
+    return all(math.isfinite(value)
+               for rep in reports for am in (rep, rep.flat) if am is not None
+               for value in (am.F2, am.volume, am.margin))
+
+
 def _cmd_construct(cfg: dict, args) -> int:
     radii = _float_list(cfg["radii"], 6, "radii")
     try:
@@ -366,8 +373,9 @@ def _cmd_construct(cfg: dict, args) -> int:
         bp, float(cfg["gamma"]), radii, float(cfg["a_pad"]),
         None if eps_margin is None else float(eps_margin),
         float(cfg["r_cut"]), float(cfg["cut_width"]))
+    ok = _finite_energies([rep])
     payload = _summary(
-        "construct", cfg, "ok",
+        "construct", cfg, "ok" if ok else "error",
         gamma2_ok=rep.gamma2_ok,
         F2_tilde=rep.F2_tilde,
         Y2_sphere=rep.Y2_sphere,
@@ -395,7 +403,7 @@ def _cmd_construct(cfg: dict, args) -> int:
         ],
     )
     emit_summary(payload, args.json)
-    return _EXIT_OK
+    return _EXIT_OK if ok else _EXIT_NUMERIC
 
 
 _SWEEP_DEFAULTS = {
@@ -426,8 +434,9 @@ def _cmd_sweep(cfg: dict, args) -> int:
             float(cfg["r_cut"]), float(cfg["cut_width"]))
     except ValueError as e:
         raise _UsageError(str(e)) from None
+    ok = _finite_energies(sw.reports)
     payload = _summary(
-        "sweep", cfg, "ok",
+        "sweep", cfg, "ok" if ok else "error",
         lams=list(sw.lams),
         margins=list(sw.margins),
         flat_margins=list(sw.flat_margins),
@@ -439,7 +448,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
         all_margins_positive=all(m > 0 for m in sw.margins),
     )
     emit_summary(payload, args.json)
-    return _EXIT_OK
+    return _EXIT_OK if ok else _EXIT_NUMERIC
 
 
 # ---------------------------------------------------------------------------

@@ -103,14 +103,16 @@ def gauge_h_prime(s):
 # ---------------------------------------------------------------------------
 # configuration / results
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
-    """Settings of one flow run.
+    """Settings of one flow run, checked when they are made.
 
     ``dt_safety`` scales every step: the RKC controller takes ``dt_safety``
     times the step whose local-error estimate meets ``STEP_TOL`` (sup norm of
     u), and the first step is ``dt_safety * dx^2 / max lambda``.  Steps land
-    exactly on the record times ``i * record_dt`` and on ``t_max``.
+    exactly on the record times ``i * record_dt`` and on ``t_max``, so a run
+    to ``t_max`` takes at least ``t_max / record_dt`` steps; that count may
+    not exceed ``max_steps``.
     """
 
     eps: float
@@ -121,6 +123,23 @@ class FlowConfig:
     max_steps: int = 50_000_000
     blowup_floor: float = -10.0
     timeout: float | None = None
+
+    def __post_init__(self):
+        for name in ("eps", "t_max", "dt_safety", "tol_converge", "record_dt",
+                     "blowup_floor", "timeout"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.t_max < 0.0:
+            raise ValueError(f"t_max must be >= 0, got {self.t_max}")
+        if self.dt_safety <= 0.0:
+            raise ValueError(f"dt_safety must be positive, got {self.dt_safety}")
+        if self.record_dt <= 0.0:
+            raise ValueError(f"record_dt must be positive, got {self.record_dt}")
+        if self.t_max / self.record_dt > self.max_steps:
+            raise ValueError(
+                f"t_max / record_dt = {self.t_max / self.record_dt:.6g} record times "
+                f"exceed max_steps = {self.max_steps}")
 
 
 MONITOR_COLUMNS = (
@@ -556,8 +575,6 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
     n = background.n
     if n <= 4:
         raise ValueError("the flow needs dimension n >= 5")
-    if config.record_dt <= 0.0:
-        raise ValueError("record_dt must be positive")
     stepper = _state_stepper(background, grid, config.eps, config.dt_safety)
 
     records: list[MonitorRecord] = []

@@ -39,10 +39,18 @@ SIGMA2_CANCEL_TOL = 1e-8
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
+    """``a`` as a float array, if it is square, finite and symmetric.
+
+    Symmetric means ``max |a - a^T| <= 1e-12 (1 + max |a|)``.  A NaN or an
+    infinite entry is rejected before that test: max |a| is then NaN or inf.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max())):
+    scale = float(np.abs(a).max())
+    if not math.isfinite(scale):
+        raise ValueError("matrix has a non-finite entry")
+    if not np.abs(a - a.T).max() <= 1e-12 * (1.0 + scale):
         raise ValueError("matrix is not symmetric")
     return a
 

@@ -29,6 +29,7 @@ from the same routines.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -115,31 +116,83 @@ def _smoothstep_dd(s):
     return 60.0 * s * (1.0 - 3.0 * s + 2.0 * s * s)
 
 
-def _antiderivative(f, lo: float, anchor: float, hi: float):
-    """x -> integral_anchor^x f on [lo, hi], as a callable that raises outside.
+class _Nodes(NamedTuple):
+    """Table nodes ``t``, geometric on both sides of the anchor ``t[k]``; the
+    interval lengths ``h``; the 3 Gauss points of every interval, one row per
+    Gauss node, shape (3, t.size - 1)."""
 
-    Nodes are geometric on both sides of ``anchor`` (itself a node); the node
-    values are Gauss-Legendre sums per node interval, and between nodes a
-    cubic Hermite interpolant takes the exact slope ``f``.
-    """
-    left = np.geomspace(lo, anchor, 1 + math.ceil(math.log(anchor / lo) / _LOG_STEP))
-    right = np.geomspace(anchor, hi, 1 + math.ceil(math.log(hi / anchor) / _LOG_STEP))
+    t: np.ndarray
+    k: int
+    h: np.ndarray
+    points: np.ndarray
+
+
+def _geometric(a: float, b: float) -> np.ndarray:
+    """Nodes from a to b (both exact) whose log-spacing is at most _LOG_STEP."""
+    t = np.exp(np.linspace(math.log(a), math.log(b),
+                           1 + math.ceil(math.log(b / a) / _LOG_STEP)))
+    t[0], t[-1] = a, b
+    return t
+
+
+def _table_nodes(lo: float, anchor: float, hi: float) -> _Nodes:
+    left, right = _geometric(lo, anchor), _geometric(anchor, hi)
     t = np.concatenate([left, right[1:]])
     h = np.diff(t)
-    F = np.concatenate([[0.0], np.cumsum(h * (f(t[:-1, None] + h[:, None] * _TAB_Z) @ _TAB_W))])
-    F -= F[left.size - 1]
-    slope = f(t)
+    return _Nodes(t, left.size - 1, h, t[:-1] + h * _TAB_Z[:, None])
 
-    def value(r):
+
+def _hermite(f0, f1, d0, d1, h, s):
+    """The cubic with values f0, f1 and slopes d0, d1 at the ends of an
+    interval of length h, at the fraction s of the way along it."""
+    return f0 + s * s * (3.0 - 2.0 * s) * (f1 - f0) + h * s * (1.0 - s) * ((1.0 - s) * d0 - s * d1)
+
+
+class _Table:
+    """x -> integral_anchor^x f on the range of ``nodes``; raises outside it.
+
+    Built from the values of f at the Gauss points and at the nodes: the node
+    values are Gauss-Legendre sums per interval, and between nodes a cubic
+    Hermite interpolant takes the exact slope f.  ``F`` holds the node values.
+    """
+
+    def __init__(self, nodes: _Nodes, f_points, f_nodes):
+        self.t, self.h = nodes.t, nodes.h
+        F = np.concatenate([[0.0], np.cumsum(nodes.h * (_TAB_W @ f_points))])
+        self.F = F - F[nodes.k]
+        self.slope = f_nodes
+
+    def __call__(self, r):
+        t, h, F, d = self.t, self.h, self.F, self.slope
+        if isinstance(r, float):
+            # the same arithmetic in Python floats, without the cost of numpy
+            # on 0-d arrays
+            if r < t[0] or r > t[-1]:
+                raise self._outside()
+            i = min(int(np.searchsorted(t, r, side="right")) - 1, h.size - 1)
+            return _hermite(float(F[i]), float(F[i + 1]), float(d[i]), float(d[i + 1]),
+                            float(h[i]), (r - float(t[i])) / float(h[i]))
         r = np.asarray(r, dtype=float)
-        if np.any(r < lo) or np.any(r > hi):
-            raise ValueError(f"radius outside the antiderivative table [{lo:.6g}, {hi:.6g}]")
+        if np.any(r < t[0]) or np.any(r > t[-1]):
+            raise self._outside()
         i = np.minimum(np.searchsorted(t, r, side="right") - 1, h.size - 1)
-        s = (r - t[i]) / h[i]
-        return (F[i] + s * s * (3.0 - 2.0 * s) * (F[i + 1] - F[i])
-                + h[i] * s * (1.0 - s) * ((1.0 - s) * slope[i] - s * slope[i + 1]))
+        return _hermite(F[i], F[i + 1], d[i], d[i + 1], h[i], (r - t[i]) / h[i])
 
-    return value
+    def _outside(self) -> ValueError:
+        return ValueError(
+            f"radius outside the antiderivative table [{self.t[0]:.6g}, {self.t[-1]:.6g}]")
+
+    def at_points(self) -> np.ndarray:
+        """Values at the Gauss points of every interval, found without a search."""
+        F, d = self.F, self.slope
+        return _hermite(F[:-1], F[1:], d[:-1], d[1:], self.h, _TAB_Z[:, None])
+
+
+def _antiderivative(f, lo: float, anchor: float, hi: float) -> _Table:
+    """x -> integral_anchor^x f on [lo, hi], with table nodes geometric on
+    both sides of ``anchor``."""
+    nodes = _table_nodes(lo, anchor, hi)
+    return _Table(nodes, f(nodes.points), f(nodes.t))
 
 
 def _refine(edges: np.ndarray, per_panel: int = 33) -> np.ndarray:
@@ -234,6 +287,9 @@ class BubbleParams:
             raise ValueError(f"need dimension n >= 9, got {self.n}")
         if not self.lam > 0.0:
             raise ValueError("need lam > 0")
+        # the curvature response is read off at order lam^2
+        if not sys.float_info.min <= self.lam * self.lam < math.inf:
+            raise ValueError(f"lam^2 must be a normal float, got lam = {self.lam!r}")
         if not self.r0 > 0.0:
             raise ValueError("need r0 > 0")
         if not 0.25 < self.beta < 0.5:
@@ -428,18 +484,27 @@ def lemma5_integrals(bp: BubbleParams) -> Lemma5Report:
 # ---------------------------------------------------------------------------
 # Bernoulli slope profile
 
+def _bernoulli_g(t, A: float, n: int):
+    """The integrand t^{-(n-6)/2} e^{n A t^2/8} of H."""
+    return t ** (-0.5 * (n - 6)) * np.exp(n * A * t * t / 8.0)
+
+
 def _bernoulli_h(A: float, n: int, lo: float, hi: float, anchor: float = 1.0):
     """H(r) = -(nA/8) * integral_anchor^r t^{-(n-6)/2} e^{n A t^2/8} dt on [lo, hi]."""
     if A == 0.0 or lo == hi:
         return lambda r: np.zeros(np.shape(r))
-    table = _antiderivative(lambda t: t ** (-0.5 * (n - 6)) * np.exp(n * A * t * t / 8.0),
-                            lo, anchor, hi)
+    table = _antiderivative(lambda t: _bernoulli_g(t, A, n), lo, anchor, hi)
     return lambda r: -0.125 * n * A * table(r)
 
 
-def _slope(r, a1: float, h, A: float, n: int):
-    """alpha from 1/alpha = 1/2 + (a1 + H(r)) r^{(n-4)/2} e^{-n A r^2 / 8}."""
-    return 1.0 / (0.5 + (a1 + h(r)) * r ** (0.5 * (n - 4)) * np.exp(-n * A * r * r / 8.0))
+def _slope(a1: float, h, factor):
+    """alpha from 1/alpha = 1/2 + (a1 + H) * factor, with H at the radii and
+    the slope factor r^{(n-4)/2} e^{-n A r^2 / 8}."""
+    return 1.0 / (0.5 + (a1 + h) * factor)
+
+
+def _slope_factor(r, A: float, n: int):
+    return r ** (0.5 * (n - 4)) * np.exp(-n * A * r * r / 8.0)
 
 
 def bernoulli_alpha(r, a1: float, A: float, n: int, anchor: float = 1.0):
@@ -455,7 +520,7 @@ def bernoulli_alpha(r, a1: float, A: float, n: int, anchor: float = 1.0):
     if np.any(r <= 0.0):
         raise ValueError("need r > 0")
     h = _bernoulli_h(A, n, min(float(r.min()), anchor), max(float(r.max()), anchor), anchor)
-    alpha = _slope(r, a1, h, A, n)
+    alpha = _slope(a1, h(r), _slope_factor(r, A, n))
     if np.any(alpha <= 0.0) or np.any(alpha >= 2.0):
         raise ValueError("slope left the admissible band (0, 2)")
     return float(alpha) if scalar else alpha
@@ -487,9 +552,15 @@ class _GluingCore:
     the bubble ``log(lam + r^2)`` must then be shifted by ``b0`` to meet the
     annulus at delta.  Both matchings are C^1 by construction.
 
-    H and the potential are tabled on [delta/2, 1.5], which holds the seam
-    windows on both sides of [delta, delta1]; the potential is anchored at
-    delta.
+    H and the potential are tabled on one set of nodes on [delta/2, 1.5],
+    geometric on both sides of delta; the range holds the seam windows on
+    both sides of [delta, delta1].  Both tables are built in one pass from
+    ``g(t) = t^{-(n-6)/2} e^{n A t^2/8}`` at the nodes and the Gauss points:
+    H is integrated from delta and then shifted to vanish at 1, the anchor
+    ``a1`` is reported against; its values at the Gauss points come from the
+    Hermite interpolant at the fixed offsets, and the slope factor
+    ``t^{(n-4)/2} e^{-n A t^2/8}`` is ``t/g(t)``.  The potential is anchored
+    at delta.
     """
 
     def __init__(self, n: int, lam: float, beta: float, gamma: float, A: float):
@@ -502,10 +573,14 @@ class _GluingCore:
             raise ConstructionError(
                 "glue", f"bubble-edge slope {alpha_delta:.4f} does not exceed gamma={gamma}")
 
-        lo, hi = 0.5 * delta, 1.5
-        self._h = _bernoulli_h(A, n, lo, hi)
+        nodes = _table_nodes(0.5 * delta, delta, 1.5)
+        t, pts = nodes.t, nodes.points
+        g_t, g_pts = _bernoulli_g(t, A, n), _bernoulli_g(pts, A, n)
+        c = -0.125 * n * A
+        self._h = h = _Table(nodes, c * g_pts, c * g_t)
+        h.F -= h(1.0)  # from H(delta) = 0 to H(1) = 0
         self.a1 = (lam / (2.0 * delta * delta)) * delta ** (-0.5 * (n - 4)) \
-            * math.exp(n * A * delta * delta / 8.0) - float(self._h(delta))
+            * math.exp(n * A * delta * delta / 8.0) - float(h(delta))
         if self.alpha(1.0) > gamma:
             raise ConstructionError(
                 "glue", "the slope stays above gamma out to r = 1; "
@@ -521,7 +596,9 @@ class _GluingCore:
             lo_b, hi_b = bracket
         self.delta1 = delta1 = 0.5 * (lo_b + hi_b)
 
-        self._w = _antiderivative(lambda t: self.alpha(t) / t, lo, delta, hi)
+        alpha_t = _slope(self.a1, h.F, t / g_t)
+        alpha_pts = _slope(self.a1, h.at_points(), pts / g_pts)
+        self._w = _Table(nodes, alpha_pts / pts, alpha_t / t)
         # annulus value at its inner edge; the bubble shift follows from it
         self.u_inner = gamma * math.log(delta1) - float(self._w(delta1))
         self.b0 = self.u_inner - math.log(lam + delta * delta)
@@ -530,7 +607,10 @@ class _GluingCore:
             delta1 ** (0.5 * (4.0 - n)) + 2.0 * self.a1)
 
     def alpha(self, r):
-        return _slope(np.asarray(r, dtype=float), self.a1, self._h, self.A, self.n)
+        # a float stays a float: the bisection for delta1 runs on scalars
+        if not isinstance(r, float):
+            r = np.asarray(r, dtype=float)
+        return _slope(self.a1, self._h(r), _slope_factor(r, self.A, self.n))
 
     def _alpha_prime(self, r, a):
         quad = 2.0 * a - a * a - self.A * r * r * a
@@ -1173,12 +1253,18 @@ def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
 
     The fit basis carries the leading remainder exponent alongside lam^2, so
     the extracted coefficient is not polluted by the next order; by default
-    that exponent is (n-4)/2.  The target is B^{(4-n)/n} C delta_r.
+    that exponent is (n-4)/2.  The target is B^{(4-n)/n} C delta_r.  The
+    scales must be distinct and at least as many as the fit exponents, or
+    the fit is underdetermined.
     """
+    lams = tuple(float(v) for v in lams)
     if delta_r >= 0.0:
         raise ConstructionError("sweep", "the sweep needs a strict deficit delta_r < 0")
     if fit_exponents is None:
         fit_exponents = (2.0, (n - 4) / 2)
+    if len(set(lams)) != len(lams) or len(lams) < len(fit_exponents):
+        raise ValueError(f"the fit needs distinct bubble scales, at least "
+                         f"{len(fit_exponents)}, got {lams}")
     reports = []
     for lam in lams:
         bp = BubbleParams(n, lam, radii[-1], beta, delta_r)
@@ -1192,7 +1278,7 @@ def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
     sc = sphere_constants(n)
     target = sc.B ** ((4.0 - n) / n) * sc.require_C() * delta_r
     return MarginSweep(
-        lams=tuple(float(v) for v in lams),
+        lams=lams,
         margins=tuple(rep.margin for rep in reports),
         flat_margins=tuple(rep.flat.margin for rep in reports),
         F2_tilde=tuple(rep.F2_tilde for rep in reports),

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each at its stated tolerance.
 
 Run with ``pytest -v tests/test_acceptance.py`` to get a pass/fail line per
-criterion.  Timed criteria measure wall clock after a session-wide kernel
-warm-up, so compilation is not charged against any runtime budget.
+criterion.  Timed criteria measure wall clock after a session-wide warm-up
+run, so first-call costs are not charged against any runtime budget.
 """
 
 import os
@@ -54,7 +54,7 @@ Y2_S5 = 39.003151786888736
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Compile the accelerated kernels before anything is timed."""
+    """Run the Jacobi sweep and a short flow once before anything is timed."""
     jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0]))
     grid = sphere_latitude(5, 32)
     flow_run(RoundSphere(5), initial_field("cosine", grid, 0.05),

@@ -33,6 +33,26 @@ def test_verify_ok(capsys, tmp_path):
     assert "backend" in d and "version" in d and "config" in d
 
 
+def test_verify_runs_the_eigen_route_once_per_trial(capsys, monkeypatch):
+    # the eigen route is compared with the minors and the trace formula
+    import sigma2flow.cli as cli_module
+    import sigma2flow.symfun as symfun_module
+
+    calls = []
+    real = symfun_module.jacobi_eigenvalues
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "jacobi_eigenvalues", counting)
+    monkeypatch.setattr(symfun_module, "jacobi_eigenvalues", counting)
+    rc, cap = run_cli(capsys, ["verify", "--trials", "50"])
+    assert rc == 0
+    assert len(calls) == 50
+    assert 0.0 < json.loads(cap.out)["sigma2_consistency"] < 1e-10
+
+
 def test_flow_smoke(capsys, tmp_path):
     csv = tmp_path / "trace.csv"
     rc, cap = run_cli(capsys, [
@@ -165,6 +185,39 @@ def test_usage_errors(capsys):
     for argv in cases:
         rc, cap = run_cli(capsys, argv)
         assert rc == 2, argv
+
+
+def test_flow_settings_are_usage_errors(capsys):
+    # FlowConfig checks the settings; each case ran (or failed on a math
+    # domain error) before it did
+    for flag, value in (("--dt-safety", "-1"), ("--t-max", "nan"), ("--t-max", "-1"),
+                        ("--record-dt", "inf")):
+        rc, cap = run_cli(capsys, ["flow", "--grid-points", "32", "--t-max", "0.1",
+                                   "--tol-converge", "1e-2", flag, value])
+        assert rc == 2, (flag, value)
+        assert flag[2:].replace("-", "_") in cap.err
+
+
+def test_construct_rejects_a_scale_whose_square_underflows(capsys):
+    rc, cap = run_cli(capsys, ["construct", "--lambda", "1e-300"])
+    assert rc == 2
+    assert "lam^2 must be a normal float" in cap.err
+
+
+def test_sweep_rejects_repeated_scales(capsys):
+    rc, cap = run_cli(capsys, ["sweep", "--lambdas", "1e-3,1e-3,1e-3"])
+    assert rc == 2
+    assert "distinct bubble scales" in cap.err
+
+
+def test_construct_with_non_finite_energy_is_an_error(capsys):
+    # at n = 40 the outer quadrature overflows and F2 is not finite
+    with pytest.warns(RuntimeWarning):
+        rc, cap = run_cli(capsys, ["construct", "--n", "40"])
+    assert rc == 3
+    d = _strict_json(cap.out)
+    assert d["status"] == "error"
+    assert d["margin"] is None
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

@@ -170,14 +170,36 @@ def test_flow_run_from_a_packaged_field(s5_grid):
     assert c.status in ("converged", "t_max")
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt_safety": 0.0}, {"dt_safety": -1.0}, {"dt_safety": math.nan},
+    {"t_max": math.nan}, {"t_max": math.inf}, {"t_max": -1.0},
+    {"record_dt": 0.0}, {"record_dt": -0.01}, {"record_dt": math.inf},
+    {"eps": math.nan}, {"tol_converge": math.inf}, {"blowup_floor": -math.inf},
+    {"timeout": math.nan},
+    {"t_max": 1.0, "record_dt": 0.01, "max_steps": 99},
+])
+def test_flow_config_rejects_bad_settings(bad):
+    with pytest.raises(ValueError):
+        FlowConfig(**{"eps": 2.0, **bad})
+
+
+def test_flow_config_is_checked_on_every_copy():
+    cfg = FlowConfig(eps=2.0, t_max=1.0, record_dt=0.01, max_steps=100)
+    with pytest.raises(ValueError, match="dt_safety must be positive"):
+        replace(cfg, dt_safety=0.0)
+    with pytest.raises(AttributeError):
+        cfg.dt_safety = 0.0
+
+
 def test_flow_statuses(s5_grid):
     sphere, grid = s5_grid
     u0 = initial_field("cosine", grid, 0.1)
+    # record_dt keeps the t_max / record_dt record times within max_steps
     res = flow_run(sphere, u0, FlowConfig(eps=2.0, t_max=5.0, max_steps=7,
-                                          tol_converge=0.0), grid=grid)
+                                          record_dt=1.0, tol_converge=0.0), grid=grid)
     assert res.status == "max_steps" and res.steps == 7
-    res = flow_run(sphere, u0, FlowConfig(eps=2.0, t_max=1e9, tol_converge=0.0,
-                                          timeout=0.05), grid=grid)
+    res = flow_run(sphere, u0, FlowConfig(eps=2.0, t_max=1e9, record_dt=1e3,
+                                          tol_converge=0.0, timeout=0.05), grid=grid)
     assert res.status == "timeout"
     res = flow_run(sphere, 3.0 * np.cos(grid.x),
                    FlowConfig(eps=2.0, t_max=1.0, tol_converge=0.0), grid=grid)
@@ -358,7 +380,8 @@ def test_records_equal_full_evaluations(s5_grid):
     # runs that end between record times: at t_max, on convergence, at max_steps
     for cfg in (FlowConfig(eps=2.0, t_max=0.07, record_dt=0.05, tol_converge=0.0),
                 FlowConfig(eps=2.0, t_max=5.0, record_dt=0.05, tol_converge=1e-2),
-                FlowConfig(eps=2.0, t_max=5.0, max_steps=5, tol_converge=0.0)):
+                FlowConfig(eps=2.0, t_max=5.0, max_steps=5, record_dt=1.0,
+                           tol_converge=0.0)):
         res = flow_run(sphere, u0, cfg, grid=grid)
         assert res.records[-1].t == res.t
         assert res.t != round(res.t / cfg.record_dt) * cfg.record_dt

@@ -97,6 +97,21 @@ def test_jacobi_rejects_nonsymmetric():
         jacobi_eigenvalues(np.ones((2, 3)))
 
 
+def test_symmetry_check_rejects_non_finite_entries():
+    # a NaN or an infinite entry, even in a symmetric pair or on the
+    # diagonal, is rejected before the symmetry test
+    for a in ([[1.0, math.nan], [math.nan, 1.0]],
+              [[math.nan, 0.0], [0.0, 1.0]],
+              [[1.0, math.inf], [math.inf, 1.0]],
+              [[-math.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            jacobi_eigenvalues(np.array(a))
+    # the symmetry tolerance is 1e-12 (1 + max |a|)
+    jacobi_eigenvalues(np.array([[1.0, 2.0], [2.0 + 2e-12, 1.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        jacobi_eigenvalues(np.array([[1.0, 2.0], [2.0 + 4e-12, 1.0]]))
+
+
 def test_elementary_symmetric_small_cases():
     e = elementary_symmetric([1.0, 2.0, 3.0])
     np.testing.assert_allclose(e, [1.0, 6.0, 11.0, 6.0])

@@ -276,6 +276,50 @@ def test_delta1_is_the_full_bisection(n):
         assert core.delta1 == 0.5 * (lo + hi)
 
 
+@pytest.mark.parametrize("A", [0.0, 0.01])
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_annulus_potential_matches_direct_quadrature(n, A):
+    # the potential table, built in one pass with H, against Gauss panels of
+    # alpha/t from delta to radii spread over the whole table range
+    core = testmetric_module._GluingCore(n, 1e-4, 0.26, 1.05, A)
+    for r in np.geomspace(0.5 * core.delta, 1.5, 13):
+        lo, hi = sorted((core.delta, float(r)))
+        w = gauss_panels(lambda t: core.alpha(t) / t, log_edges(lo, hi, 16))
+        want = w if r > core.delta else -w
+        assert float(core._w(r)) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("A", [0.0, 0.01])
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_annulus_h_matches_the_bernoulli_table(n, A):
+    # H of the core is tabled from delta and shifted; the bernoulli_alpha
+    # table is anchored at 1 on nodes of its own
+    core = testmetric_module._GluingCore(n, 1e-4, 0.26, 1.05, A)
+    lo, hi = 0.5 * core.delta, 1.5
+    r = np.geomspace(lo, hi, 1001)
+    ref = testmetric_module._bernoulli_h(A, n, lo, hi)(r)
+    np.testing.assert_allclose(core._h(r), ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+    np.testing.assert_allclose(core.alpha(r), bernoulli_alpha(r, core.a1, A, n), rtol=1e-14)
+
+
+def test_potential_table_reads_h_without_a_search(monkeypatch):
+    # H reaches the potential's Gauss points by the fixed offsets, not by a
+    # table look-up: the only searches while a core is built are for single
+    # radii (the anchor shift, a1, the r = 1 check, the bisection for delta1
+    # and u at delta1)
+    sizes = []
+    real = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        sizes.append(np.size(v))
+        return real(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    testmetric_module._GluingCore(9, 1e-4, 0.26, 1.05, 0.01)
+    assert sizes and set(sizes) == {1}
+    assert len(sizes) <= 205
+
+
 def test_glue_validation():
     bp = BubbleParams(9, 1e-4)
     with pytest.raises(ConstructionError, match=r"gamma must lie in \(1, 2\)"):
