@@ -398,6 +398,8 @@ def _cmd_construct(cfg: dict, args) -> int:
                 "min_sigma1": r.min_sigma1,
                 "min_sigma2": r.min_sigma2,
                 "in_cone": r.in_cone,
+                "quad_nodes": r.quad_nodes,
+                "cone_nodes": r.cone_nodes,
             }
             for r in rep.regions
         ],

@@ -240,11 +240,13 @@ def _sigma_pair(r, derivs, model, n: int):
     return sigma_pair_radial(n, *schouten_pointwise(model, r, u, up, upp))
 
 
-def _cone_values(r, derivs, model, n: int):
-    """(e^{2u} sigma_1, e^{4u} sigma_2): the sigma pair of the metric e^{-2u} g0."""
-    s1, s2 = _sigma_pair(r, derivs, model, n)
+def _cone_values(r, derivs, models, n: int):
+    """(e^{2u} sigma_1, e^{4u} sigma_2), the sigma pair of the metric e^{-2u} g0,
+    against each background in ``models``; e^{2u} and e^{4u} are computed once
+    for all of them."""
     u = derivs[0]
-    return np.exp(2.0 * u) * s1, np.exp(4.0 * u) * s2
+    e2, e4 = np.exp(2.0 * u), np.exp(4.0 * u)
+    return [(e2 * s1, e4 * s2) for s1, s2 in (_sigma_pair(r, derivs, m, n) for m in models)]
 
 
 def _panel_nodes(edges):
@@ -255,13 +257,28 @@ def _panel_nodes(edges):
     return (mid + half * _PANEL_Z).ravel(), (half * _PANEL_W).ravel()
 
 
-def _masses(r, weights, derivs, model, n: int):
-    """Quadrature sums of e^{(4-n)u} sigma_2(W) and e^{-nu} against |S^{n-1}| r^{n-1} dr."""
-    _, s2 = _sigma_pair(r, derivs, model, n)
+def _masses(r, weights, derivs, models, n: int, offsets):
+    """Per-region quadrature sums of e^{(4-n)u} sigma_2(W) and e^{-nu} against
+    |S^{n-1}| r^{n-1} dr.
+
+    The regions lie end to end in ``r``: region k has the nodes
+    ``r[offsets[k]:offsets[k+1]]``.  Returns ``(energies, volumes)``, where
+    ``energies[m][k]`` is region k's energy against ``models[m]``.  The
+    factors that do not depend on the background (the measure, e^{(4-n)u}
+    and the volumes) are computed once for all models; each model costs one
+    sigma_2 evaluation over all regions.
+    """
     measure = sphere_measure(n - 1) * r ** (n - 1) * weights
     u = derivs[0]
-    return (math.fsum((np.exp((4.0 - n) * u) * s2 * measure).tolist()),
-            math.fsum((np.exp(-float(n) * u) * measure).tolist()))
+    decay = np.exp((4.0 - n) * u)
+    spans = list(zip(offsets[:-1], offsets[1:]))
+
+    def sums(terms):
+        terms = terms.tolist()
+        return [math.fsum(terms[a:b]) for a, b in spans]
+
+    energies = [sums(decay * _sigma_pair(r, derivs, m, n)[1] * measure) for m in models]
+    return energies, sums(np.exp(-float(n) * u) * measure)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +479,7 @@ def lemma5_integrals(bp: BubbleParams) -> Lemma5Report:
     else:
         edges = np.linspace(0.0, bp.delta, 25)
     r, w = _panel_nodes(edges)
-    energy, volume = _masses(r, w, _bubble(lam, r), bp.model(), n)
+    [[energy]], [volume] = _masses(r, w, _bubble(lam, r), [bp.model()], n, [0, r.size])
 
     sc = sphere_constants(n)
     s2_scaled = energy * lam ** (0.5 * n - 2.0)
@@ -734,7 +751,7 @@ def glue_lemma6(bp: BubbleParams, gamma: float, A: float = 0.01,
         max(np.abs(s_r0 / (r * r)).max(), np.abs(s_t0 / (r * r)).max()) <= pad_scale)
 
     rq, wq = _panel_nodes(log_edges(delta, delta1, 64))
-    energy, volume = _masses(rq, wq, core.derivatives(rq), model, n)
+    [[energy]], [volume] = _masses(rq, wq, core.derivatives(rq), [model], n, [0, rq.size])
     energy_norm = delta ** (4.0 + n * (1.0 - gamma)) * lam ** (-3.0 + 2.0 * gamma)
     vol_exp = 2.0 * n * (2.0 - gamma) / (n - 4.0)
     volume_norm = (delta ** ((n + 4.0 - n * gamma) / (2.0 * (2.0 - gamma))) / lam) ** vol_exp
@@ -937,7 +954,8 @@ def transition_lemma7(gamma: float, eps_margin: float, radii,
                         ("taper", np.linspace(r6, r5, 129)),
                         ("bridge", np.linspace(r5, r4, 257)),
                         ("outer", np.linspace(r4, min(1.5 * r4, 0.98 * r0), 65))):
-            samples[name] = (r, *_cone_values(r, core.eval_region(r, name), model, n))
+            [cone] = _cone_values(r, core.eval_region(r, name), [model], n)
+            samples[name] = (r, *cone)
         interior_min = float(samples["taper"][2].min())
         window_min = float(min(samples["tube"][2].min(), samples["ramp"][2].min()))
         if not shrink or (window_min > 0.0 and window_min >= 0.1 * interior_min):
@@ -1079,9 +1097,29 @@ class _PatchProfile:
             ("bridge", np.linspace(self.r5, self.r4, 33)),
         ]
 
+    def region_nodes(self):
+        """Per region, inner to outer: name, extent, quadrature nodes and
+        weights, and cone nodes (33 per panel, then the outer edge)."""
+        plan = [(name, float(edges[0]), float(edges[-1]), *_panel_nodes(edges),
+                 _refine(edges, 33))
+                for name, edges in self.pieces()]
+        # outer region: substitute r = r4/s and integrate s over (0, 1]
+        r4 = self.r4
+        s, ws = _panel_nodes(log_edges(1e-9, 1.0, 65))
+        plan.append(("outer", r4, math.inf, r4 / s, ws * r4 / (s * s),
+                     np.geomspace(r4, 40.0, 1025)))
+        return plan
+
 
 @dataclass
 class RegionReport:
+    """Energy, volume and cone minima of one region of the assembled metric.
+
+    ``quad_nodes`` and ``cone_nodes`` count the region's quadrature nodes
+    and cone-check nodes: its slices of the node arrays that the assembly
+    lays out for all regions at once.
+    """
+
     name: str
     r_lo: float
     r_hi: float
@@ -1089,6 +1127,8 @@ class RegionReport:
     volume: float
     min_sigma1: float
     min_sigma2: float
+    quad_nodes: int
+    cone_nodes: int
 
     @property
     def in_cone(self) -> bool:
@@ -1171,61 +1211,62 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     beta_ok = 0.25 < bp.beta < (n - 4.0) / (2.0 * n)
 
     prof = _PatchProfile(n, bp.lam, bp.beta, gamma, A, eps_margin, radii, blend_frac)
-    # per region: name, extent, quadrature nodes and weights, cone nodes
-    plan = [(name, float(edges[0]), float(edges[-1]), *_panel_nodes(edges), _refine(edges, 33))
-            for name, edges in prof.pieces()]
-    # outer region: substitute r = r4/s and integrate s over (0, 1]
-    r4 = prof.r4
-    s, ws = _panel_nodes(log_edges(1e-9, 1.0, 65))
-    plan.append(("outer", r4, math.inf, r4 / s, ws * r4 / (s * s), np.geomspace(r4, 40.0, 1025)))
-    # (u, u', u'') on the quadrature and the cone nodes of every region
-    derivs = [(prof.eval_region(rq, name), prof.eval_region(rc, name))
-              for name, _, _, rq, _, rc in plan]
+    names, r_lo, r_hi, rq, wq, rc = zip(*prof.region_nodes())
+    # every region's nodes end to end: region k has the quadrature nodes
+    # rq[q_off[k]:q_off[k+1]] and the cone nodes rc[c_off[k]:c_off[k+1]]
+    q_off = np.cumsum([0] + [r.size for r in rq]).tolist()
+    c_off = np.cumsum([0] + [r.size for r in rc]).tolist()
+    rq, wq, rc = np.concatenate(rq), np.concatenate(wq), np.concatenate(rc)
+    # (u, u', u'') at both node sets, from one evaluation per region
+    dq, dc = np.empty((3, rq.size)), np.empty((3, rc.size))
+    for name, qa, qb, ca, cb in zip(names, q_off, q_off[1:], c_off, c_off[1:]):
+        d = np.asarray(prof.eval_region(np.concatenate([rq[qa:qb], rc[ca:cb]]), name))
+        dq[:, qa:qb], dc[:, ca:cb] = d[:, :qb - qa], d[:, qb - qa:]
+
+    # the flat twin first, then the deficit model; the profile and every
+    # factor that does not depend on the background are shared
+    twins = [bp]
+    if bp.delta_r != 0.0:
+        twins.insert(0, BubbleParams(n, bp.lam, bp.r0, bp.beta, 0.0))
+    models = [params.model(r_cut, cut_width) for params in twins]
+    energies, volumes = _masses(rq, wq, dq, models, n, q_off)
+    cones = _cone_values(rc, dc, models, n)
+    vol = math.fsum(volumes)
     sc = sphere_constants(n)
 
-    def compare(params: BubbleParams, flat: AssembledMetric | None) -> AssembledMetric:
-        """The profile against the background of ``params``."""
-        model = params.model(r_cut, cut_width)
-        regions = []
-        nodes = []
-        for (name, r_lo, r_hi, rq, wq, rc), (dq, dc) in zip(plan, derivs):
-            e, v = _masses(rq, wq, dq, model, n)
-            m1, m2 = _cone_values(rc, dc, model, n)
-            regions.append(RegionReport(name, r_lo, r_hi, e, v, float(m1.min()), float(m2.min())))
-            nodes.append((rc, dc[0], m1, m2))
-        r_nodes, u_nodes, s1_nodes, s2_nodes = (np.concatenate(c) for c in zip(*nodes))
-
-        F2 = math.fsum(rr.energy for rr in regions)
-        vol = math.fsum(rr.volume for rr in regions)
+    am = None
+    for params, region_energies, (m1, m2) in zip(twins, energies, cones):
+        regions = tuple(
+            RegionReport(name, lo, hi, e, v, float(m1[ca:cb].min()), float(m2[ca:cb].min()),
+                         qb - qa, cb - ca)
+            for name, lo, hi, e, v, qa, qb, ca, cb in zip(
+                names, r_lo, r_hi, region_energies, volumes,
+                q_off, q_off[1:], c_off, c_off[1:]))
+        F2 = math.fsum(region_energies)
         F2t = F2 / vol ** ((n - 4.0) / n)
         slope, target = math.nan, math.nan
-        if flat is not None:
-            slope = (F2t - flat.F2_tilde) / params.lam ** 2
+        if am is not None:
+            slope = (F2t - am.F2_tilde) / params.lam ** 2
             target = sc.B ** ((4.0 - n) / n) * sc.require_C() * params.delta_r
-
-        return AssembledMetric(
+        am = AssembledMetric(
             bp=params, gamma=gamma, radii=radii, A=A, eps_margin=eps_margin,
             r_cut=r_cut, cut_width=cut_width,
             beta_in_proof_range=beta_ok,
             delta=prof.delta, delta1=prof.delta1,
             a1=prof.glue.a1, b0=prof.b0, b1=prof.b1,
-            regions=tuple(regions),
+            regions=regions,
             gamma2_ok=bool(all(rr.in_cone for rr in regions)),
-            r_nodes=r_nodes, u_nodes=u_nodes,
-            sigma1_nodes=s1_nodes, sigma2_nodes=s2_nodes,
+            r_nodes=rc, u_nodes=dc[0],
+            sigma1_nodes=m1, sigma2_nodes=m2,
             F2=F2, volume=vol, F2_tilde=F2t,
             Y2_sphere=sc.Y2_sphere,
             margin=sc.Y2_sphere - F2t,
-            flat=flat,
+            flat=am,
             lambda2_slope=slope,
             lambda2_target=target,
             profile=prof,
         )
-
-    flat = None
-    if bp.delta_r != 0.0:
-        flat = compare(BubbleParams(n, bp.lam, bp.r0, bp.beta, 0.0), None)
-    return compare(bp, flat)
+    return am
 
 
 @dataclass

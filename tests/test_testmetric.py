@@ -476,6 +476,64 @@ def test_flat_twin_shares_the_profile(monkeypatch):
     assert am.flat.regions != am.regions
 
 
+def test_assembly_evaluates_all_regions_in_one_pass(monkeypatch):
+    # one profile evaluation per region over its quadrature and cone nodes
+    # together, and one background evaluation per node set and model
+    schouten_calls = []
+    real_schouten = testmetric_module.schouten_pointwise
+
+    def counting_schouten(background, x, *args):
+        schouten_calls.append(np.size(x))
+        return real_schouten(background, x, *args)
+
+    region_calls = []
+    depth = [0]
+    real_eval = testmetric_module._PatchProfile.eval_region
+
+    def counting_eval(self, r, region):
+        # the seam blends evaluate their neighbours through eval_region too;
+        # count only the assembly's own calls
+        if depth[0] == 0:
+            region_calls.append(region)
+        depth[0] += 1
+        try:
+            return real_eval(self, r, region)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(testmetric_module, "schouten_pointwise", counting_schouten)
+    monkeypatch.setattr(testmetric_module._PatchProfile, "eval_region", counting_eval)
+    am = assemble_and_compare(BubbleParams(9, 1e-4, delta_r=-1.0), 1.05)
+    assert len(schouten_calls) == 4
+    assert region_calls == [r.name for r in am.regions]
+    assert sorted(schouten_calls) == sorted(
+        2 * [sum(r.quad_nodes for r in am.regions), sum(r.cone_nodes for r in am.regions)])
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_regions_equal_the_sums_over_their_own_nodes(n):
+    # the one-pass assembly against _masses and _cone_values applied to each
+    # region alone, bit for bit, for the deficit model and its flat twin
+    am = assemble_and_compare(BubbleParams(n, 1e-4, delta_r=-1.0), 1.05)
+    prof = am.profile
+    plan = prof.region_nodes()
+    assert [p[0] for p in plan] == [r.name for r in am.regions]
+    cone_r = []
+    for rep in (am, am.flat):
+        model = rep.bp.model(rep.r_cut, rep.cut_width)
+        for (name, r_lo, r_hi, rq, wq, rc), region in zip(plan, rep.regions):
+            [[energy]], [volume] = testmetric_module._masses(
+                rq, wq, prof.eval_region(rq, name), [model], n, [0, rq.size])
+            [(m1, m2)] = testmetric_module._cone_values(rc, prof.eval_region(rc, name), [model], n)
+            assert (region.r_lo, region.r_hi) == (r_lo, r_hi)
+            assert (region.quad_nodes, region.cone_nodes) == (rq.size, rc.size)
+            assert region.energy == energy and region.volume == volume, name
+            assert region.min_sigma1 == float(m1.min()), name
+            assert region.min_sigma2 == float(m2.min()), name
+            cone_r.append(rc)
+    assert am.r_nodes.tobytes() == np.concatenate(cone_r[:len(plan)]).tobytes()
+
+
 def test_assemble_validation():
     bp = BubbleParams(9, 1e-4, delta_r=-1.0)
     with pytest.raises(ConstructionError, match=r"gamma must lie in \(1, 2\)"):
