@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretize import gauss_panels, log_edges, sphere_measure
+from .discretize import log_edges, sphere_measure
 from .geometry import (
     CurvatureModel,
     FlatRadialBall,
@@ -365,24 +365,16 @@ class SphereConstants:
 
 @lru_cache(maxsize=None)
 def _sphere_constants_cached(n: int) -> SphereConstants:
-    om = sphere_measure(n - 1)
-    # Polynomial behaviour near 0, then nine decades of algebraic tail; for
-    # n = 9 the C-integrand decays like y^{-2}, so the 1e9 cutoff leaves a
-    # relative remainder ~ 2e-9, inside the 1e-8 budget.
-    edges = np.concatenate([np.linspace(0.0, 1.0, 9)[:-1], log_edges(1.0, 1e9, 208)])
-
-    def f_b(y):
-        return om * y ** (n - 1) * (1.0 + y * y) ** (-n)
-
-    b = gauss_panels(f_b, edges)
+    b = sphere_measure(n) / 2.0 ** n
     c = None
     if n >= 9:
-        def f_c(y):
-            yy = y * y
-            poly = yy / (2.0 * n) + 2.0 * yy * yy / (n * (n + 2.0))
-            return om * y ** (n - 1) * poly * (1.0 + yy) ** (2.0 - n)
-
-        c = gauss_panels(f_c, edges)
+        # C = |S^{n-1}| [m(n+1)/(2n) + 2 m(n+3)/(n(n+2))] with the moments
+        # m(a) = integral_0^inf y^a (1+y^2)^{2-n} dy
+        #      = Gamma((a+1)/2) Gamma(n-2-(a+1)/2) / (2 Gamma(n-2)).
+        # As m(n+3) = m(n+1) (n+2)/(n-8), this is the product below; its
+        # Gamma factors are taken as logs, so none overflows at large n.
+        c = (n - 4.0) / (4.0 * (n - 8.0)) * math.exp(
+            0.5 * n * math.log(math.pi) + math.lgamma(0.5 * n - 3.0) - math.lgamma(n - 2.0))
     y2 = 2.0 * n * (n - 1) * b ** (4.0 / n)
     return SphereConstants(n, b, c, y2)
 
@@ -394,8 +386,8 @@ def sphere_constants(n: int) -> SphereConstants:
         C  = integral_{R^n} (|x|^2/(2n) + 2|x|^4/(n(n+2))) (1+|x|^2)^{2-n} dx
         Y2 = 2n(n-1) B^{4/n}
 
-    B also equals vol(S^n)/2^n (stereographic projection), which the tests
-    use as an independent closed-form oracle.
+    Both come in closed form: B = vol(S^n)/2^n (stereographic projection),
+    and C from the Beta-function moments of its integrand.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")

@@ -220,6 +220,15 @@ def test_construct_with_non_finite_energy_is_an_error(capsys):
     assert d["margin"] is None
 
 
+def test_construct_at_large_dimension_has_a_finite_target(capsys):
+    # the curvature-response target stays finite at large n
+    rc, cap = run_cli(capsys, ["construct", "--n", "34"])
+    assert rc == 0
+    d = _strict_json(cap.out)
+    assert d["status"] == "ok"
+    assert d["lambda2_target"] is not None and d["lambda2_target"] < 0.0
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

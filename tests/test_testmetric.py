@@ -65,13 +65,15 @@ def test_sphere_constants_beta_oracle():
     def mom(a, b):
         return math.gamma((a + 1) / 2) * math.gamma(b - (a + 1) / 2) / (2 * math.gamma(b))
 
-    for n in (9, 10, 11, 12):
+    # from n = 33 on, a quadrature's integrands overflow near any far tail
+    # cutoff; the closed forms hold to rounding there too
+    for n in (9, 10, 11, 12, 33, 34, 36, 40, 60):
         om = sphere_measure(n - 1)
         c_exact = om * (mom(n + 1, n - 2) / (2 * n) + 2 * mom(n + 3, n - 2) / (n * (n + 2)))
         sc = sphere_constants(n)
         assert sc.B == pytest.approx(sphere_measure(n) / 2**n, rel=1e-13)
-        # the 1e9 quadrature cutoff leaves a ~2e-9 tail at n = 9, less above
-        assert sc.C == pytest.approx(c_exact, rel=5e-9)
+        assert sc.C == pytest.approx(c_exact, rel=1e-13)
+        assert math.isfinite(sc.Y2_sphere)
     assert sphere_constants(9).C == pytest.approx(0.2656420874872235, rel=5e-9)
 
 
@@ -565,7 +567,7 @@ def test_margin_sweep_positive_margins(sweep):
 def test_margin_sweep_fit(sweep):
     ms = sweep
     assert sphere_constants(9).C > 0.0
-    assert ms.K2_target == pytest.approx(-1.4061126968235458, rel=1e-12)
+    assert ms.K2_target == pytest.approx(-1.4061126999980647, rel=1e-12)
     assert ms.K2_fit == pytest.approx(-1.3635369022518948, rel=1e-6)
     assert ms.K2_rel_dev < 0.1
     assert len(ms.reports) == 3
