@@ -1184,9 +1184,16 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     sphere's value.  When the bubble carries a curvature deficit, a flat
     twin (same construction, deficit 0) is compared as well and the
     measured lam^2 energy response is reported against
-    ``B^{(4-n)/n} C delta_r``.  The profile does not depend on the deficit,
-    so the twin shares it, with its quadrature nodes and the node
-    derivatives; only the background model differs.
+    ``B^{(4-n)/n} C delta_r``.
+
+    The comparison is one pass over all regions.  Their quadrature nodes lie
+    end to end in one array and their cone nodes in another, with region
+    offsets; each region's profile is evaluated once, at its quadrature and
+    cone nodes together.  The profile does not depend on the deficit, so the
+    flat twin shares it, with the node arrays, the node derivatives, the
+    measure, e^{(4-n)u}, the region volumes, and e^{2u} and e^{4u} at the
+    cone nodes.  Only the background model differs: each of the two models
+    costs one sigma_2 evaluation on either node set.
     """
     if not 1.0 < gamma < 2.0:
         raise ConstructionError("assemble", f"gamma must lie in (1, 2), got {gamma}")

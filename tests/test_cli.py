@@ -1,5 +1,7 @@
 """Command-line interface tests, run in-process through parse_and_dispatch."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigma2flow
 from sigma2flow.cli import parse_and_dispatch
@@ -227,6 +231,81 @@ def test_construct_at_large_dimension_has_a_finite_target(capsys):
     d = _strict_json(cap.out)
     assert d["status"] == "ok"
     assert d["lambda2_target"] is not None and d["lambda2_target"] < 0.0
+
+
+# Flow settings as the CLI takes them: ordinary values, and per setting the
+# edge values it parses too.  A huge t_max and an unbounded timeout are left
+# out, so every run stops within a t_max of 1 or a timeout of 0.2 s.
+_ORDINARY = {
+    "eps": ("0.5", "2"),
+    "t-max": ("0.02", "0.1", "1"),
+    "dt-safety": ("0.4", "0.8"),
+    "tol-converge": ("1e-8", "1e-2"),
+    "record-dt": ("0.01", "1"),
+    "amplitude": ("0.05", "0.1", "3"),
+    "grid-points": ("16", "32", "64"),
+    "timeout": ("0.2",),
+}
+_EDGE = ("nan", "inf", "-inf", "0", "-1", "1e-300")
+_EDGES = {
+    "eps": _EDGE + ("1e300",),
+    "t-max": _EDGE,
+    "dt-safety": _EDGE + ("2", "1e300"),
+    "tol-converge": _EDGE + ("1e300",),
+    "record-dt": _EDGE + ("1e-7", "1e300"),
+    "amplitude": _EDGE + ("1e300",),
+    "grid-points": ("nan", "-1", "0", "8"),
+    "timeout": _EDGE,
+}
+_FLOW_STATUSES = ("converged", "t_max", "max_steps", "timeout",
+                  "cone_exit", "blow_up_suspected", "non_finite")
+
+
+@st.composite
+def _flow_argv(draw):
+    cfg = {key: draw(st.sampled_from(values)) for key, values in _ORDINARY.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(_EDGES)), max_size=3, unique=True)):
+        cfg[key] = draw(st.sampled_from(_EDGES[key]))
+    return ["flow", *(f"--{key}={value}" for key, value in cfg.items())]
+
+
+# the huge and non-finite starts overflow on their way to a non_finite status
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(argv=_flow_argv())
+def test_flow_settings_end_with_a_true_status(argv):
+    # each draw is a usage error, or a run whose strict JSON summary has a
+    # status that matches the exit code
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = parse_and_dispatch(argv)
+    if rc == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("sigma2 flow: ", "usage: ")), err.getvalue()
+        return
+    assert rc in (0, 3), (rc, err.getvalue())
+    d = _strict_json(out.getvalue())
+    assert d["status"] in _FLOW_STATUSES
+    assert (rc == 3) == (d["status"] in ("cone_exit", "blow_up_suspected", "non_finite"))
+    if rc == 3:
+        assert d["equilibrium_residual"] is None, d
+
+
+def test_sweep_and_eigen_reruns_are_byte_identical(tmp_path):
+    # each run in a fresh interpreter, so no cache is warm for either
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sigma2flow.__file__).parents[1]) + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    for name, argv in (("sweep", ["sweep"]),
+                       ("eigen", ["eigen", "--n", "9", "--grid-points", "48"])):
+        blobs = []
+        for tag in ("a", "b"):
+            path = tmp_path / f"{name}_{tag}.json"
+            proc = subprocess.run([sys.executable, "-m", "sigma2flow", *argv, "--json", str(path)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1], name
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
