@@ -946,8 +946,7 @@ def transition_lemma7(gamma: float, eps_margin: float, radii,
                         ("taper", np.linspace(r6, r5, 129)),
                         ("bridge", np.linspace(r5, r4, 257)),
                         ("outer", np.linspace(r4, min(1.5 * r4, 0.98 * r0), 65))):
-            [cone] = _cone_values(r, core.eval_region(r, name), [model], n)
-            samples[name] = (r, *cone)
+            samples[name] = (r, *_cone_values(r, core.eval_region(r, name), [model], n)[0])
         interior_min = float(samples["taper"][2].min())
         window_min = float(min(samples["tube"][2].min(), samples["ramp"][2].min()))
         if not shrink or (window_min > 0.0 and window_min >= 0.1 * interior_min):
@@ -1224,9 +1223,7 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
 
     # the flat twin first, then the deficit model; the profile and every
     # factor that does not depend on the background are shared
-    twins = [bp]
-    if bp.delta_r != 0.0:
-        twins.insert(0, BubbleParams(n, bp.lam, bp.r0, bp.beta, 0.0))
+    twins = [bp] if bp.delta_r == 0.0 else [BubbleParams(n, bp.lam, bp.r0, bp.beta, 0.0), bp]
     models = [params.model(r_cut, cut_width) for params in twins]
     energies, volumes = _masses(rq, wq, dq, models, n, q_off)
     cones = _cone_values(rc, dc, models, n)
