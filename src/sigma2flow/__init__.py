@@ -6,12 +6,8 @@ Numerics run on numpy, the only dependency.
 """
 
 from .discretize import (
-    DerivativeOperator,
     RadialGrid,
     ball_radius,
-    d1,
-    d2,
-    derivative,
     gauss_panels,
     integrate,
     log_edges,
@@ -19,15 +15,9 @@ from .discretize import (
     sphere_measure,
 )
 from .symfun import (
-    dsigma2,
     elementary_symmetric,
-    garding_pairing,
-    in_gamma_k_plus,
-    maclaurin_lower_bound,
-    newton_transform,
     sigma_k,
     sigma_k_minors,
-    sigma2_stable,
 )
 from .geometry import (
     ConeViolation,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -490,8 +491,26 @@ def _add_construct_options(p, include_lambda=True):
     p.add_argument("--cut-width", dest="cut_width", type=float)
 
 
+#: a negative decimal number, with or without an exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, reading every negative number after an option as its value.
+
+    argparse's own pattern knows only ``-1`` and ``-.5``, so it reads
+    ``--deltaR -1e-2`` as a missing value.  No option here looks like a
+    number, so the wider pattern is safe; ``add_subparsers`` makes the
+    subcommand parsers of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigma2",
         description="Radial sigma_2 flow and comparison-metric toolkit",
     )

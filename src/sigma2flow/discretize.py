@@ -6,12 +6,13 @@ dimensional factor (``sin^{n-1}`` resp. ``r^{n-1}`` times the measure of the
 unit ``S^{n-1}``).  Grids are uniform and node-centered with the endpoints
 included.
 
-Derivatives use 4th-order centered stencils.  At an axis endpoint (a pole of
-the sphere, or the origin of the ball) smooth radial fields extend evenly, so
-the stencil indices are mirror-reflected there.  At a genuine boundary (the
-outer radius of a ball) one-sided closures of the same formal order take
-over.  All stencils are materialized as small index/coefficient tables so the
-time-stepping kernels can apply them without branching.
+Derivatives use 4th-order centered 5-point stencils.  At an axis endpoint (a
+pole of the sphere, or the origin of the ball) smooth radial fields extend
+evenly, so the field is padded with mirrored ghost nodes there.  At a genuine
+boundary (the outer radius of a ball) one-sided closures of the same formal
+order take over on the two nodes nearest it.  Both derivatives of a grid are
+kept in this banded form (``Stencils``), built once per grid, and one
+strided-window product applies them to a field.
 
 ``integrate`` is the trapezoid rule against the radial volume density with an
 exactly rounded (fsum) accumulation, so repeated runs are byte-identical.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +30,8 @@ __all__ = [
     "RadialGrid",
     "sphere_latitude",
     "ball_radius",
-    "DerivativeOperator",
-    "derivative",
-    "d1",
-    "d2",
+    "Stencils",
+    "stencil_tables",
     "integrate",
     "gauss_panels",
     "log_edges",
@@ -80,7 +80,19 @@ class RadialGrid:
         w[-1] *= 0.5
         return w * self.density
 
-    # cached derivative tables, built lazily by derivative()
+    @property
+    def stencils(self) -> "Stencils":
+        """The first and second derivative stencils (band rows u', u'')."""
+        st = self._ops.get("stencils")
+        if st is None:
+            first, second = stencil_tables(self, 1), stencil_tables(self, 2)
+            st = first._replace(
+                band=np.concatenate([first.band, second.band]),
+                closure_coef=np.concatenate([first.closure_coef, second.closure_coef]))
+            self._ops["stencils"] = st
+        return st
+
+    # per-grid caches: the stencils, and the flow kernel's inputs per background
     _ops: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -110,124 +122,82 @@ def ball_radius(n: int, num_points: int, r0: float) -> RadialGrid:
 
 
 # ---------------------------------------------------------------------------
-# stencil tables
-
-_STENCIL_WIDTH = 6
+# stencils
 
 # centered 4th-order first/second derivative, offsets -2..2
 _C1_CENTER = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _C2_CENTER = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
-# one-sided 4th-order closures at a boundary node and one node in
-# (coefficients on nodes 0..4 resp. 0..5 counted from the boundary)
-_C1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_C1_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-_C2_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-_C2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
+# one-sided 4th-order closures at a boundary node (row 0) and one node in
+# (row 1), with coefficients on nodes 0..5 counted from the boundary
+_C1_EDGE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0, 0.0],
+                     [-3.0, -10.0, 18.0, -6.0, 1.0, 0.0]]) / 12.0
+_C2_EDGE = np.array([[45.0, -154.0, 214.0, -156.0, 61.0, -10.0],
+                     [10.0, -15.0, -4.0, 14.0, -6.0, 1.0]]) / 12.0
 
 
-def _mirror(j: int, last: int) -> int:
-    """Reflect an out-of-range index at even ends: -1 -> 1, last+1 -> last-1."""
-    if j < 0:
-        return -j
-    if j > last:
-        return 2 * last - j
-    return j
+class Stencils(NamedTuple):
+    """Derivative stencils of one grid in banded form, one row per derivative.
 
-
-def stencil_tables(grid: RadialGrid, order: int):
-    """Index/coefficient tables applying d^order/dx^order at every node.
-
-    Returns ``(idx, coef)`` with shape (N, 6); unused slots carry a zero
-    coefficient and a valid in-range index so gather-style application needs
-    no branches.
+    Every node gets the centered row of ``band`` applied to the five samples
+    of ``u[pad]`` around it; ``pad`` is u with two ghost nodes at each end,
+    mirrored at an even end.  At a genuine boundary the two nodes nearest it
+    take one-sided closures on six nodes instead.
     """
+
+    pad: np.ndarray            # (N + 4,) node index of each padded sample
+    band: np.ndarray           # (k, 5) centered rows
+    closure_rows: np.ndarray   # nodes next to a genuine boundary (0, 2 or 4)
+    closure_nodes: np.ndarray  # (len(closure_rows), 6) the nodes each closure reads
+    closure_coef: np.ndarray   # (k, len(closure_rows), 6) the closure rows
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """(k, N): every derivative of the float array u, one row each."""
+        if u.shape != (self.pad.size - 4,):
+            raise ValueError(
+                f"field shape {u.shape} does not match grid ({self.pad.size - 4},)")
+        # the five shifted copies of u the band reads, as strided views of
+        # one padded gather
+        padded = u[self.pad]
+        step = padded.itemsize
+        windows = np.ndarray((5, u.size), padded.dtype, padded, 0, (step, step))
+        d = self.band @ windows
+        if self.closure_rows.size:
+            d[:, self.closure_rows] = np.einsum(
+                "krj,rj->kr", self.closure_coef, u[self.closure_nodes])
+        return d
+
+
+def stencil_tables(grid: RadialGrid, order: int) -> Stencils:
+    """The banded stencil of d^order/dx^order on the grid (one band row)."""
     if order not in (1, 2):
         raise ValueError("only first and second derivatives are provided")
     N = grid.num_points
-    h = grid.h
     last = N - 1
-    center = _C1_CENTER if order == 1 else _C2_CENTER
-    scale = h if order == 1 else h * h
-
-    idx = np.zeros((N, _STENCIL_WIDTH), dtype=np.int64)
-    coef = np.zeros((N, _STENCIL_WIDTH))
-
-    for i in range(N):
-        near_left = i < 2
-        near_right = i > N - 3
-        if (near_left and not grid.left_even) or (near_right and not grid.right_even):
-            # one-sided closure, highest order first at the boundary node
-            if order == 1:
-                c = _C1_EDGE0 if (i == 0 or i == last) else _C1_EDGE1
-            else:
-                c = _C2_EDGE0 if (i == 0 or i == last) else _C2_EDGE1
-            m = c.size
-            if near_left:
-                idx[i, :m] = np.arange(m)
-                coef[i, :m] = c / scale
-            else:
-                idx[i, :m] = last - np.arange(m)
-                sign = -1.0 if order == 1 else 1.0
-                coef[i, :m] = sign * c / scale
-        else:
-            for k, off in enumerate(range(-2, 3)):
-                idx[i, k] = _mirror(i + off, last)
-                coef[i, k] = center[k] / scale
-    # compress duplicate indices produced by mirroring (keeps the gather
-    # well-defined; correctness would hold either way, this is for tidiness)
-    for i in range(N):
-        seen: dict[int, int] = {}
-        for k in range(_STENCIL_WIDTH):
-            j = int(idx[i, k])
-            if coef[i, k] == 0.0:
-                continue
-            if j in seen:
-                coef[i, seen[j]] += coef[i, k]
-                coef[i, k] = 0.0
-            else:
-                seen[j] = k
-    return idx, coef
-
-
-class DerivativeOperator:
-    """Callable wrapper around a stencil table: ``op(f) -> df``."""
-
-    def __init__(self, grid: RadialGrid, order: int, accuracy: int = 4):
-        if accuracy != 4:
-            raise ValueError("only the 4th-order family is implemented")
-        self.grid = grid
-        self.order = order
-        self.accuracy = accuracy
-        self.idx, self.coef = stencil_tables(grid, order)
-
-    def __call__(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.grid.num_points,):
-            raise ValueError(
-                f"field shape {f.shape} does not match grid ({self.grid.num_points},)"
-            )
-        return np.einsum("ij,ij->i", self.coef, f[self.idx])
-
-
-def derivative(grid: RadialGrid, order: int, accuracy: int = 4) -> DerivativeOperator:
-    """Cached factory for DerivativeOperator."""
-    key = (order, accuracy)
-    op = grid._ops.get(key)
-    if op is None:
-        op = DerivativeOperator(grid, order, accuracy)
-        grid._ops[key] = op
-    return op
-
-
-def d1(grid: RadialGrid, samples) -> np.ndarray:
-    """First derivative of sampled values on the grid."""
-    return derivative(grid, 1)(samples)
-
-
-def d2(grid: RadialGrid, samples) -> np.ndarray:
-    """Second derivative of sampled values on the grid."""
-    return derivative(grid, 2)(samples)
+    pad = np.clip(np.arange(-2, N + 2), 0, last)
+    if grid.left_even:
+        pad[:2] = (2, 1)
+    if grid.right_even:
+        pad[-2:] = (last - 1, last - 2)
+    scale = grid.h if order == 1 else grid.h * grid.h
+    center, edge = (_C1_CENTER, _C1_EDGE) if order == 1 else (_C2_CENTER, _C2_EDGE)
+    rows, nodes, coef = [], [], []
+    if not grid.left_even:
+        rows += [0, 1]
+        nodes += [np.arange(6)] * 2
+        coef += list(edge)
+    if not grid.right_even:
+        # counted from the right end, so an odd derivative changes sign
+        rows += [last, last - 1]
+        nodes += [last - np.arange(6)] * 2
+        coef += list(edge if order == 2 else -edge)
+    return Stencils(
+        pad=pad,
+        band=(center / scale)[None],
+        closure_rows=np.array(rows, dtype=np.intp),
+        closure_nodes=np.array(nodes, dtype=np.intp).reshape(-1, 6),
+        closure_coef=(np.array(coef).reshape(-1, 6) / scale)[None],
+    )
 
 
 # ---------------------------------------------------------------------------

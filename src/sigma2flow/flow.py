@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretize import RadialGrid, stencil_tables
+from .discretize import RadialGrid, Stencils
 from .geometry import ConeViolation, ConformalField, functional_V, schouten_fields
 
 __all__ = [
@@ -107,12 +107,12 @@ def gauge_h_prime(s):
 class FlowConfig:
     """Settings of one flow run, checked when they are made.
 
-    ``dt_safety`` scales every step: the RKC controller takes ``dt_safety``
-    times the step whose local-error estimate meets ``STEP_TOL`` (sup norm of
-    u), and the first step is ``dt_safety * dx^2 / max lambda``.  Steps land
-    exactly on the record times ``i * record_dt`` and on ``t_max``, so a run
-    to ``t_max`` takes at least ``t_max / record_dt`` steps; that count may
-    not exceed ``max_steps``.
+    ``dt_safety`` (in (0, 1)) scales every step: the RKC controller takes
+    ``dt_safety`` times the step whose local-error estimate meets ``STEP_TOL``
+    (sup norm of u), and the first step is ``dt_safety * dx^2 / max lambda``.
+    Steps land exactly on the record times ``i * record_dt`` and on
+    ``t_max``, so a run to ``t_max`` takes at least ``t_max / record_dt``
+    steps; that count may not exceed ``max_steps``.
     """
 
     eps: float
@@ -134,6 +134,10 @@ class FlowConfig:
             raise ValueError(f"t_max must be >= 0, got {self.t_max}")
         if self.dt_safety <= 0.0:
             raise ValueError(f"dt_safety must be positive, got {self.dt_safety}")
+        if self.dt_safety >= 1.0:
+            # each step aims at a scaled error of dt_safety^3 and is accepted
+            # only at 1 or below, so from 1 on (nearly) every step is rejected
+            raise ValueError(f"dt_safety must be below 1, got {self.dt_safety}")
         if self.record_dt <= 0.0:
             raise ValueError(f"record_dt must be positive, got {self.record_dt}")
         if self.t_max / self.record_dt > self.max_steps:
@@ -271,18 +275,12 @@ def initial_field(name: str, grid: RadialGrid, amplitude: float = 0.1) -> np.nda
 class _KernelTables(NamedTuple):
     """Per-grid inputs of the velocity kernel.
 
-    Both derivative stencils are applied as one 5-point band over ``u[pad]``,
-    which is u with two ghost nodes at each end (mirrored at an even end).
-    The band matches the stencil tables at every node except ``fix_rows``
-    (one-sided closures at a genuine boundary), which keep their table rows
-    on the 11 nodes around them.
+    ``stencils`` are the grid's derivative stencils with band rows u'', u'
+    and u' again; the kernel turns the second row into the tangential
+    Hessian.
     """
 
-    pad: np.ndarray         # (N + 4,) node index of each padded sample
-    band: np.ndarray        # (3, 5) centered rows for u'', u', u'
-    fix_rows: np.ndarray    # nodes where the band differs from the tables
-    fix_nodes: np.ndarray   # (len(fix_rows), 11) the nodes around each
-    fix_coef: np.ndarray    # (3, len(fix_rows), 11) their u'', u', u' rows
+    stencils: Stencils      # band rows u'', u', u'
     lat: np.ndarray         # factor of u' in the tangential Hessian
     pole: np.ndarray        # axis nodes, where the tangential Hessian is u''
     base: np.ndarray        # (2, N) background Schouten branches s_r0, s_t0
@@ -291,36 +289,13 @@ class _KernelTables(NamedTuple):
 
 
 def _kernel_inputs(grid: RadialGrid, background) -> _KernelTables:
-    N = grid.num_points
-    last = N - 1
-    pad = np.clip(np.arange(-2, N + 2), 0, last)
-    if grid.left_even:
-        pad[:2] = (2, 1)
-    if grid.right_even:
-        pad[-2:] = (last - 1, last - 2)
-    # a table stencil, and the band through pad, reaches at most five nodes
-    # from its own, so both are compared as rows over offsets -5..5
-    rows = np.arange(N)[:, None]
-    taps = pad[rows + np.arange(5)] - rows + 5
-    tables = np.zeros((2, N, 11))
-    banded = np.zeros((2, N, 11))
-    for k, order in enumerate((2, 1)):
-        idx, coef = stencil_tables(grid, order)
-        offset = np.where(coef != 0.0, idx - rows + 5, 5)
-        np.add.at(tables[k], (np.broadcast_to(rows, idx.shape), offset), coef)
-        np.add.at(banded[k], (np.broadcast_to(rows, taps.shape), taps), tables[k, 2, 3:8])
-    fix_rows = np.flatnonzero(
-        (np.abs(banded - tables) > 1e-12 * np.abs(tables[:, 2]).max()).any(axis=(0, 2)))
-    rows = fix_rows[:, None]
+    st = grid.stencils
+    rows = [1, 0, 0]
     x = grid.x
     s_r0, s_t0 = background.base_schouten(x)
     aniso_half = 0.5 * np.asarray(background.aniso_over_r2(x), dtype=float)
     return _KernelTables(
-        pad=pad,
-        band=tables[[0, 1, 1], 2, 3:8],
-        fix_rows=fix_rows,
-        fix_nodes=np.clip(rows + np.arange(-5, 6), 0, last),
-        fix_coef=tables[[0, 1, 1]][:, fix_rows],
+        stencils=st._replace(band=st.band[rows], closure_coef=st.closure_coef[rows]),
         lat=np.array(background.lateral(x), dtype=float),
         pole=np.array(background.pole_mask(x), dtype=bool),
         base=np.array([s_r0, s_t0], dtype=float),
@@ -450,14 +425,7 @@ class _Stepper:
         self.evaluations += 1
         tb = self.tables
         n = self.n
-        # the five shifted copies of u the band needs, as strided views of
-        # one padded gather
-        padded = u[tb.pad]
-        step = padded.itemsize
-        windows = np.ndarray((5, u.size), padded.dtype, padded, 0, (step, step))
-        d = tb.band @ windows
-        if tb.fix_rows.size:
-            d[:, tb.fix_rows] = np.einsum("krj,rj->kr", tb.fix_coef, u[tb.fix_nodes])
+        d = tb.stencils.apply(u)
         upp, tang, up = d[0], d[1], d[2]
         tang *= tb.lat
         np.copyto(tang, upp, where=tb.pole)

@@ -32,7 +32,6 @@ import numpy as np
 from .discretize import (
     RadialGrid,
     ball_radius,
-    derivative,
     integrate,
     sphere_latitude,
 )
@@ -260,8 +259,7 @@ class SchoutenFields:
 def schouten_fields(grid: RadialGrid, background, u) -> SchoutenFields:
     """Differentiate u on the grid and evaluate both Schouten branches."""
     u = np.asarray(u, dtype=float)
-    up = derivative(grid, 1)(u)
-    upp = derivative(grid, 2)(u)
+    up, upp = grid.stencils.apply(u)
     w_r, w_t, var = schouten_pointwise(background, grid.x, u, up, upp)
     s1, s2 = sigma_pair_radial(background.n, w_r, w_t, var)
     return SchoutenFields(grid, u, up, upp, w_r, w_t, var, s1, s2)

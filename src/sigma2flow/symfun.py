@@ -1,4 +1,4 @@
-"""Elementary symmetric functions of symmetric matrices and the Garding cones.
+"""Elementary symmetric functions of symmetric matrices.
 
 Everything here works on small dense symmetric matrices (the radial solvers
 use closed diagonal forms instead and never route through this module).
@@ -21,21 +21,11 @@ __all__ = [
     "elementary_symmetric",
     "sigma_k",
     "sigma_k_minors",
-    "sigma2_stable",
-    "in_gamma_k_plus",
-    "newton_transform",
-    "dsigma2",
-    "garding_pairing",
-    "maclaurin_lower_bound",
 ]
 
 #: the Jacobi iteration stops once a sweep finds every off-diagonal entry at
 #: or below JACOBI_TOL times the largest entry magnitude of the input
 JACOBI_TOL = 1e-13
-
-#: relative threshold below which the cancellation-prone trace formula for
-#: sigma_2 is replaced by the eigenvalue route
-SIGMA2_CANCEL_TOL = 1e-8
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -187,79 +177,3 @@ def sigma_k_minors(a, k: int) -> float:
     idx = np.array(list(combinations(range(n), k)))
     minors = a[idx[:, :, None], idx[:, None, :]]
     return float(np.add.reduce(np.linalg.det(minors)))
-
-
-def sigma2_stable(a) -> float:
-    """sigma_2 via (sigma_1^2 - |A|_F^2)/2, with an eigenvalue fallback.
-
-    The trace formula loses all significance when sigma_2 is tiny relative
-    to sigma_1^2 (near the cone boundary); below ``SIGMA2_CANCEL_TOL``
-    relative size the value is recomputed from eigenvalues.
-    """
-    a = _check_symmetric(a)
-    s1 = float(np.trace(a))
-    s2 = 0.5 * (s1 * s1 - float(np.sum(a * a)))
-    if abs(s2) < SIGMA2_CANCEL_TOL * s1 * s1:
-        s2 = sigma_k(a, 2)
-    return s2
-
-
-def in_gamma_k_plus(a, k: int) -> bool:
-    """Strict Garding cone test: sigma_1, ..., sigma_k all positive.
-
-    Zero is outside the cone — no tolerance is applied.
-    """
-    a = np.asarray(a, dtype=float)
-    w = a if a.ndim == 1 else jacobi_eigenvalues(a)
-    e = elementary_symmetric(w)
-    return all(e[j] > 0.0 for j in range(1, k + 1))
-
-
-def newton_transform(a) -> np.ndarray:
-    """First Newton transform T_1(A) = sigma_1(A) I - A."""
-    a = _check_symmetric(a)
-    return float(np.trace(a)) * np.eye(a.shape[0]) - a
-
-
-def dsigma2(a) -> np.ndarray:
-    """Gradient of sigma_2 with respect to the matrix entries.
-
-    d sigma_2 / dA_ij equals the Newton transform T_1(A)_ij; the test-suite
-    verifies this against central finite differences.
-    """
-    return newton_transform(a)
-
-
-def garding_pairing(a, b) -> tuple[float, float]:
-    """The bilinear pairing sum_ij T_1(A)_ij B_ij and its lower bound.
-
-    For A, B in the Gamma_2^+ cone the pairing dominates
-    2 sigma_2(A)^{1/2} sigma_2(B)^{1/2}, with equality exactly when B is a
-    positive multiple of A.  Returns ``(pairing, bound)``.
-
-    Raises ValueError if either argument is outside Gamma_2^+.
-    """
-    a = _check_symmetric(a)
-    b = _check_symmetric(b)
-    if a.shape != b.shape:
-        raise ValueError("matrices must have the same shape")
-    if not in_gamma_k_plus(a, 2):
-        raise ValueError("first argument is outside Gamma_2^+")
-    if not in_gamma_k_plus(b, 2):
-        raise ValueError("second argument is outside Gamma_2^+")
-    pairing = float(np.sum(newton_transform(a) * b))
-    bound = 2.0 * np.sqrt(sigma_k(a, 2)) * np.sqrt(sigma_k(b, 2))
-    return pairing, float(bound)
-
-
-def maclaurin_lower_bound(n: int) -> float:
-    """Dimensional constant c_n = sqrt(n(n-1)/2) * (n-1)/n.
-
-    For A in Gamma_2^+ the trace of the gradient of sigma_2^{1/2} is bounded
-    below by c_n.  (The chain through the Newton-MacLaurin inequality in fact
-    gives the sharper bound sqrt(n(n-1)/2); c_n is the weaker constant that
-    downstream estimates consume, and it is what the tests assert.)
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return float(np.sqrt(n * (n - 1) / 2.0) * (n - 1) / n)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sigma2flow
-from sigma2flow.cli import parse_and_dispatch
+from sigma2flow.cli import _build_parser, parse_and_dispatch
 from sigma2flow.flow import MONITOR_COLUMNS
 
 
@@ -200,6 +200,42 @@ def test_flow_settings_are_usage_errors(capsys):
                                    "--tol-converge", "1e-2", flag, value])
         assert rc == 2, (flag, value)
         assert flag[2:].replace("-", "_") in cap.err
+
+
+def test_flow_rejects_a_dt_safety_of_one_or_more():
+    # from dt_safety 1 on the step controller rejects every step, so with no
+    # --timeout the run never ended; the subprocess timeout turns that into
+    # a failure
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sigma2flow.__file__).parents[1]) + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    for value in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigma2flow", "flow", "--grid-points", "32",
+             "--t-max", "1", "--dt-safety", value],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, (value, proc.stderr)
+        assert proc.stdout == ""
+        assert "dt_safety must be below 1" in proc.stderr
+
+
+def test_negative_values_in_exponent_notation(capsys):
+    # argparse read "-1e-2" after an option as another option
+    rc, cap = run_cli(capsys, ["sweep", "--deltaR", "-1e-2"])
+    assert rc == 0, cap.err
+    rc_eq, cap_eq = run_cli(capsys, ["sweep", "--deltaR=-1e-2"])
+    assert rc_eq == 0
+    assert cap.out == cap_eq.out
+    assert json.loads(cap.out)["config"]["delta_r"] == -0.01
+    # every subcommand parses such a value
+    parser = _build_parser()
+    for argv, dest in ((["flow", "--eps"], "eps"), (["eigen", "--amplitude"], "amplitude"),
+                       (["continuation", "--t-max"], "t_max"),
+                       (["verify", "--amplitude"], "amplitude"),
+                       (["construct", "--deltaR"], "delta_r"),
+                       (["sweep", "--beta"], "beta")):
+        for value in ("-1e-2", "-2.5E+3", "-.5e1", "-3."):
+            assert getattr(parser.parse_args([*argv, value]), dest) == float(value)
 
 
 def test_construct_rejects_a_scale_whose_square_underflows(capsys):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sigma2flow.discretize as discretize_module
 import sigma2flow.flow as flow_module
 from sigma2flow.discretize import sphere_latitude
 from sigma2flow.flow import (
@@ -177,6 +178,7 @@ def test_flow_run_from_a_packaged_field(s5_grid):
     {"eps": math.nan}, {"tol_converge": math.inf}, {"blowup_floor": -math.inf},
     {"timeout": math.nan},
     {"t_max": 1.0, "record_dt": 0.01, "max_steps": 99},
+    {"dt_safety": 1.0}, {"dt_safety": 2.0},
 ])
 def test_flow_config_rejects_bad_settings(bad):
     with pytest.raises(ValueError):
@@ -276,7 +278,7 @@ def test_eigen_solver_runs_on_a_given_grid(s5_grid, monkeypatch):
     def no_tables(grid, order):
         raise AssertionError("kernel tables rebuilt")
 
-    monkeypatch.setattr(flow_module, "stencil_tables", no_tables)
+    monkeypatch.setattr(discretize_module, "stencil_tables", no_tables)
     res = eigen_solve(sphere, u0, cfg, grid=grid)
     assert res.flow.grid is grid
     assert res.u.tobytes() == flow_run(sphere, u0, cfg, grid=grid).u.tobytes()
@@ -391,13 +393,13 @@ def test_records_equal_full_evaluations(s5_grid):
 
 def test_stencil_tables_built_once_per_grid(monkeypatch):
     calls = []
-    real = flow_module.stencil_tables
+    real = discretize_module.stencil_tables
 
     def counting(grid, order):
         calls.append(order)
         return real(grid, order)
 
-    monkeypatch.setattr(flow_module, "stencil_tables", counting)
+    monkeypatch.setattr(discretize_module, "stencil_tables", counting)
     sphere = RoundSphere(5)
     grid = sphere_latitude(5, 64)
     u0 = initial_field("cosine", grid, 0.1)

@@ -79,6 +79,15 @@ def test_conformal_field_validates_shape(s5):
         ConformalField(grid, np.zeros(grid.num_points + 1))
 
 
+def test_schouten_fields_rejects_a_field_of_another_length():
+    # the padded gather would read a longer field without an error
+    for background in (RoundSphere(5), FlatRadialBall(5, 1.0)):
+        grid = background.make_grid(64)
+        for size in (63, 65):
+            with pytest.raises(ValueError, match="does not match grid"):
+                schouten_fields(grid, background, np.zeros(size))
+
+
 @given(st.floats(-2.0, 2.0))
 @settings(max_examples=25, deadline=None)
 def test_normalized_energy_shift_invariant(c):
