@@ -30,6 +30,8 @@ import numpy as np
 from . import __version__
 from .discretize import sphere_latitude
 from .flow import (
+    EQUILIBRIUM_STEP_TOL,
+    STEP_TOL,
     FlowConfig,
     INITIAL_FIELDS,
     continuation,
@@ -201,7 +203,7 @@ _FLOW_DEFAULTS = {
 }
 
 
-def _flow_pieces(cfg: dict):
+def _flow_pieces(cfg: dict, step_tol: float = STEP_TOL):
     n = int(cfg["n"])
     if n < 5:
         raise _UsageError(f"the flow needs dimension n >= 5, got {n}")
@@ -220,6 +222,7 @@ def _flow_pieces(cfg: dict):
         tol_converge=float(cfg["tol_converge"]),
         record_dt=float(cfg["record_dt"]),
         timeout=None if cfg["timeout"] is None else float(cfg["timeout"]),
+        step_tol=step_tol,
     )
     return background, grid, u0, fc
 
@@ -232,6 +235,7 @@ def _cmd_flow(cfg: dict, args) -> int:
     payload = _summary(
         "flow", cfg, res.status,
         t=res.t, steps=res.steps,
+        evaluations=res.evaluations, step_tol=fc.step_tol,
         F2=res.F2, V_eps=res.V_eps, r_eps=res.r_eps, s_eps=res.s_eps,
         equilibrium_residual=res.equilibrium_residual,
         max_V_drift=res.max_V_drift,
@@ -244,7 +248,7 @@ def _cmd_flow(cfg: dict, args) -> int:
 def _cmd_eigen(cfg: dict, args) -> int:
     cfg = dict(cfg)
     cfg["eps"] = 2.0
-    background, grid, u0, fc = _flow_pieces(cfg)
+    background, grid, u0, fc = _flow_pieces(cfg, EQUILIBRIUM_STEP_TOL)
     res = eigen_solve(background, u0, fc, grid=grid)
     if args.csv is not None:
         emit_trace(res.flow.records, args.csv)
@@ -252,8 +256,10 @@ def _cmd_eigen(cfg: dict, args) -> int:
         "eigen", cfg, res.flow.status,
         lambda1=res.lambda1,
         t=res.flow.t, steps=res.flow.steps,
+        evaluations=res.flow.evaluations, step_tol=fc.step_tol,
         F2=res.flow.F2, V_eps=res.flow.V_eps,
         equilibrium_residual=res.flow.equilibrium_residual,
+        max_V_drift=res.flow.max_V_drift,
     )
     emit_summary(payload, args.json)
     return _EXIT_NUMERIC if res.flow.status in _FAIL_STATUSES else _EXIT_OK
@@ -267,11 +273,12 @@ _CONT_DEFAULTS.pop("eps")
 def _cmd_continuation(cfg: dict, args) -> int:
     ladder = _float_list(cfg["ladder"], what="ladder")
     run_cfg = dict(cfg, eps=ladder[0])
-    background, grid, u0, fc = _flow_pieces(run_cfg)
+    background, grid, u0, fc = _flow_pieces(run_cfg, EQUILIBRIUM_STEP_TOL)
     rungs = continuation(background, u0, ladder, fc)
     status = rungs[-1].status
     payload = _summary(
         "continuation", cfg, status,
+        step_tol=fc.step_tol,
         rungs=[
             {
                 "eps": r.eps,
@@ -281,6 +288,7 @@ def _cmd_continuation(cfg: dict, args) -> int:
                 "F2": r.F2,
                 "V_eps": r.V_eps,
                 "r_eps": r.r_eps,
+                "evaluations": r.evaluations,
             }
             for r in rungs
         ],

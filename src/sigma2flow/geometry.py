@@ -328,8 +328,13 @@ def divergence_identity_residual(grid: RadialGrid, background, u) -> float:
     where T is the first Newton transform of the transformed Schouten
     tensor.  Discretization is the only error source, so the residual
     shrinks at the accuracy order of the stencils.  Returns
-    |LHS - RHS| / (|LHS| + |RHS|).
+    |LHS - RHS| / (|LHS| + |RHS|).  The identity integrates by parts with
+    no boundary terms, so a grid with a genuine boundary (a ball's rim) is
+    rejected with ValueError.
     """
+    if not (grid.left_even and grid.right_even):
+        raise ValueError("the divergence identity needs a grid without a boundary; "
+                         "both ends must be even")
     n = background.n
     f = schouten_fields(grid, background, u)
     ew = np.exp((4.0 - n) * f.u)

@@ -96,6 +96,28 @@ def test_eigen(capsys):
     assert d["lambda1"] == pytest.approx(2.5, abs=1e-7)
 
 
+def test_runs_report_their_work_and_step_tolerance(capsys):
+    # eigen steps at the equilibrium tolerance, flow at the trajectory one
+    rc, cap = run_cli(capsys, ["eigen", "--grid-points", "48"])
+    assert rc == 0
+    d = json.loads(cap.out)
+    assert d["step_tol"] == 1e-8
+    assert d["evaluations"] >= 2 * d["steps"] + 1
+    assert 0.0 <= d["max_V_drift"] < 1e-6
+    rc, cap = run_cli(capsys, ["flow", "--grid-points", "48", "--t-max", "0.1",
+                               "--tol-converge", "0"])
+    assert rc == 0
+    d = json.loads(cap.out)
+    assert d["step_tol"] == 5e-12
+    assert d["evaluations"] >= 2 * d["steps"] + 1
+    rc, cap = run_cli(capsys, ["continuation", "--ladder", "2.0,1.5",
+                               "--grid-points", "48"])
+    assert rc == 0
+    d = json.loads(cap.out)
+    assert d["step_tol"] == 1e-8
+    assert all(r["evaluations"] > 0 for r in d["rungs"])
+
+
 def test_continuation(capsys):
     rc, cap = run_cli(capsys, ["continuation", "--ladder", "2.0,1.5",
                                "--grid-points", "64"])

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +41,21 @@ from sigma2flow.geometry import (
 @pytest.fixture(scope="module")
 def s5_grid():
     return RoundSphere(5), sphere_latitude(5, 96)
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in a block still running after ``seconds``."""
+    def ring(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_gauge_continuous_and_c1_at_the_knee():
@@ -144,6 +161,59 @@ def test_step_chain_matches_fresh_evaluations(s5_grid):
         assert state.monitors.astuple() == ref.monitors.astuple()
 
 
+def test_single_step_driver_checks_dt_safety(s5_grid):
+    # from dt_safety = 1 on, a rejected step was retried at a length that is
+    # rejected again, so step never returned; the alarm turns a hang into a
+    # failure
+    sphere, grid = s5_grid
+    field = ConformalField(grid, initial_field("cosine", grid, 0.1))
+    with _alarm(20):
+        with pytest.raises(ValueError, match="dt_safety must be below 1"):
+            flow_state(sphere, field, 2.0, dt_safety=2.0)
+        state = flow_state(sphere, field, 2.0)
+        with pytest.raises(ValueError, match="dt_safety must be below 1"):
+            step(replace(state, dt_safety=2.0))
+
+
+def test_step_stops_when_a_retry_cannot_succeed(s5_grid, monkeypatch):
+    sphere, grid = s5_grid
+    u_nan = initial_field("cosine", grid, 0.1)
+    u_nan[5] = math.nan
+    good = flow_state(sphere, ConformalField(grid, initial_field("cosine", grid, 0.1)), 2.0)
+    with _alarm(20):
+        with pytest.raises(ValueError, match="velocity at t = 0.0 is not finite"):
+            step(flow_state(sphere, ConformalField(grid, u_nan), 2.0))
+        with pytest.raises(ValueError, match="does not advance t = 1.0"):
+            step(replace(good, t=1.0, dt=1e-17))
+        real = flow_module._Stepper.advance
+        monkeypatch.setattr(flow_module._Stepper, "advance",
+                            lambda self, *args: (*real(self, *args)[:3], math.nan))
+        with pytest.raises(ValueError, match="error estimate .* is not finite"):
+            step(good)
+
+
+def test_equilibrium_drivers_step_at_the_looser_tolerance():
+    # an RKC step maps an equilibrium to itself, and the step error moves u
+    # only by a constant, so r_2 and Y2 are those of a STEP_TOL run
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 128)
+    u0 = initial_field("cosine", grid, 0.1)
+    loose = eigen_solve(sphere, u0, grid=grid)
+    tight = eigen_solve(sphere, u0, FlowConfig(eps=2.0, t_max=200.0), grid=grid)
+    assert loose.flow.config.step_tol == flow_module.EQUILIBRIUM_STEP_TOL
+    assert loose.flow.status == tight.flow.status == "converged"
+    assert abs(loose.lambda1 - tight.lambda1) <= 1e-12
+    assert 2 * loose.flow.evaluations <= tight.flow.evaluations
+    assert loose.flow.max_step_F2_increase <= 1e-12 * abs(loose.flow.F2)
+
+    loose = continuation(sphere, u0, (2.0, 1.5))
+    tight = continuation(sphere, u0, (2.0, 1.5), FlowConfig(eps=0.0, t_max=200.0))
+    assert [r.status for r in loose] == [r.status for r in tight] == ["converged"] * 2
+    for a, b in zip(loose, tight):
+        assert a.Y2_estimate == pytest.approx(b.Y2_estimate, rel=1e-12, abs=0.0)
+    assert 2 * sum(r.evaluations for r in loose) <= sum(r.evaluations for r in tight)
+
+
 def test_flow_run_decays_to_round(s5_grid):
     sphere, grid = s5_grid
     u0 = initial_field("cosine", grid, 0.1)
@@ -179,6 +249,7 @@ def test_flow_run_from_a_packaged_field(s5_grid):
     {"timeout": math.nan},
     {"t_max": 1.0, "record_dt": 0.01, "max_steps": 99},
     {"dt_safety": 1.0}, {"dt_safety": 2.0},
+    {"step_tol": 0.0}, {"step_tol": -1e-8}, {"step_tol": math.nan},
 ])
 def test_flow_config_rejects_bad_settings(bad):
     with pytest.raises(ValueError):

@@ -129,6 +129,16 @@ def test_divergence_identity_residual_converges():
     assert res[0] / res[1] > 3.0
 
 
+def test_divergence_identity_residual_rejects_a_grid_with_a_boundary():
+    # the identity drops the boundary terms at the ball's rim, where it read
+    # a meaningless 0.73 for u = 0.3 r^2
+    ball = FlatRadialBall(5, 1.0)
+    grid = ball.make_grid(64)
+    assert not grid.right_even
+    with pytest.raises(ValueError, match="without a boundary"):
+        divergence_identity_residual(grid, ball, 0.3 * grid.x ** 2)
+
+
 def test_flat_ball_background_is_flat():
     ball = FlatRadialBall(9, 1.0)
     r = np.linspace(0.0, 1.0, 11)
