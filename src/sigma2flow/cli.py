@@ -52,6 +52,7 @@ from .symfun import (
     sigma_k_minors,
 )
 from .testmetric import (
+    STANDARD_RADII,
     BubbleParams,
     ConstructionError,
     assemble_and_compare,
@@ -64,7 +65,7 @@ _EXIT_USAGE = 2
 _EXIT_NUMERIC = 3
 _EXIT_IO = 4
 
-_FAIL_STATUSES = ("cone_exit", "blow_up_suspected", "non_finite", "error")
+_FAIL_STATUSES = ("cone_exit", "blow_up_suspected", "non_finite", "stalled", "error")
 
 
 class _UsageError(Exception):
@@ -356,7 +357,7 @@ _CONSTRUCT_DEFAULTS = {
     "delta_r": -1.0,
     "a_pad": 0.01,
     "eps_margin": None,
-    "radii": [0.65, 0.85, 1.0, 1.15, 1.8, 2.5],
+    "radii": list(STANDARD_RADII),
     "r_cut": 0.12,
     "cut_width": 0.04,
 }
@@ -425,7 +426,7 @@ _SWEEP_DEFAULTS = {
     "delta_r": -1.0,
     "a_pad": 0.01,
     "eps_margin": None,
-    "radii": [0.65, 0.85, 1.0, 1.15, 1.8, 2.5],
+    "radii": list(STANDARD_RADII),
     "r_cut": 0.12,
     "cut_width": 0.04,
 }

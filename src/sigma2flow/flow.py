@@ -41,6 +41,10 @@ config's ``step_tol``, so halving ``dt_safety`` halves the steps.  The first
 step is the explicit parabolic step ``dt_safety * dx^2 / max_i lambda_i``.
 V_eps is never projected back onto its start value; its drift measures the
 time-stepping error.  A time-accurate run keeps the default ``STEP_TOL``.
+One routine, ``_Stepper.take``, takes every accepted step and retakes a
+rejected one shorter: ``flow_run`` loops over it and ``step`` calls it
+once.  A step that cannot be accepted ends its retries with an error
+(``flow_run`` status ``non_finite`` or ``stalled``) instead of running on.
 
 The eigen and continuation drivers report only fixed-point quantities, so
 they step at the looser ``EQUILIBRIUM_STEP_TOL``.  An RKC step maps an
@@ -174,21 +178,7 @@ class FlowConfig:
                 f"exceed max_steps = {self.max_steps}")
 
 
-MONITOR_COLUMNS = (
-    "t",
-    "F2",
-    "V_eps",
-    "r_eps",
-    "s_eps",
-    "min_sigma2",
-    "sup_grad",
-    "dF2dt_measured",
-    "dF2dt_formula",
-)
-
-
-@dataclass
-class MonitorRecord:
+class MonitorRecord(NamedTuple):
     t: float
     F2: float
     V_eps: float
@@ -199,18 +189,8 @@ class MonitorRecord:
     dF2dt_measured: float
     dF2dt_formula: float
 
-    def astuple(self):
-        return (
-            self.t,
-            self.F2,
-            self.V_eps,
-            self.r_eps,
-            self.s_eps,
-            self.min_sigma2,
-            self.sup_grad,
-            self.dF2dt_measured,
-            self.dF2dt_formula,
-        )
+
+MONITOR_COLUMNS = MonitorRecord._fields
 
 
 @dataclass
@@ -260,6 +240,13 @@ _S_MIN_S2G = 7
 _S_SUPGRAD = 8
 _S_DF2 = 9
 _NS = 10
+
+
+def _record(t: float, s, measured: float) -> MonitorRecord:
+    """The monitor record at time t from the record slots s."""
+    return MonitorRecord(t, s[_S_F2], s[_S_VEPS], s[_S_REPS], s[_S_SEPS],
+                         s[_S_MIN_S2G], s[_S_SUPGRAD], measured, s[_S_DF2])
+
 
 # ---------------------------------------------------------------------------
 # initial fields
@@ -543,6 +530,46 @@ class _Stepper:
         fac = self.dt_safety * err ** (-1.0 / 3.0)
         return dt * min(_GROWTH_MAX, max(_GROWTH_MIN, fac))
 
+    def take(self, u, v, s, t, dt, stop=math.inf, level=_STEP):
+        """One accepted step from the state (u, v, s) at t; dt is proposed.
+
+        The step lands exactly on ``stop`` when a step of ``1.1 dt`` would
+        reach it, which avoids a sliver step after ``stop``; only a landing
+        step fills the record slots, any other fills ``level``.  A rejected
+        step is retaken at the shorter length the controller proposes.
+        Returns ``(u1, v1, s1, t1, h, dt_next)``: the state after a step of
+        length h, and the next proposed length.  Raises ConeViolation if a
+        stage leaves Gamma_2^+, and _StepFailed (a ValueError) if the error
+        estimate is not finite or the step no longer advances t, so every
+        retry loop ends.
+        """
+        while True:
+            if t + 1.1 * dt >= stop:
+                h, t1, lvl = stop - t, stop, _RECORD
+            else:
+                h, t1, lvl = dt, t + dt, level
+            if not (math.isfinite(h) and t1 > t):
+                raise _StepFailed("stalled", f"a step of length {h!r} does not advance "
+                                             f"t = {t!r}")
+            nxt = self.advance(u, v, s, h, lvl)
+            if nxt is None:
+                raise ConeViolation("an RKC stage leaves Gamma_2^+")
+            u1, v1, s1, err = nxt
+            if not math.isfinite(err):
+                raise _StepFailed("non_finite", f"the RKC error estimate of a step of "
+                                                f"length {h!r} is not finite")
+            dt = self.next_dt(h, err)
+            if err <= 1.0:
+                return u1, v1, s1, t1, h, dt
+
+
+class _StepFailed(ValueError):
+    """A step that cannot be accepted; ``status`` is flow_run's terminal status."""
+
+    def __init__(self, status: str, message: str):
+        super().__init__(message)
+        self.status = status
+
 
 def _state_stepper(background, grid: RadialGrid, eps: float, dt_safety: float,
                    step_tol: float = STEP_TOL) -> _Stepper:
@@ -555,11 +582,16 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
 
     Terminal status is one of ``converged`` (velocity sup-norm under
     ``tol_converge``), ``t_max``, ``max_steps``, ``timeout``,
-    ``blow_up_suspected`` (min u fell through ``blowup_floor``),
-    ``non_finite`` (the velocity is NaN or infinite, as from a non-finite
-    ``u0``) or ``cone_exit`` (the field left Gamma_2^+, at which point the
-    velocity is undefined and integration must stop).  Steps land exactly on
-    the record times ``i * record_dt`` and on ``t_max``.
+    ``blow_up_suspected`` (min u fell through ``blowup_floor``), or one of
+    three failures, which report a NaN ``equilibrium_residual``:
+    ``non_finite`` (the velocity or a step's error estimate is NaN or
+    infinite, as from a non-finite ``u0``; the run stops at the last
+    accepted state), ``stalled`` (a step the controller kept shortening no
+    longer advances t) or ``cone_exit`` (the field left Gamma_2^+, at which
+    point the velocity is undefined and integration must stop).  Every step
+    is the one ``step`` takes, and it lands exactly on the record times
+    ``i * record_dt`` and on ``t_max``.  ``timeout`` is checked between
+    accepted steps.
     """
     u = np.array(u0, dtype=float)
     if grid is None:
@@ -587,10 +619,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
     def push_record():
         nonlocal prev_rec_t, prev_rec_f2, n_rec
         meas = 0.0 if not records else (s[_S_F2] - prev_rec_f2) / (t - prev_rec_t)
-        records.append(
-            MonitorRecord(t, s[_S_F2], s[_S_VEPS], s[_S_REPS], s[_S_SEPS],
-                          s[_S_MIN_S2G], s[_S_SUPGRAD], meas, s[_S_DF2])
-        )
+        records.append(_record(t, s, meas))
         aux.append((t, s[_S_MINU], s[_S_SUPGRAD]))
         prev_rec_t = t
         prev_rec_f2 = s[_S_F2]
@@ -625,27 +654,18 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         if config.timeout is not None and time.monotonic() - t_start > config.timeout:
             status = "timeout"
             break
-
-        # land exactly on the next record time or t_max; stretching the step
-        # by up to 10% to get there avoids a sliver step after it.  Only a
-        # step that lands there fills the record slots.
-        stop = min(n_rec * config.record_dt, config.t_max)
-        if t + 1.1 * dt >= stop:
-            step_dt, t_new, level = stop - t, stop, _RECORD
-        else:
-            step_dt, t_new, level = dt, t + dt, _STEP
-        nxt = stepper.advance(u, v, s, step_dt, level)
-        if nxt is None:
+        try:
+            u, v, s1, t, _, dt = stepper.take(
+                u, v, s, t, dt, min(n_rec * config.record_dt, config.t_max))
+        except ConeViolation:
             status = "cone_exit"
             break
-        u1, v1, s1, err = nxt
-        dt = stepper.next_dt(step_dt, err)
-        if err > 1.0:
-            continue
+        except _StepFailed as failure:
+            status = failure.status
+            break
         max_drift = max(max_drift, abs(s1[_S_VEPS] - v0_ref) / v0_ref)
         max_f2_inc = max(max_f2_inc, s1[_S_F2] - s[_S_F2])
-        u, v, s = u1, v1, s1
-        t = t_new
+        s = s1
         steps += 1
 
     if status != "cone_exit" and (not records or records[-1].t < t):
@@ -657,7 +677,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
 
     # equilibrium residual against sigma_2(W)^{1/2} = r_eps^{1/2} e^{(eps-2)u}
     residual = math.nan
-    if status != "cone_exit":
+    if status not in ("cone_exit", "non_finite", "stalled"):
         f = schouten_fields(grid, background, u)
         target = math.sqrt(s[_S_REPS]) * np.exp((float(config.eps) - 2.0) * u)
         residual = float(np.max(np.abs(np.sqrt(np.maximum(f.sigma2, 0.0)) - target)))
@@ -687,12 +707,14 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
 # ---------------------------------------------------------------------------
 # single-step driver
 
-def _probe(background, field: ConformalField, eps: float):
-    """One velocity evaluation with every slot; returns (v, slots)."""
-    ev = _state_stepper(background, field.grid, eps, 0.8).velocity(field.u, _RECORD)
+def _probe(background, field: ConformalField, eps: float, dt_safety: float = 0.8):
+    """A stepper for the field's grid, and one velocity evaluation with every
+    slot at the field; returns (stepper, v, slots)."""
+    stepper = _state_stepper(background, field.grid, eps, dt_safety)
+    ev = stepper.velocity(field.u, _RECORD)
     if ev is None:
         raise ConeViolation("field leaves Gamma_2^+; the flow velocity is undefined")
-    return ev
+    return stepper, *ev
 
 
 def normalizers(background, field: ConformalField, eps: float) -> tuple[float, float]:
@@ -703,13 +725,13 @@ def normalizers(background, field: ConformalField, eps: float) -> tuple[float, f
     semi-discrete flow.  Both come from the same kernel evaluation the
     integrator uses.
     """
-    _, s = _probe(background, field, eps)
+    _, _, s = _probe(background, field, eps)
     return float(s[_S_REPS]), float(s[_S_SEPS])
 
 
 def velocity(background, field: ConformalField, eps: float) -> np.ndarray:
     """du/dt of the normalized flow at this field (raises on cone exit)."""
-    v, _ = _probe(background, field, eps)
+    _, v, _ = _probe(background, field, eps)
     return v
 
 
@@ -737,56 +759,38 @@ def flow_state(background, field: ConformalField, eps: float,
                dt_safety: float = 0.8, t: float = 0.0) -> FlowState:
     """Package a field as a steppable state, with monitors evaluated.
 
-    The first step is the explicit midpoint step ``dt_safety h^2 / lambda_max``;
+    The first step is the explicit parabolic step ``dt_safety h^2 / lambda_max``;
     the error controller takes over from there.  ``eps`` and ``dt_safety``
     are checked as ``FlowConfig`` checks them.
     """
     FlowConfig(eps=eps, dt_safety=dt_safety)
-    v, s = _probe(background, field, eps)
-    stepper = _state_stepper(background, field.grid, eps, dt_safety)
-    rec = MonitorRecord(t, s[_S_F2], s[_S_VEPS], s[_S_REPS], s[_S_SEPS],
-                        s[_S_MIN_S2G], s[_S_SUPGRAD], math.nan, s[_S_DF2])
-    return FlowState(field, t, eps, float(stepper.first_dt(s)), rec, background,
-                     v, s, dt_safety)
+    stepper, v, s = _probe(background, field, eps, dt_safety)
+    return FlowState(field, t, eps, float(stepper.first_dt(s)), _record(t, s, math.nan),
+                     background, v, s, dt_safety)
 
 
 def step(state: FlowState) -> FlowState:
-    """Advance one RKC step of length ``state.dt``, the same step flow_run takes.
+    """Advance one accepted RKC step of proposed length ``state.dt``.
 
-    A step whose error estimate exceeds the tolerance is retaken with the
-    shorter length the controller proposes, so ``t`` advances by at most
-    ``state.dt``.  The kernel runs once per RKC stage: the step starts from
-    the velocity the state carries.  Raises ConeViolation if any stage
-    leaves Gamma_2^+.  Each retry is shorter, and a step that cannot be
-    accepted raises ValueError: the velocity or the error estimate is not
-    finite, or the step length no longer advances ``t``.
+    This is the step flow_run takes, from the same routine: a step whose
+    error estimate exceeds the tolerance is retaken with the shorter length
+    the controller proposes, so ``t`` advances by at most ``state.dt``.  The
+    kernel runs once per RKC stage: the step starts from the velocity the
+    state carries.  Raises ConeViolation if any stage leaves Gamma_2^+.  A
+    step that cannot be accepted raises ValueError: the velocity or the
+    error estimate is not finite, or the step length no longer advances
+    ``t``.
     """
     FlowConfig(eps=state.eps, dt_safety=state.dt_safety)
     if not math.isfinite(state.slots[_S_SUPV]):
         raise ValueError(f"the velocity at t = {state.t!r} is not finite")
     grid = state.field.grid
     stepper = _state_stepper(state.background, grid, state.eps, state.dt_safety)
-    dt = state.dt
-    while True:
-        if not (math.isfinite(dt) and state.t + dt > state.t):
-            raise ValueError(f"a step of length {dt!r} does not advance t = {state.t!r}")
-        nxt = stepper.advance(state.field.u, state.velocity, state.slots, dt, _RECORD)
-        if nxt is None:
-            raise ConeViolation("an RKC stage leaves Gamma_2^+")
-        u1, v1, s1, err = nxt
-        if not math.isfinite(err):
-            raise ValueError(f"the RKC error estimate of a step of length {dt!r} "
-                             f"is not finite")
-        if err <= 1.0:
-            break
-        dt = stepper.next_dt(dt, err)
-    t_new = state.t + dt
-    rec = MonitorRecord(t_new, s1[_S_F2], s1[_S_VEPS], s1[_S_REPS], s1[_S_SEPS],
-                        s1[_S_MIN_S2G], s1[_S_SUPGRAD],
-                        (s1[_S_F2] - state.monitors.F2) / dt, s1[_S_DF2])
-    return FlowState(ConformalField(grid, u1), t_new, state.eps,
-                     float(stepper.next_dt(dt, err)), rec, state.background,
-                     v1, s1, state.dt_safety)
+    u1, v1, s1, t1, h, dt = stepper.take(state.field.u, state.velocity, state.slots,
+                                         state.t, state.dt, level=_RECORD)
+    rec = _record(t1, s1, (s1[_S_F2] - state.monitors.F2) / h)
+    return FlowState(ConformalField(grid, u1), t1, state.eps, float(dt), rec,
+                     state.background, v1, s1, state.dt_safety)
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +804,7 @@ class EigenResult:
 
 
 def eigen_solve(background, u0, config: FlowConfig | None = None,
-                grid: RadialGrid | None = None, **overrides) -> EigenResult:
+                grid: RadialGrid | None = None) -> EigenResult:
     """First nonlinear eigenvalue of the sigma_2 operator via the eps=2 flow.
 
     At eps = 2 the equilibrium equation is sigma_2(W) = lambda with the
@@ -815,9 +819,7 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
     the solve takes 2-3x fewer kernel evaluations.
     """
     if config is None:
-        kw = {"eps": 2.0, "t_max": 200.0, "step_tol": EQUILIBRIUM_STEP_TOL}
-        kw.update(overrides)
-        config = FlowConfig(**kw)
+        config = FlowConfig(eps=2.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)
     if config.eps != 2.0:
         raise ValueError("the eigenvalue mode runs the eps = 2 flow")
     res = flow_run(background, u0, config, grid=grid)
@@ -840,8 +842,8 @@ class ContinuationRung:
     evaluations: int
 
 
-def continuation(background, u0, eps_ladder, base_config: FlowConfig | None = None,
-                 **overrides) -> list[ContinuationRung]:
+def continuation(background, u0, eps_ladder,
+                 base_config: FlowConfig | None = None) -> list[ContinuationRung]:
     """Descend the eps-ladder, warm-starting each rung from the previous one.
 
     Per rung two scale-invariant energies are reported: ``Y_eps`` uses the
@@ -855,9 +857,7 @@ def continuation(background, u0, eps_ladder, base_config: FlowConfig | None = No
     them within about 1e-14 of a ``STEP_TOL`` run.
     """
     if base_config is None:
-        kw = {"eps": 0.0, "t_max": 200.0, "step_tol": EQUILIBRIUM_STEP_TOL}
-        kw.update(overrides)
-        base_config = FlowConfig(**kw)
+        base_config = FlowConfig(eps=0.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)
     n = background.n
     rungs: list[ContinuationRung] = []
     u = np.array(u0, dtype=float)
@@ -886,16 +886,15 @@ def continuation(background, u0, eps_ladder, base_config: FlowConfig | None = No
 # ---------------------------------------------------------------------------
 # local-estimate monitor
 
-def local_estimate_monitor(result: FlowResult, eps: float | None = None) -> np.ndarray:
+def local_estimate_monitor(result: FlowResult) -> np.ndarray:
     """Gradient bound against the blow-up envelope, per record.
 
-    Returns rows ``(t, sup_grad, envelope, ratio)`` where
-    ``envelope = 1 + e^{(2-eps)(-min u)}``.  A ratio staying O(1) along the
-    run is the numerical shadow of the interior estimates; nothing is
+    Returns rows ``(t, sup_grad, envelope, ratio)`` where ``envelope =
+    1 + e^{(2-eps)(-min u)}`` at the run's eps.  A ratio staying O(1) along
+    the run is the numerical shadow of the interior estimates; nothing is
     asserted here, the data is for inspection.
     """
-    if eps is None:
-        eps = result.config.eps
+    eps = result.config.eps
     track = result.aux_track
     if track.size == 0:
         return np.zeros((0, 4))
@@ -915,7 +914,7 @@ def write_monitor_csv(records, path) -> None:
     """
     lines = [",".join(MONITOR_COLUMNS)]
     for rec in records:
-        lines.append(",".join(f"{v:.17g}" for v in rec.astuple()))
+        lines.append(",".join(f"{v:.17g}" for v in rec))
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
         path.write(text)

@@ -212,6 +212,16 @@ def _bubble(lam: float, r, b0: float = 0.0):
     return np.log(v) + b0, 2.0 * r / v, 2.0 / v - 4.0 * r * r / (v * v)
 
 
+def _bubble_edges(lam: float, stop: float) -> np.ndarray:
+    """Panel edges of the bubble region [0, stop]: 12 linear panels to the
+    bubble's scale 2 sqrt(lam), then 48 geometric ones, or 24 linear panels
+    when stop lies inside that scale."""
+    sl = 2.0 * math.sqrt(lam)
+    if sl < stop:
+        return np.concatenate([np.linspace(0.0, sl, 13)[:-1], log_edges(sl, stop, 48)])
+    return np.linspace(0.0, stop, 25)
+
+
 def _cap(r):
     """(c, c', c'') of the round cap factor c = log(1 + r^2)."""
     rr = r * r
@@ -465,12 +475,7 @@ def lemma5_integrals(bp: BubbleParams) -> Lemma5Report:
     extrapolation (done in the tests) is needed to see the constants sharply.
     """
     n, lam = bp.n, bp.lam
-    sl = 2.0 * math.sqrt(lam)
-    if sl < bp.delta:
-        edges = np.concatenate([np.linspace(0.0, sl, 13)[:-1], log_edges(sl, bp.delta, 48)])
-    else:
-        edges = np.linspace(0.0, bp.delta, 25)
-    r, w = _panel_nodes(edges)
+    r, w = _panel_nodes(_bubble_edges(lam, bp.delta))
     [[energy]], [volume] = _masses(r, w, _bubble(lam, r), [bp.model()], n, [0, r.size])
 
     sc = sphere_constants(n)
@@ -498,11 +503,11 @@ def _bernoulli_g(t, A: float, n: int):
     return t ** (-0.5 * (n - 6)) * np.exp(n * A * t * t / 8.0)
 
 
-def _bernoulli_h(A: float, n: int, lo: float, hi: float, anchor: float = 1.0):
-    """H(r) = -(nA/8) * integral_anchor^r t^{-(n-6)/2} e^{n A t^2/8} dt on [lo, hi]."""
+def _bernoulli_h(A: float, n: int, lo: float, hi: float):
+    """H(r) = -(nA/8) * integral_1^r t^{-(n-6)/2} e^{n A t^2/8} dt on [lo, hi]."""
     if A == 0.0 or lo == hi:
         return lambda r: np.zeros(np.shape(r))
-    table = _antiderivative(lambda t: _bernoulli_g(t, A, n), lo, anchor, hi)
+    table = _antiderivative(lambda t: _bernoulli_g(t, A, n), lo, 1.0, hi)
     return lambda r: -0.125 * n * A * table(r)
 
 
@@ -516,28 +521,28 @@ def _slope_factor(r, A: float, n: int):
     return r ** (0.5 * (n - 4)) * np.exp(-n * A * r * r / 8.0)
 
 
-def bernoulli_alpha(r, a1: float, A: float, n: int, anchor: float = 1.0):
+def bernoulli_alpha(r, a1: float, A: float, n: int):
     """Closed-form logarithmic slope of the gluing annulus.
 
         1/alpha(r) = 1/2 + (a1 + H(r)) r^{(n-4)/2} e^{-n A r^2 / 8}
 
-    with H anchored at ``anchor`` (H(anchor) = 0).  For A = 0 this reduces to
+    with H anchored at 1 (H(1) = 0).  For A = 0 this reduces to
     ``alpha = 2/(1 + 2 a1 r^{(n-4)/2})`` exactly.
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     if np.any(r <= 0.0):
         raise ValueError("need r > 0")
-    h = _bernoulli_h(A, n, min(float(r.min()), anchor), max(float(r.max()), anchor), anchor)
+    h = _bernoulli_h(A, n, min(float(r.min()), 1.0), max(float(r.max()), 1.0))
     alpha = _slope(a1, h(r), _slope_factor(r, A, n))
     if np.any(alpha <= 0.0) or np.any(alpha >= 2.0):
         raise ValueError("slope left the admissible band (0, 2)")
     return float(alpha) if scalar else alpha
 
 
-def bernoulli_residual(r, a1: float, A: float, n: int, rel_step: float = 1e-6,
-                       anchor: float = 1.0):
-    """Defect of the slope equation, with alpha' by central differences.
+def bernoulli_residual(r, a1: float, A: float, n: int):
+    """Defect of the slope equation, with alpha' by central differences of
+    relative step 1e-6.
 
         residual = (n-4)/4 + (r alpha' - A r^2 alpha) / (2 alpha - alpha^2 - A r^2 alpha)
 
@@ -545,10 +550,10 @@ def bernoulli_residual(r, a1: float, A: float, n: int, rel_step: float = 1e-6,
     the finite-difference truncation error.
     """
     r = np.asarray(r, dtype=float)
-    h = rel_step * r
-    a_mid = bernoulli_alpha(r, a1, A, n, anchor)
-    a_lo = bernoulli_alpha(r - h, a1, A, n, anchor)
-    a_hi = bernoulli_alpha(r + h, a1, A, n, anchor)
+    h = 1e-6 * r
+    a_mid = bernoulli_alpha(r, a1, A, n)
+    a_lo = bernoulli_alpha(r - h, a1, A, n)
+    a_hi = bernoulli_alpha(r + h, a1, A, n)
     aprime = (a_hi - a_lo) / (2.0 * h)
     denom = 2.0 * a_mid - a_mid * a_mid - A * r * r * a_mid
     return 0.25 * (n - 4) + (r * aprime - A * r * r * a_mid) / denom
@@ -690,8 +695,7 @@ class GluingProfile:
         return self.core.derivatives(r)
 
 
-def glue_lemma6(bp: BubbleParams, gamma: float, A: float = 0.01,
-                num_nodes: int = 513) -> GluingProfile:
+def glue_lemma6(bp: BubbleParams, gamma: float, A: float = 0.01) -> GluingProfile:
     """Build and verify the gluing annulus between bubble and tube.
 
     The slope starts at the bubble value ``2 delta^2/(lam + delta^2)``,
@@ -712,7 +716,7 @@ def glue_lemma6(bp: BubbleParams, gamma: float, A: float = 0.01,
     core = _GluingCore(n, lam, bp.beta, gamma, A)
     delta, delta1 = core.delta, core.delta1
 
-    r = np.geomspace(delta, delta1, num_nodes)
+    r = np.geomspace(delta, delta1, 513)
     alpha = core.alpha(r)
     if not np.all(np.diff(alpha) < 0.0):
         raise ConstructionError("glue", "slope is not strictly decreasing")
@@ -996,7 +1000,8 @@ class _PatchProfile:
 
     Regions, inner to outer.  Only the two seams, at delta and delta1, are
     C^2 blends of their neighbours, over a window of width
-    ``blend_frac * min(delta, delta1 - delta)``.  The other joints meet as
+    ``0.1 * min(delta, delta1 - delta)`` (a window as wide as that minimum
+    would reach past the annulus tables).  The other joints meet as
     they are: the transition is C^1 at r6 and r5, where the slope's
     derivative switches on and off, so u'' (and sigma_2 with it) jumps there.
 
@@ -1015,7 +1020,7 @@ class _PatchProfile:
     REGIONS = ("bubble", "seam_inner", "annulus", "seam_outer", "tube",
                "ramp", "tube_cap", "taper", "bridge", "outer")
 
-    def __init__(self, n, lam, beta, gamma, A, eps, radii, blend_frac=0.1):
+    def __init__(self, n, lam, beta, gamma, A, eps, radii):
         self.lam = lam
         self.r8, self.r7, self.r6, self.r5, self.r4, self.r0 = radii
         self.glue = _GluingCore(n, lam, beta, gamma, A)
@@ -1024,7 +1029,7 @@ class _PatchProfile:
             raise ConstructionError(
                 "assemble", f"gluing edge delta1 = {self.delta1:.4g} reaches the "
                 f"transition radius r8 = {self.r8}")
-        self.blend_w = blend_frac * min(self.delta, self.delta1 - self.delta)
+        self.blend_w = 0.1 * min(self.delta, self.delta1 - self.delta)
         if not self.delta1 + 0.5 * self.blend_w < self.r8:
             raise ConstructionError(
                 "assemble", f"the tube region is empty: its blend window ends at "
@@ -1069,15 +1074,8 @@ class _PatchProfile:
     def pieces(self):
         """Quadrature panel edges per region (outer region handled separately)."""
         w = 0.5 * self.blend_w
-        sl = 2.0 * math.sqrt(self.lam)
-        inner_stop = self.delta - w
-        if sl < inner_stop:
-            bubble = np.concatenate([np.linspace(0.0, sl, 13)[:-1],
-                                     log_edges(sl, inner_stop, 48)])
-        else:
-            bubble = np.linspace(0.0, inner_stop, 25)
         return [
-            ("bubble", bubble),
+            ("bubble", _bubble_edges(self.lam, self.delta - w)),
             ("seam_inner", np.linspace(self.delta - w, self.delta + w, 5)),
             ("annulus", log_edges(self.delta + w, self.delta1 - w, 64)),
             ("seam_outer", np.linspace(self.delta1 - w, self.delta1 + w, 5)),
@@ -1174,8 +1172,7 @@ class AssembledMetric:
 
 def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
                          A: float = 0.01, eps_margin: float | None = None,
-                         r_cut: float = 0.12, cut_width: float = 0.04,
-                         blend_frac: float = 0.1) -> AssembledMetric:
+                         r_cut: float = 0.12, cut_width: float = 0.04) -> AssembledMetric:
     """Stitch bubble, gluing annulus, transition, and outer cap; compare.
 
     Returns the assembled profile with per-region energies, the pointwise
@@ -1200,15 +1197,12 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     if len(radii) != 6 or not all(a < b for a, b in zip(radii, radii[1:])):
         raise ConstructionError(
             "assemble", "radii must be six increasing values (r8, r7, r6, r5, r4, r0)")
-    # a wider seam window would reach past the annulus tables
-    if not 0.0 < blend_frac < 1.0:
-        raise ConstructionError("assemble", f"blend_frac must lie in (0, 1), got {blend_frac}")
     if eps_margin is None:
         eps_margin = min(0.15, 0.8 * (2.0 - gamma) / 5.0)
     n = bp.n
     beta_ok = 0.25 < bp.beta < (n - 4.0) / (2.0 * n)
 
-    prof = _PatchProfile(n, bp.lam, bp.beta, gamma, A, eps_margin, radii, blend_frac)
+    prof = _PatchProfile(n, bp.lam, bp.beta, gamma, A, eps_margin, radii)
     names, r_lo, r_hi, rq, wq, rc = zip(*prof.region_nodes())
     # every region's nodes end to end: region k has the quadrature nodes
     # rq[q_off[k]:q_off[k+1]] and the cone nodes rc[c_off[k]:c_off[k+1]]
@@ -1283,22 +1277,18 @@ class MarginSweep:
 def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
                  beta: float = 0.26, radii=STANDARD_RADII, delta_r: float = -1.0,
                  A: float = 0.01, eps_margin: float | None = None,
-                 r_cut: float = 0.12, cut_width: float = 0.04,
-                 blend_frac: float = 0.1,
-                 fit_exponents=None) -> MarginSweep:
+                 r_cut: float = 0.12, cut_width: float = 0.04) -> MarginSweep:
     """Assemble at several bubble scales and fit the lam^2 energy response.
 
     The fit basis carries the leading remainder exponent alongside lam^2, so
-    the extracted coefficient is not polluted by the next order; by default
-    that exponent is (n-4)/2.  The target is B^{(4-n)/n} C delta_r.  The
-    scales must be distinct and at least as many as the fit exponents, or
-    the fit is underdetermined.
+    the extracted coefficient is not polluted by the next order; that
+    exponent is (n-4)/2.  The target is B^{(4-n)/n} C delta_r.  The scales
+    must be distinct and at least two, or the fit is underdetermined.
     """
     lams = tuple(float(v) for v in lams)
     if delta_r >= 0.0:
         raise ConstructionError("sweep", "the sweep needs a strict deficit delta_r < 0")
-    if fit_exponents is None:
-        fit_exponents = (2.0, (n - 4) / 2)
+    fit_exponents = (2.0, (n - 4) / 2)
     if len(set(lams)) != len(lams) or len(lams) < len(fit_exponents):
         raise ValueError(f"the fit needs distinct bubble scales, at least "
                          f"{len(fit_exponents)}, got {lams}")
@@ -1306,12 +1296,12 @@ def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
     for lam in lams:
         bp = BubbleParams(n, lam, radii[-1], beta, delta_r)
         reports.append(assemble_and_compare(bp, gamma, radii, A, eps_margin,
-                                            r_cut, cut_width, blend_frac))
+                                            r_cut, cut_width))
     lam_arr = np.asarray(lams, dtype=float)
     diff = np.array([rep.F2_tilde - rep.flat.F2_tilde for rep in reports])
     design = np.column_stack([lam_arr ** e for e in fit_exponents])
     coef, *_ = np.linalg.lstsq(design, diff, rcond=None)
-    k2 = float(coef[list(fit_exponents).index(2.0)])
+    k2 = float(coef[0])
     sc = sphere_constants(n)
     target = sc.B ** ((4.0 - n) / n) * sc.require_C() * delta_r
     return MarginSweep(

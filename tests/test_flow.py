@@ -158,7 +158,7 @@ def test_step_chain_matches_fresh_evaluations(s5_grid):
         state = step(state)
         assert state.field.u.tobytes() == ref.field.u.tobytes()
         assert (state.t, state.dt) == (ref.t, ref.dt)
-        assert state.monitors.astuple() == ref.monitors.astuple()
+        assert state.monitors == ref.monitors
 
 
 def test_single_step_driver_checks_dt_safety(s5_grid):
@@ -190,6 +190,53 @@ def test_step_stops_when_a_retry_cannot_succeed(s5_grid, monkeypatch):
                             lambda self, *args: (*real(self, *args)[:3], math.nan))
         with pytest.raises(ValueError, match="error estimate .* is not finite"):
             step(good)
+
+
+def test_flow_run_ends_when_a_retry_cannot_succeed(monkeypatch):
+    # each of these retried without end, or took a NaN error as accepted
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    u0 = initial_field("cosine", grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=1.0)
+    with _alarm(20):
+        res = flow_run(sphere, u0, replace(cfg, step_tol=1e-18), grid=grid)
+        assert res.status == "stalled" and res.steps == 0
+        assert math.isnan(res.equilibrium_residual)
+
+        real = flow_module._Stepper.advance
+        monkeypatch.setattr(flow_module._Stepper, "advance",
+                            lambda self, *args: (*real(self, *args)[:3], math.inf))
+        res = flow_run(sphere, u0, cfg, grid=grid)
+        assert res.status == "non_finite" and res.steps == 0
+
+        # the fifth attempt's estimate is NaN: the run stops at the state
+        # the last accepted attempt reached
+        accepted, calls = [], []
+
+        def nan_fifth(self, *args):
+            u1, v1, s1, err = real(self, *args)
+            calls.append(1)
+            if len(calls) == 5:
+                return u1, v1, s1, math.nan
+            if err <= 1.0:
+                accepted.append(u1)
+            return u1, v1, s1, err
+
+        monkeypatch.setattr(flow_module._Stepper, "advance", nan_fifth)
+        res = flow_run(sphere, u0, cfg, grid=grid)
+    assert res.status == "non_finite" and math.isnan(res.equilibrium_residual)
+    assert res.steps == len(accepted) > 0
+    assert np.all(np.isfinite(res.u)) and res.u.tobytes() == accepted[-1].tobytes()
+    assert res.records[-1].t == res.t and math.isfinite(res.F2)
+
+
+def test_drivers_take_a_config_or_no_settings(s5_grid):
+    sphere, grid = s5_grid
+    u0 = initial_field("cosine", grid, 0.1)
+    with pytest.raises(TypeError):
+        eigen_solve(sphere, u0, FlowConfig(eps=2.0, t_max=200.0), grid=grid, t_max=0.05)
+    with pytest.raises(TypeError):
+        continuation(sphere, u0, (2.0,), FlowConfig(eps=0.0, t_max=200.0), t_max=0.05)
 
 
 def test_equilibrium_drivers_step_at_the_looser_tolerance():
@@ -358,13 +405,14 @@ def test_eigen_solver_runs_on_a_given_grid(s5_grid, monkeypatch):
 def test_eigen_solver_rejects_other_eps(s5_grid):
     sphere, grid = s5_grid
     with pytest.raises(ValueError):
-        eigen_solve(sphere, initial_field("cosine", grid, 0.1), eps=1.5)
+        eigen_solve(sphere, initial_field("cosine", grid, 0.1), FlowConfig(eps=1.5))
 
 
 def test_continuation_warm_starts(s5_grid):
     sphere, grid = s5_grid
     rungs = continuation(sphere, initial_field("cosine", grid, 0.1), (2.0, 1.5),
-                         t_max=100.0)
+                         FlowConfig(eps=0.0, t_max=100.0,
+                                    step_tol=flow_module.EQUILIBRIUM_STEP_TOL))
     assert [r.eps for r in rungs] == [2.0, 1.5]
     assert all(r.status == "converged" for r in rungs)
     for r in rungs:
@@ -479,5 +527,6 @@ def test_stencil_tables_built_once_per_grid(monkeypatch):
     flow_run(sphere, u0, cfg, grid=grid)
     assert sorted(calls) == [1, 2]
     calls.clear()
-    continuation(sphere, u0, (2.0, 1.5, 1.0), t_max=0.05)
+    continuation(sphere, u0, (2.0, 1.5, 1.0),
+                 FlowConfig(eps=0.0, t_max=0.05, step_tol=flow_module.EQUILIBRIUM_STEP_TOL))
     assert sorted(calls) == [1, 2]
