@@ -35,7 +35,6 @@ from .geometry import (
     schouten_pointwise,
     sigma_pair_radial,
     smoothstep,
-    sobolev_quotient,
 )
 from .flow import (
     FlowConfig,
@@ -49,11 +48,7 @@ from .flow import (
     eigen_solve,
     flow_run,
     flow_state,
-    gauge_h,
-    gauge_h_prime,
     initial_field,
-    local_estimate_monitor,
-    normalizers,
     step,
     velocity,
     write_monitor_csv,
@@ -63,16 +58,13 @@ from .testmetric import (
     BubbleParams,
     ConstructionError,
     GluingProfile,
-    Lemma5Report,
     MarginSweep,
     SphereConstants,
-    TracePair,
     TransitionProfile,
     assemble_and_compare,
     bernoulli_alpha,
     bernoulli_residual,
     glue_lemma6,
-    lemma4_traces,
     lemma5_integrals,
     margin_sweep,
     sphere_constants,

@@ -142,14 +142,6 @@ def _float_list(value, count=None, what="list"):
 # ---------------------------------------------------------------------------
 # emission
 
-def emit_trace(records, path: str | None) -> None:
-    """Write the monitor CSV to a file, or stdout when no path is given."""
-    if path is None:
-        write_monitor_csv(records, sys.stdout)
-    else:
-        write_monitor_csv(records, path)
-
-
 def _json_safe(value):
     """``value`` with every non-finite float, nested ones too, made None."""
     if isinstance(value, (float, np.floating)):
@@ -232,7 +224,7 @@ def _cmd_flow(cfg: dict, args) -> int:
     background, grid, u0, fc = _flow_pieces(cfg)
     res = flow_run(background, u0, fc, grid=grid)
     if args.csv is not None:
-        emit_trace(res.records, args.csv)
+        write_monitor_csv(res.records, args.csv)
     payload = _summary(
         "flow", cfg, res.status,
         t=res.t, steps=res.steps,
@@ -252,7 +244,7 @@ def _cmd_eigen(cfg: dict, args) -> int:
     background, grid, u0, fc = _flow_pieces(cfg, EQUILIBRIUM_STEP_TOL)
     res = eigen_solve(background, u0, fc, grid=grid)
     if args.csv is not None:
-        emit_trace(res.flow.records, args.csv)
+        write_monitor_csv(res.flow.records, args.csv)
     payload = _summary(
         "eigen", cfg, res.flow.status,
         lambda1=res.lambda1,

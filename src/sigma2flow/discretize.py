@@ -42,10 +42,15 @@ MIN_POINTS = 16
 
 
 def sphere_measure(m: int) -> float:
-    """Total measure of the unit sphere S^m."""
+    """Total measure of the unit sphere S^m; from m = 343 on, Gamma((m + 1)/2)
+    overflows a float, and that raises ValueError."""
     if m < 0:
         raise ValueError("need m >= 0")
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
+    except OverflowError:
+        raise ValueError(f"|S^{m}| needs Gamma({(m + 1) / 2.0}), which overflows a "
+                         "float; m may be at most 342") from None
 
 
 @dataclass(frozen=True)

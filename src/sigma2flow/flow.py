@@ -72,8 +72,6 @@ from .discretize import RadialGrid, Stencils
 from .geometry import ConeViolation, ConformalField, functional_V, schouten_fields
 
 __all__ = [
-    "gauge_h",
-    "gauge_h_prime",
     "FlowConfig",
     "STEP_TOL",
     "EQUILIBRIUM_STEP_TOL",
@@ -82,7 +80,6 @@ __all__ = [
     "FlowResult",
     "FlowState",
     "flow_state",
-    "normalizers",
     "velocity",
     "step",
     "flow_run",
@@ -90,30 +87,10 @@ __all__ = [
     "EigenResult",
     "continuation",
     "ContinuationRung",
-    "local_estimate_monitor",
     "initial_field",
     "INITIAL_FIELDS",
     "write_monitor_csv",
 ]
-
-
-# ---------------------------------------------------------------------------
-# gauge
-
-def gauge_h(s):
-    """Flow gauge: 2 log s below 1, s - 1 + log s above; C^1 at the seam."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0):
-        raise ValueError("gauge argument must be positive")
-    return np.where(s <= 1.0, 2.0 * np.log(s), s - 1.0 + np.log(s))
-
-
-def gauge_h_prime(s):
-    """Derivative of the gauge; always >= 1."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0):
-        raise ValueError("gauge argument must be positive")
-    return np.where(s <= 1.0, 2.0 / s, 1.0 + 1.0 / s)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +180,6 @@ class FlowResult:
     background: object
     config: FlowConfig
     records: list[MonitorRecord]
-    # (t, min_u, sup_grad) per record, for the local-estimate monitor
-    aux_track: np.ndarray
     F2: float
     V_eps: float
     r_eps: float
@@ -342,6 +317,8 @@ _RKC_BETA = 0.653
 _RHO_PER_LAM = 1.25
 #: rows of an RKC step's buffer: y_0, F_0 and three (y_k, F_k) pairs
 _RKC_ROWS = 8
+#: largest x whose e^x is a finite float
+_EXP_MAX = math.log(np.finfo(float).max)
 #: largest factor by which the controller lets one step grow or shrink
 _GROWTH_MAX = 10.0
 _GROWTH_MIN = 0.1
@@ -416,10 +393,14 @@ class _Stepper:
     the sup norm relative to ``step_tol``.
     """
 
-    def __init__(self, tables: _KernelTables, n, eps, h2, dt_safety, step_tol):
-        self.tables = tables
+    def __init__(self, background, grid: RadialGrid, eps: float, dt_safety: float,
+                 step_tol: float = STEP_TOL):
+        n = background.n
+        self.background = background
+        self.eps = eps = float(eps)
+        self.tables = _cached_kernel_inputs(grid, background)
         self.n = n
-        self.h2 = h2
+        self.h2 = grid.h * grid.h
         self.dt_safety = dt_safety
         self.step_tol = step_tol
         self.evaluations = 0
@@ -571,12 +552,6 @@ class _StepFailed(ValueError):
         self.status = status
 
 
-def _state_stepper(background, grid: RadialGrid, eps: float, dt_safety: float,
-                   step_tol: float = STEP_TOL) -> _Stepper:
-    return _Stepper(_cached_kernel_inputs(grid, background), background.n,
-                    float(eps), grid.h * grid.h, dt_safety, step_tol)
-
-
 def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None) -> FlowResult:
     """Integrate the normalized flow from ``u0`` until convergence or t_max.
 
@@ -585,8 +560,9 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
     ``blow_up_suspected`` (min u fell through ``blowup_floor``), or one of
     three failures, which report a NaN ``equilibrium_residual``:
     ``non_finite`` (the velocity or a step's error estimate is NaN or
-    infinite, as from a non-finite ``u0``; the run stops at the last
-    accepted state), ``stalled`` (a step the controller kept shortening no
+    infinite; the run stops at the last accepted state, or at t = 0 with
+    no record when ``u0`` is not finite or some e^{c u0} of the kernel
+    would overflow), ``stalled`` (a step the controller kept shortening no
     longer advances t) or ``cone_exit`` (the field left Gamma_2^+, at which
     point the velocity is undefined and integration must stop).  Every step
     is the one ``step`` takes, and it lands exactly on the record times
@@ -601,11 +577,9 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
     n = background.n
     if n <= 4:
         raise ValueError("the flow needs dimension n >= 5")
-    stepper = _state_stepper(background, grid, config.eps, config.dt_safety,
-                             config.step_tol)
+    stepper = _Stepper(background, grid, config.eps, config.dt_safety, config.step_tol)
 
     records: list[MonitorRecord] = []
-    aux: list[tuple[float, float, float]] = []
     t = 0.0
     steps = 0
     status = "max_steps"
@@ -620,20 +594,24 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         nonlocal prev_rec_t, prev_rec_f2, n_rec
         meas = 0.0 if not records else (s[_S_F2] - prev_rec_f2) / (t - prev_rec_t)
         records.append(_record(t, s, meas))
-        aux.append((t, s[_S_MINU], s[_S_SUPGRAD]))
         prev_rec_t = t
         prev_rec_f2 = s[_S_F2]
         n_rec += 1
 
-    ev = stepper.velocity(u, _RECORD)
-    if ev is None:
+    # a u0 that is not finite, or overflows e^{c u} for c = 4 or a kernel
+    # exponent c, ends the run before the first evaluation
+    reach = float(np.max(np.abs(u))) * max(4.0, float(np.max(np.abs(stepper.exponents))))
+    ev = None
+    s = [math.nan] * _NS
+    if not reach <= _EXP_MAX:
+        status = "non_finite"
+    elif (ev := stepper.velocity(u, _RECORD)) is None:
         status = "cone_exit"
-        s = [math.nan] * _NS
     else:
         v, s = ev
         v0_ref = s[_S_VEPS]
         dt = stepper.first_dt(s)
-    while status != "cone_exit":
+    while ev is not None:
         if t == n_rec * config.record_dt:
             push_record()
         if not math.isfinite(s[_S_SUPV]):
@@ -668,7 +646,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         s = s1
         steps += 1
 
-    if status != "cone_exit" and (not records or records[-1].t < t):
+    if ev is not None and status != "cone_exit" and (not records or records[-1].t < t):
         if len(s) < _NS:
             # the run stopped between record times; the state passed the
             # cone check when it was accepted, so this evaluation succeeds
@@ -691,7 +669,6 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         background=background,
         config=config,
         records=records,
-        aux_track=np.array(aux) if aux else np.zeros((0, 3)),
         F2=s[_S_F2],
         V_eps=s[_S_VEPS],
         r_eps=s[_S_REPS],
@@ -710,23 +687,11 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
 def _probe(background, field: ConformalField, eps: float, dt_safety: float = 0.8):
     """A stepper for the field's grid, and one velocity evaluation with every
     slot at the field; returns (stepper, v, slots)."""
-    stepper = _state_stepper(background, field.grid, eps, dt_safety)
+    stepper = _Stepper(background, field.grid, eps, dt_safety)
     ev = stepper.velocity(field.u, _RECORD)
     if ev is None:
         raise ConeViolation("field leaves Gamma_2^+; the flow velocity is undefined")
     return stepper, *ev
-
-
-def normalizers(background, field: ConformalField, eps: float) -> tuple[float, float]:
-    """The self-consistent pair (r_eps, s_eps) at this field.
-
-    ``r_eps = F2 / V_eps`` feeds the target branch of the gauge, and
-    ``s_eps`` is the mean that keeps V_eps exactly stationary for the
-    semi-discrete flow.  Both come from the same kernel evaluation the
-    integrator uses.
-    """
-    _, _, s = _probe(background, field, eps)
-    return float(s[_S_REPS]), float(s[_S_SEPS])
 
 
 def velocity(background, field: ConformalField, eps: float) -> np.ndarray:
@@ -735,24 +700,36 @@ def velocity(background, field: ConformalField, eps: float) -> np.ndarray:
     return v
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowState:
     """One integrator state: the field plus its step bookkeeping.
 
     ``dt`` is the length of the next step, as proposed by the controller.
     ``velocity`` and ``slots`` are the kernel's output at ``field.u``, which
     the next step starts from; ``flow_state`` and ``step`` fill them.
+    ``stepper``, which ``flow_state`` builds from the checked settings, also
+    gives ``eps``, ``dt_safety`` and ``background``; only ``flow_state`` sets them.
     """
 
     field: ConformalField
     t: float
-    eps: float
     dt: float
     monitors: MonitorRecord
-    background: object
     velocity: np.ndarray
     slots: list
-    dt_safety: float = 0.8
+    stepper: _Stepper
+
+    @property
+    def eps(self) -> float:
+        return self.stepper.eps
+
+    @property
+    def dt_safety(self) -> float:
+        return self.stepper.dt_safety
+
+    @property
+    def background(self):
+        return self.stepper.background
 
 
 def flow_state(background, field: ConformalField, eps: float,
@@ -765,8 +742,8 @@ def flow_state(background, field: ConformalField, eps: float,
     """
     FlowConfig(eps=eps, dt_safety=dt_safety)
     stepper, v, s = _probe(background, field, eps, dt_safety)
-    return FlowState(field, t, eps, float(stepper.first_dt(s)), _record(t, s, math.nan),
-                     background, v, s, dt_safety)
+    return FlowState(field, t, float(stepper.first_dt(s)), _record(t, s, math.nan),
+                     v, s, stepper)
 
 
 def step(state: FlowState) -> FlowState:
@@ -776,21 +753,18 @@ def step(state: FlowState) -> FlowState:
     error estimate exceeds the tolerance is retaken with the shorter length
     the controller proposes, so ``t`` advances by at most ``state.dt``.  The
     kernel runs once per RKC stage: the step starts from the velocity the
-    state carries.  Raises ConeViolation if any stage leaves Gamma_2^+.  A
-    step that cannot be accepted raises ValueError: the velocity or the
-    error estimate is not finite, or the step length no longer advances
-    ``t``.
+    state carries, with the state's stepper.  Raises ConeViolation if any
+    stage leaves Gamma_2^+.  A step that cannot be accepted raises
+    ValueError: the velocity or the error estimate is not finite, or the
+    step length no longer advances ``t``.
     """
-    FlowConfig(eps=state.eps, dt_safety=state.dt_safety)
     if not math.isfinite(state.slots[_S_SUPV]):
         raise ValueError(f"the velocity at t = {state.t!r} is not finite")
-    grid = state.field.grid
-    stepper = _state_stepper(state.background, grid, state.eps, state.dt_safety)
-    u1, v1, s1, t1, h, dt = stepper.take(state.field.u, state.velocity, state.slots,
-                                         state.t, state.dt, level=_RECORD)
+    u1, v1, s1, t1, h, dt = state.stepper.take(state.field.u, state.velocity, state.slots,
+                                               state.t, state.dt, level=_RECORD)
     rec = _record(t1, s1, (s1[_S_F2] - state.monitors.F2) / h)
-    return FlowState(ConformalField(grid, u1), t1, state.eps, float(dt), rec,
-                     state.background, v1, s1, state.dt_safety)
+    return FlowState(ConformalField(state.field.grid, u1), t1, float(dt), rec, v1, s1,
+                     state.stepper)
 
 
 # ---------------------------------------------------------------------------
@@ -881,26 +855,6 @@ def continuation(background, u0, eps_ladder,
             break
         u = res.u
     return rungs
-
-
-# ---------------------------------------------------------------------------
-# local-estimate monitor
-
-def local_estimate_monitor(result: FlowResult) -> np.ndarray:
-    """Gradient bound against the blow-up envelope, per record.
-
-    Returns rows ``(t, sup_grad, envelope, ratio)`` where ``envelope =
-    1 + e^{(2-eps)(-min u)}`` at the run's eps.  A ratio staying O(1) along
-    the run is the numerical shadow of the interior estimates; nothing is
-    asserted here, the data is for inspection.
-    """
-    eps = result.config.eps
-    track = result.aux_track
-    if track.size == 0:
-        return np.zeros((0, 4))
-    env = 1.0 + np.exp((2.0 - eps) * (-track[:, 1]))
-    ratio = track[:, 2] / env
-    return np.column_stack([track[:, 0], track[:, 2], env, ratio])
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ __all__ = [
     "functional_F2",
     "functional_V",
     "normalized_F2",
-    "sobolev_quotient",
     "divergence_identity_residual",
     "round_schouten_sigma2",
     "smoothstep",
@@ -92,11 +91,6 @@ class RoundSphere:
 
     def aniso_over_r2(self, x):
         return np.zeros(np.shape(x))
-
-    def volume(self) -> float:
-        from .discretize import sphere_measure
-
-        return sphere_measure(self.n)
 
 
 @dataclass(frozen=True)
@@ -295,24 +289,6 @@ def normalized_F2(grid: RadialGrid, background, u, eps: float | None = None) -> 
         return vol ** (-(n - 4.0) / n) * f2
     v = functional_V(grid, background, u, eps)
     return v ** (-(n - 4.0) / (n - 2.0 * eps)) * f2
-
-
-def sobolev_quotient(grid: RadialGrid, background, u) -> float:
-    """Volume-normalized F2, guarded by a strict cone check.
-
-    Raises ConeViolation if sigma_1(W) or sigma_2(W) fails to be strictly
-    positive somewhere — the quotient is only meaningful inside Gamma_2^+.
-    """
-    f = schouten_fields(grid, background, u)
-    if not (np.all(f.sigma1 > 0.0) and np.all(f.sigma2 > 0.0)):
-        raise ConeViolation(
-            "field leaves Gamma_2^+ "
-            f"(min sigma_1 = {f.sigma1.min():.3e}, min sigma_2 = {f.sigma2.min():.3e})"
-        )
-    n = background.n
-    f2 = functional_F2(grid, background, u, fields=f)
-    vol = functional_V(grid, background, u, 0.0)
-    return vol ** (-(n - 4.0) / n) * f2
 
 
 def divergence_identity_residual(grid: RadialGrid, background, u) -> float:

@@ -1,5 +1,5 @@
-"""Radial comparison-metric machinery: bubble trace algebra, expansion
-constants, the Bernoulli gluing annulus, the slope-taper transition, and the
+"""Radial comparison-metric machinery: expansion constants, the bubble-patch
+integrals, the Bernoulli gluing annulus, the slope-taper transition, and the
 fully assembled patch metric with its energy margin.
 
 The construction lives on a ball around a distinguished point of the
@@ -50,10 +50,6 @@ __all__ = [
     "BubbleParams",
     "SphereConstants",
     "sphere_constants",
-    "TracePair",
-    "lemma4_traces",
-    "ExpansionCheck",
-    "Lemma5Report",
     "lemma5_integrals",
     "bernoulli_alpha",
     "bernoulli_residual",
@@ -361,9 +357,6 @@ class SphereConstants:
     C: float | None
     Y2_sphere: float
 
-    def __iter__(self):
-        return iter((self.B, self.C, self.Y2_sphere))
-
     def require_C(self) -> float:
         if self.C is None:
             raise ValueError(
@@ -389,6 +382,16 @@ def _sphere_constants_cached(n: int) -> SphereConstants:
     return SphereConstants(n, b, c, y2)
 
 
+def _lam2_target(sc: SphereConstants, delta_r: float) -> float:
+    """The lam^2 response target ``B^{(4-n)/n} C delta_r``; ValueError where B,
+    subnormal from n = 331 on and 0 from n = 341, puts it out of float range."""
+    try:
+        return sc.B ** ((4.0 - sc.n) / sc.n) * sc.require_C() * delta_r
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"the lam^2 target B^((4-n)/n) C delta_r is out of float range "
+                         f"at n = {sc.n}, where B = {sc.B!r}") from None
+
+
 def sphere_constants(n: int) -> SphereConstants:
     """Volume constant B, curvature-response constant C, and Y2 of S^n.
 
@@ -405,94 +408,21 @@ def sphere_constants(n: int) -> SphereConstants:
 
 
 # ---------------------------------------------------------------------------
-# bubble trace pair
-
-class TracePair(NamedTuple):
-    """(tr A, tr A^2) of the bubble Schouten matrix."""
-
-    tr_a: object
-    tr_a2: object
-
-
-def lemma4_traces(bp: BubbleParams, r) -> TracePair:
-    """First two traces of A = g1^{-1} S(g_v) for the bubble v = lam + r^2.
-
-    On the flat background both traces are exact rational functions:
-
-        tr A   = 2 n lam / (lam + r^2)^2
-        tr A^2 = 4 n lam^2 / (lam + r^2)^4
-
-    With the curvature model the scalar-curvature and Ricci averages enter
-    through the model's Schouten branches and the tangential anisotropy
-    second moment, matching the closed-form expansion through the terms
-    linear in the deficit.
-    """
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    if np.any(r <= 0.0) or np.any(r >= bp.r0):
-        raise ValueError("radius must lie strictly inside (0, r0)")
-    n = bp.n
-    w_r, w_t, var = schouten_pointwise(bp.model(), r, *_bubble(bp.lam, r))
-    tr_a = w_r + (n - 1) * w_t
-    tr_a2 = w_r * w_r + (n - 1) * w_t * w_t + var
-    if scalar:
-        return TracePair(float(tr_a), float(tr_a2))
-    return TracePair(tr_a, tr_a2)
-
-
-# ---------------------------------------------------------------------------
 # bubble-patch integrals
 
-@dataclass(frozen=True)
-class ExpansionCheck:
-    """Scaled integrals against their leading closed-form coefficients."""
-
-    sigma2_scaled: float
-    sigma2_leading: float
-    sigma2_rel_dev: float
-    volume_scaled: float
-    volume_leading: float
-    volume_rel_dev: float
-
-
-@dataclass(frozen=True)
-class Lemma5Report:
-    sigma2_integral: float
-    volume_integral: float
-    expansion: ExpansionCheck
-
-    def __iter__(self):
-        return iter((self.sigma2_integral, self.volume_integral, self.expansion))
-
-
-def lemma5_integrals(bp: BubbleParams) -> Lemma5Report:
+def lemma5_integrals(bp: BubbleParams) -> tuple[float, float]:
     """Energy and volume of the bubble over the cutoff ball B(0, lam**beta).
 
-    The scaled quantities carry the lam-power of the closed-form expansion:
-    ``sigma2_integral * lam^{n/2-2}`` tends to ``2n(n-1)B + C*delta_r*lam^2``
-    and ``volume_integral * lam^{n/2}`` tends to ``B``; single-lam deviations
-    are dominated by the cutoff remainder ~ lam^{n(1/2-beta)}, so sequence
-    extrapolation (done in the tests) is needed to see the constants sharply.
+    Scaled by the lam-powers of the closed-form expansion, ``energy *
+    lam^{n/2-2}`` tends to ``2n(n-1)B + C*delta_r*lam^2`` and ``volume *
+    lam^{n/2}`` tends to ``B``; single-lam deviations are dominated by the
+    cutoff remainder ~ lam^{n(1/2-beta)}, so sequence extrapolation (done in
+    the tests) is needed to see the constants sharply.
     """
     n, lam = bp.n, bp.lam
     r, w = _panel_nodes(_bubble_edges(lam, bp.delta))
     [[energy]], [volume] = _masses(r, w, _bubble(lam, r), [bp.model()], n, [0, r.size])
-
-    sc = sphere_constants(n)
-    s2_scaled = energy * lam ** (0.5 * n - 2.0)
-    s2_leading = 2.0 * n * (n - 1) * sc.B
-    if bp.delta_r != 0.0:
-        s2_leading += sc.require_C() * bp.delta_r * lam * lam
-    v_scaled = volume * lam ** (0.5 * n)
-    check = ExpansionCheck(
-        sigma2_scaled=s2_scaled,
-        sigma2_leading=s2_leading,
-        sigma2_rel_dev=abs(s2_scaled - s2_leading) / abs(s2_leading),
-        volume_scaled=v_scaled,
-        volume_leading=sc.B,
-        volume_rel_dev=abs(v_scaled - sc.B) / sc.B,
-    )
-    return Lemma5Report(energy, volume, check)
+    return energy, volume
 
 
 # ---------------------------------------------------------------------------
@@ -1131,10 +1061,10 @@ class AssembledMetric:
     ``margin = Y2_sphere - F2_tilde`` is the quantity the construction is
     about; ``lambda2_slope`` is the measured curvature response
     ``(F2_tilde - F2_tilde_flat)/lam^2`` whose target is
-    ``B^{(4-n)/n} C delta_r``.  The cone report is per-region and honest:
-    at desk-scale radii the cap ramp and taper regions carry negative
-    sigma_2 zones (the energy comparison does not require them), which
-    ``gamma2_ok`` reflects instead of hiding.
+    ``B^{(4-n)/n} C delta_r``.  The cone report is per region: at
+    desk-scale radii the cap ramp and taper regions carry negative sigma_2
+    zones, and ``gamma2_ok`` is then false.  Y2 is an infimum over metrics
+    in Gamma_2^+, so the margin of such an assembly bounds nothing.
     """
 
     bp: BubbleParams
@@ -1201,6 +1131,9 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
         eps_margin = min(0.15, 0.8 * (2.0 - gamma) / 5.0)
     n = bp.n
     beta_ok = 0.25 < bp.beta < (n - 4.0) / (2.0 * n)
+    sc = sphere_constants(n)
+    # before any quadrature, which overflows long before the target fails
+    lam2_target = _lam2_target(sc, bp.delta_r) if bp.delta_r != 0.0 else math.nan
 
     prof = _PatchProfile(n, bp.lam, bp.beta, gamma, A, eps_margin, radii)
     names, r_lo, r_hi, rq, wq, rc = zip(*prof.region_nodes())
@@ -1222,7 +1155,6 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     energies, volumes = _masses(rq, wq, dq, models, n, q_off)
     cones = _cone_values(rc, dc, models, n)
     vol = math.fsum(volumes)
-    sc = sphere_constants(n)
 
     am = None
     for params, region_energies, (m1, m2) in zip(twins, energies, cones):
@@ -1237,7 +1169,7 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
         slope, target = math.nan, math.nan
         if am is not None:
             slope = (F2t - am.F2_tilde) / params.lam ** 2
-            target = sc.B ** ((4.0 - n) / n) * sc.require_C() * params.delta_r
+            target = lam2_target
         am = AssembledMetric(
             bp=params, gamma=gamma, radii=radii, A=A, eps_margin=eps_margin,
             r_cut=r_cut, cut_width=cut_width,
@@ -1302,8 +1234,7 @@ def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
     design = np.column_stack([lam_arr ** e for e in fit_exponents])
     coef, *_ = np.linalg.lstsq(design, diff, rcond=None)
     k2 = float(coef[0])
-    sc = sphere_constants(n)
-    target = sc.B ** ((4.0 - n) / n) * sc.require_C() * delta_r
+    target = _lam2_target(sphere_constants(n), delta_r)
     return MarginSweep(
         lams=lams,
         margins=tuple(rep.margin for rep in reports),

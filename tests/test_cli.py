@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -347,6 +348,32 @@ def test_flow_settings_end_with_a_true_status(argv):
     assert (rc == 3) == (d["status"] in ("cone_exit", "blow_up_suspected", "non_finite"))
     if rc == 3:
         assert d["equilibrium_residual"] is None, d
+
+
+@pytest.mark.parametrize("setting", ["--amplitude=1e300", "--amplitude=-1e300",
+                                     "--amplitude=inf", "--eps=1e300", "--eps=-1e300"])
+def test_extreme_flow_settings_end_non_finite_under_strict_fp(capsys, setting):
+    # before the first kernel evaluation, a start whose exponentials would
+    # overflow ends the run; under raising modes it was a FloatingPointError
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rc, cap = run_cli(capsys, ["flow", "--grid-points", "64", setting])
+    assert rc == 3, cap.err
+    d = _strict_json(cap.out)
+    assert d["status"] == "non_finite"
+    assert (d["t"], d["steps"], d["equilibrium_residual"]) == (0.0, 0, None)
+
+
+@pytest.mark.parametrize("command,n", [
+    *((command, 400) for command in
+      ("flow", "eigen", "continuation", "verify", "construct", "sweep")),
+    ("construct", 331), ("construct", 342), ("sweep", 342)])
+def test_dimensions_beyond_float_range_are_usage_errors(capsys, command, n):
+    # |S^m| overflows Gamma from m = 343 on, and the lam^2 target leaves the
+    # float range from n = 331 on; both were tracebacks
+    rc, cap = run_cli(capsys, [command, "--n", str(n)])
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err.startswith(f"sigma2 {command}: ") and "float" in cap.err
 
 
 def test_sweep_and_eigen_reruns_are_byte_identical(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sigma2flow.discretize import ball_radius, sphere_latitude
 from sigma2flow.geometry import (
-    ConeViolation,
     ConformalField,
     CurvatureModel,
     FlatRadialBall,
@@ -19,7 +18,6 @@ from sigma2flow.geometry import (
     round_schouten_sigma2,
     schouten_fields,
     smoothstep,
-    sobolev_quotient,
 )
 
 
@@ -109,14 +107,6 @@ def test_unnormalized_energy_scales_under_shift(s5):
     v = functional_V(grid, sphere, u, 2.0)
     assert functional_V(grid, sphere, u + c, 2.0) == pytest.approx(
         math.exp((4 - 5) * c) * v, rel=1e-12)
-
-
-def test_sobolev_quotient_round_and_cone_guard(s5):
-    sphere, grid = s5
-    assert sobolev_quotient(grid, sphere, np.zeros(grid.num_points)) == pytest.approx(
-        39.003151786888736, rel=1e-13)
-    with pytest.raises(ConeViolation, match="Gamma_2"):
-        sobolev_quotient(grid, sphere, 3.0 * np.cos(grid.x))
 
 
 def test_divergence_identity_residual_converges():

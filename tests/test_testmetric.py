@@ -7,7 +7,7 @@ import pytest
 
 import sigma2flow.testmetric as testmetric_module
 from sigma2flow.discretize import gauss_panels, log_edges, sphere_measure
-from sigma2flow.geometry import CurvatureModel, FlatRadialBall
+from sigma2flow.geometry import CurvatureModel, FlatRadialBall, schouten_pointwise
 from sigma2flow.testmetric import (
     TRANSITION_RADII,
     BubbleParams,
@@ -16,7 +16,6 @@ from sigma2flow.testmetric import (
     bernoulli_alpha,
     bernoulli_residual,
     glue_lemma6,
-    lemma4_traces,
     lemma5_integrals,
     margin_sweep,
     sphere_constants,
@@ -54,8 +53,6 @@ def test_sphere_constants_round_five():
     assert sc.C is None
     assert sc.Y2_sphere == pytest.approx(2.5 * (math.pi**3) ** 0.8, rel=1e-14)
     assert sc.Y2_sphere == pytest.approx(39.003151786888736, rel=1e-15)
-    b, c, y2 = sc
-    assert (b, c, y2) == (sc.B, sc.C, sc.Y2_sphere)
 
 
 def test_sphere_constants_beta_oracle():
@@ -127,70 +124,71 @@ def test_bubble_params_delta_and_model():
 # bubble traces
 
 
+def _bubble_traces(bp, r):
+    """(tr A, tr A^2) of the bubble Schouten matrix, as criterion 8 takes them."""
+    v = bp.lam + r * r
+    bubble = np.log(v), 2.0 * r / v, 2.0 / v - 4.0 * r * r / (v * v)
+    w_r, w_t, var = schouten_pointwise(bp.model(), r, *bubble)
+    return w_r + (bp.n - 1) * w_t, w_r * w_r + (bp.n - 1) * w_t * w_t + var
+
+
 def test_lemma4_traces_flat_closed_form():
     bp = BubbleParams(9, 1e-4)
     r = np.linspace(0.01, 2.4, 100)
-    tr_a, tr_a2 = lemma4_traces(bp, r)
+    tr_a, tr_a2 = _bubble_traces(bp, r)
     v = bp.lam + r * r
     np.testing.assert_allclose(tr_a, 2 * 9 * bp.lam / v**2, rtol=1e-10)
     np.testing.assert_allclose(tr_a2, 4 * 9 * bp.lam**2 / v**4, rtol=1e-10)
-    pair = lemma4_traces(bp, 0.37)
-    assert pair.tr_a == pytest.approx(0.09590281847724391, rel=1e-13)
-    assert pair.tr_a2 == pytest.approx(0.001021927843542133, rel=1e-13)
+    tr_a, tr_a2 = _bubble_traces(bp, 0.37)
+    assert tr_a == pytest.approx(0.09590281847724391, rel=1e-13)
+    assert tr_a2 == pytest.approx(0.001021927843542133, rel=1e-13)
 
 
 def test_lemma4_traces_curvature_contribution():
     bp = BubbleParams(9, 1e-4, delta_r=-1.0)
-    pair = lemma4_traces(bp, 0.37)
-    assert pair.tr_a == pytest.approx(0.0954274712550217, rel=1e-12)
-    assert pair.tr_a2 == pytest.approx(0.04135690704454891, rel=1e-12)
-    flat = lemma4_traces(BubbleParams(9, 1e-4), 0.37)
+    tr_a, tr_a2 = _bubble_traces(bp, 0.37)
+    assert tr_a == pytest.approx(0.0954274712550217, rel=1e-12)
+    assert tr_a2 == pytest.approx(0.04135690704454891, rel=1e-12)
+    _, flat_a2 = _bubble_traces(BubbleParams(9, 1e-4), 0.37)
     # the deficit's anisotropy dominates tr A^2 at this radius
-    assert pair.tr_a2 > 10 * flat.tr_a2
-
-
-def test_lemma4_traces_domain():
-    bp = BubbleParams(9, 1e-4)
-    with pytest.raises(ValueError, match="strictly inside"):
-        lemma4_traces(bp, 0.0)
-    with pytest.raises(ValueError, match="strictly inside"):
-        lemma4_traces(bp, bp.r0)
-    tr_a, tr_a2 = lemma4_traces(bp, np.array([0.1, 0.2]))
-    assert tr_a.shape == tr_a2.shape == (2,)
+    assert tr_a2 > 10 * flat_a2
 
 
 # ---------------------------------------------------------------------------
 # bubble-patch integrals
 
 
+def _lemma5_deviations(bp):
+    """Relative deviations of the scaled bubble energy and volume from their
+    leading terms 2n(n-1)B + C delta_r lam^2 and B."""
+    n, lam = bp.n, bp.lam
+    energy, volume = lemma5_integrals(bp)
+    sc = sphere_constants(n)
+    s2_leading = 2.0 * n * (n - 1) * sc.B
+    if bp.delta_r != 0.0:
+        s2_leading += sc.C * bp.delta_r * lam * lam
+    return (abs(energy * lam ** (0.5 * n - 2.0) - s2_leading) / abs(s2_leading),
+            abs(volume * lam ** (0.5 * n) - sc.B) / sc.B)
+
+
 def test_lemma5_flat_expansion():
-    rep = lemma5_integrals(BubbleParams(9, 1e-4))
-    assert rep.sigma2_integral == pytest.approx(71723353656.40498, rel=1e-12)
-    assert rep.volume_integral == pytest.approx(4.980788448361455e16, rel=1e-12)
-    e = rep.expansion
-    assert e.sigma2_leading == 144.0 * sphere_constants(9).B
-    assert e.volume_leading == sphere_constants(9).B
+    energy, volume = lemma5_integrals(BubbleParams(9, 1e-4))
+    assert energy == pytest.approx(71723353656.40498, rel=1e-12)
+    assert volume == pytest.approx(4.980788448361455e16, rel=1e-12)
     # single-lam deviation is the cutoff remainder ~ lam^{n(1/2-beta)} ~ 1.4e-7
-    assert e.sigma2_rel_dev < 5e-7
-    assert e.volume_rel_dev < 5e-7
-    energy, volume, check = rep
-    assert (energy, volume) == (rep.sigma2_integral, rep.volume_integral)
-    assert check is e
+    s2_dev, vol_dev = _lemma5_deviations(BubbleParams(9, 1e-4))
+    assert s2_dev < 5e-7
+    assert vol_dev < 5e-7
 
 
 def test_lemma5_curved_leading_shift():
-    bp = BubbleParams(9, 1e-4, delta_r=-1.0)
-    rep = lemma5_integrals(bp)
-    sc = sphere_constants(9)
-    assert rep.expansion.sigma2_leading == pytest.approx(
-        144.0 * sc.B - sc.C * 1e-8, rel=1e-14)
-    assert rep.expansion.sigma2_rel_dev < 5e-7
+    assert _lemma5_deviations(BubbleParams(9, 1e-4, delta_r=-1.0))[0] < 5e-7
 
 
 def test_lemma5_cutoff_remainder_scaling():
     # halving lam twice shrinks the remainder like lam^{n(1/2-beta)} = lam^2.16
-    d_coarse = lemma5_integrals(BubbleParams(9, 1e-4)).expansion.sigma2_rel_dev
-    d_fine = lemma5_integrals(BubbleParams(9, 2.5e-5)).expansion.sigma2_rel_dev
+    d_coarse = _lemma5_deviations(BubbleParams(9, 1e-4))[0]
+    d_fine = _lemma5_deviations(BubbleParams(9, 2.5e-5))[0]
     assert d_coarse / d_fine > 8.0
 
 
