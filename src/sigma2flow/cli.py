@@ -9,8 +9,8 @@ Commands
     sweep         margin sweep over bubble scales with the lam^2 fit
 
 Exit codes: 0 success (including a run that merely hit t_max or a timeout),
-2 usage error, 3 numeric failure (a JSON summary with the failure status is
-still emitted), 4 I/O failure.
+2 usage error, 3 numeric failure, a FloatingPointError included (a JSON
+summary with the failure status is still emitted), 4 I/O failure.
 
 Options may also come from a config file (``--config FILE``) of flat
 ``key = value`` lines with ``#`` comments; explicit flags win over the file.
@@ -303,6 +303,7 @@ def _cmd_verify(cfg: dict, args) -> int:
     n = int(cfg["n"])
     if n < 5:
         raise _UsageError(f"verify needs dimension n >= 5, got {n}")
+    sc = sphere_constants(n)
     rng = np.random.default_rng(int(cfg["seed"]))
     worst = 0.0
     for _ in range(int(cfg["trials"])):
@@ -325,7 +326,6 @@ def _cmd_verify(cfg: dict, args) -> int:
     u2 = float(cfg["amplitude"]) * np.cos(grid2.x)
     res_fine = divergence_identity_residual(grid2, background, u2)
 
-    sc = sphere_constants(max(n, 5))
     ok = worst < 1e-10 and res_coarse < 1e-3
     payload = _summary(
         "verify", cfg, "ok" if ok else "error",
@@ -347,11 +347,7 @@ _CONSTRUCT_DEFAULTS = {
     "gamma": 1.5,
     "beta": 0.3,
     "delta_r": -1.0,
-    "a_pad": 0.01,
-    "eps_margin": None,
     "radii": list(STANDARD_RADII),
-    "r_cut": 0.12,
-    "cut_width": 0.04,
 }
 
 
@@ -370,11 +366,7 @@ def _cmd_construct(cfg: dict, args) -> int:
                           float(cfg["beta"]), float(cfg["delta_r"]))
     except ValueError as e:
         raise _UsageError(str(e)) from None
-    eps_margin = cfg["eps_margin"]
-    rep = assemble_and_compare(
-        bp, float(cfg["gamma"]), radii, float(cfg["a_pad"]),
-        None if eps_margin is None else float(eps_margin),
-        float(cfg["r_cut"]), float(cfg["cut_width"]))
+    rep = assemble_and_compare(bp, float(cfg["gamma"]), radii)
     ok = _finite_energies([rep])
     payload = _summary(
         "construct", cfg, "ok" if ok else "error",
@@ -416,11 +408,7 @@ _SWEEP_DEFAULTS = {
     "gamma": 1.05,
     "beta": 0.26,
     "delta_r": -1.0,
-    "a_pad": 0.01,
-    "eps_margin": None,
     "radii": list(STANDARD_RADII),
-    "r_cut": 0.12,
-    "cut_width": 0.04,
 }
 
 
@@ -429,13 +417,10 @@ def _cmd_sweep(cfg: dict, args) -> int:
     lams = _float_list(cfg["lambdas"], what="lambdas")
     if float(cfg["delta_r"]) >= 0.0:
         raise _UsageError("the sweep needs a strict deficit deltaR < 0")
-    eps_margin = cfg["eps_margin"]
     try:
         sw = margin_sweep(
             int(cfg["n"]), tuple(lams), float(cfg["gamma"]), float(cfg["beta"]),
-            tuple(radii), float(cfg["delta_r"]), float(cfg["a_pad"]),
-            None if eps_margin is None else float(eps_margin),
-            float(cfg["r_cut"]), float(cfg["cut_width"]))
+            tuple(radii), float(cfg["delta_r"]))
     except ValueError as e:
         raise _UsageError(str(e)) from None
     ok = _finite_energies(sw.reports)
@@ -485,11 +470,7 @@ def _add_construct_options(p, include_lambda=True):
     p.add_argument("--gamma", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--deltaR", "--delta-r", dest="delta_r", type=float)
-    p.add_argument("--A", dest="a_pad", type=float)
-    p.add_argument("--eps-margin", dest="eps_margin", type=float)
     p.add_argument("--radii")
-    p.add_argument("--r-cut", dest="r_cut", type=float)
-    p.add_argument("--cut-width", dest="cut_width", type=float)
 
 
 #: a negative decimal number, with or without an exponent
@@ -579,7 +560,7 @@ def parse_and_dispatch(argv=None) -> int:
     except (_UsageError, ValueError) as e:
         print(f"sigma2 {args.command}: {e}", file=sys.stderr)
         return _EXIT_USAGE
-    except (ConstructionError, ConeViolation) as e:
+    except (ConstructionError, ConeViolation, FloatingPointError) as e:
         payload = {
             "version": __version__,
             "command": args.command,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -222,14 +223,17 @@ def integrate(grid: RadialGrid, f) -> float:
     return math.fsum((grid.weights * f).tolist())
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+@lru_cache(maxsize=1)
+def _gauss24():
+    """The 24-point Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(24)
 
 
-def gauss_panels(f, edges, nodes: int = 24) -> float:
+def gauss_panels(f, edges) -> float:
     """Composite Gauss-Legendre quadrature of a vectorized callable.
 
     ``edges`` is an increasing sequence of panel boundaries; each panel gets
-    a ``nodes``-point rule.  Panel results are combined with fsum.  Intended
+    the 24-point rule.  Panel results are combined with fsum.  Intended
     for the smooth model-metric integrands where adaptive quadrature would be
     overkill but single-panel rules underresolve the decades of scale.
     """
@@ -238,9 +242,7 @@ def gauss_panels(f, edges, nodes: int = 24) -> float:
         raise ValueError("need at least two panel edges")
     if np.any(np.diff(edges) <= 0.0):
         raise ValueError("panel edges must be strictly increasing")
-    if nodes not in _leggauss_cache:
-        _leggauss_cache[nodes] = np.polynomial.legendre.leggauss(nodes)
-    z, w = _leggauss_cache[nodes]
+    z, w = _gauss24()
     parts = []
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)

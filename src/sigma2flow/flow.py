@@ -75,6 +75,7 @@ __all__ = [
     "FlowConfig",
     "STEP_TOL",
     "EQUILIBRIUM_STEP_TOL",
+    "BLOWUP_FLOOR",
     "MonitorRecord",
     "MONITOR_COLUMNS",
     "FlowResult",
@@ -105,6 +106,8 @@ STEP_TOL = 5e-12
 #: 1e-14, V_2 drifts by up to about 1e-7, and a solve takes 2-3x fewer
 #: evaluations
 EQUILIBRIUM_STEP_TOL = 1e-8
+#: a run whose min u falls below this (finite) floor ends as blow_up_suspected
+BLOWUP_FLOOR = -10.0
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,8 @@ class FlowConfig:
     runs that report only an equilibrium may use ``EQUILIBRIUM_STEP_TOL``.
     Steps land exactly on the record times ``i * record_dt`` and on
     ``t_max``, so a run to ``t_max`` takes at least ``t_max / record_dt``
-    steps; that count may not exceed ``max_steps``.
+    steps; that count may not exceed ``max_steps``.  A run ends as
+    ``blow_up_suspected`` below the fixed floor ``BLOWUP_FLOOR`` of min u.
     """
 
     eps: float
@@ -127,13 +131,12 @@ class FlowConfig:
     tol_converge: float = 1e-8
     record_dt: float = 0.01
     max_steps: int = 50_000_000
-    blowup_floor: float = -10.0
     timeout: float | None = None
     step_tol: float = STEP_TOL
 
     def __post_init__(self):
         for name in ("eps", "t_max", "dt_safety", "tol_converge", "record_dt",
-                     "blowup_floor", "timeout", "step_tol"):
+                     "timeout", "step_tol"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -557,7 +560,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
 
     Terminal status is one of ``converged`` (velocity sup-norm under
     ``tol_converge``), ``t_max``, ``max_steps``, ``timeout``,
-    ``blow_up_suspected`` (min u fell through ``blowup_floor``), or one of
+    ``blow_up_suspected`` (min u fell through ``BLOWUP_FLOOR``), or one of
     three failures, which report a NaN ``equilibrium_residual``:
     ``non_finite`` (the velocity or a step's error estimate is NaN or
     infinite; the run stops at the last accepted state, or at t = 0 with
@@ -620,7 +623,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         if s[_S_SUPV] <= config.tol_converge:
             status = "converged"
             break
-        if s[_S_MINU] < config.blowup_floor:
+        if s[_S_MINU] < BLOWUP_FLOOR:
             status = "blow_up_suspected"
             break
         if t >= config.t_max:
@@ -733,8 +736,8 @@ class FlowState:
 
 
 def flow_state(background, field: ConformalField, eps: float,
-               dt_safety: float = 0.8, t: float = 0.0) -> FlowState:
-    """Package a field as a steppable state, with monitors evaluated.
+               dt_safety: float = 0.8) -> FlowState:
+    """Package a field as a steppable state at t = 0, with monitors evaluated.
 
     The first step is the explicit parabolic step ``dt_safety h^2 / lambda_max``;
     the error controller takes over from there.  ``eps`` and ``dt_safety``
@@ -742,7 +745,7 @@ def flow_state(background, field: ConformalField, eps: float,
     """
     FlowConfig(eps=eps, dt_safety=dt_safety)
     stepper, v, s = _probe(background, field, eps, dt_safety)
-    return FlowState(field, t, float(stepper.first_dt(s)), _record(t, s, math.nan),
+    return FlowState(field, 0.0, float(stepper.first_dt(s)), _record(0.0, s, math.nan),
                      v, s, stepper)
 
 

@@ -176,11 +176,6 @@ class CurvatureModel:
         n = self.n
         return -self.delta_r * x * x * self.chi(x) / (n * (n + 2))
 
-    def scalar_curvature(self, x):
-        """Radial average model R-bar(r) = delta_r r^2 chi / (2n)."""
-        x = np.asarray(x, dtype=float)
-        return self.delta_r * x * x * self.chi(x) / (2.0 * self.n)
-
 
 # ---------------------------------------------------------------------------
 # pointwise fields
@@ -262,9 +257,9 @@ def schouten_fields(grid: RadialGrid, background, u) -> SchoutenFields:
 # ---------------------------------------------------------------------------
 # functionals
 
-def functional_F2(grid: RadialGrid, background, u, *,
-                  fields: SchoutenFields | None = None) -> float:
-    f = fields if fields is not None else schouten_fields(grid, background, u)
+def functional_F2(grid: RadialGrid, background, u) -> float:
+    """The sigma_2 energy F2 of e^{-2u} g0, by the trapezoid rule."""
+    f = schouten_fields(grid, background, u)
     n = background.n
     return integrate(grid, np.exp((4.0 - n) * f.u) * f.sigma2)
 

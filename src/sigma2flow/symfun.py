@@ -26,6 +26,9 @@ __all__ = [
 #: the Jacobi iteration stops once a sweep finds every off-diagonal entry at
 #: or below JACOBI_TOL times the largest entry magnitude of the input
 JACOBI_TOL = 1e-13
+#: and after JACOBI_MAX_SWEEPS (> 0) sweeps in any case; random symmetric
+#: matrices of order 2 to 8 settle within 7
+JACOBI_MAX_SWEEPS = 60
 
 
 def _check_symmetric(a: np.ndarray) -> np.ndarray:
@@ -45,7 +48,7 @@ def _check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _jacobi_sweeps(a, tol: float, max_sweeps: int) -> None:
+def _jacobi_sweeps(a, tol: float) -> None:
     # Entries are only compared in magnitude, against the largest entry and
     # against the diagonal; no entry that may be negligible is squared, so the
     # sweep is scale-free and raises nothing spurious under strict
@@ -58,7 +61,7 @@ def _jacobi_sweeps(a, tol: float, max_sweeps: int) -> None:
             if x > scale:
                 scale = x
     floor = tol * scale
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -112,7 +115,7 @@ def _jacobi_sweeps(a, tol: float, max_sweeps: int) -> None:
             break
 
 
-def jacobi_eigenvalues(a, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.ndarray:
+def jacobi_eigenvalues(a, tol: float = JACOBI_TOL) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps run in a fixed row-major order over the strict upper triangle, so
@@ -120,16 +123,17 @@ def jacobi_eigenvalues(a, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.n
     times the largest entry magnitude is left alone, and one negligible
     against both of its diagonal entries is set to zero without a rotation
     (Rutishauser's rule); iteration stops after the first sweep that rotates
-    nothing.  With ``tol = 0`` only the second rule applies.  Entries are
-    compared in magnitude and never squared, so scaling the input by ``c``
-    scales the eigenvalues by ``c``, down to scales at which ``tol`` times the
-    largest entry underflows.  Returns the eigenvalues sorted ascending.
+    nothing, or after ``JACOBI_MAX_SWEEPS`` sweeps.  With ``tol = 0`` only
+    the second rule applies.  Entries are compared in magnitude and never
+    squared, so scaling the input by ``c`` scales the eigenvalues by ``c``,
+    down to scales at which ``tol`` times the largest entry underflows.
+    Returns the eigenvalues sorted ascending.
     """
     a = _check_symmetric(a)
     if a.shape[0] == 1:
         return a[0, :1].copy()
     rows = a.tolist()
-    _jacobi_sweeps(rows, float(tol), int(max_sweeps))
+    _jacobi_sweeps(rows, float(tol))
     return np.sort(np.array([rows[i][i] for i in range(len(rows))]))
 
 

@@ -64,6 +64,9 @@ __all__ = [
     "margin_sweep",
     "STANDARD_RADII",
     "TRANSITION_RADII",
+    "PADDING_A",
+    "CUT_RADIUS",
+    "CUT_WIDTH",
 ]
 
 
@@ -78,6 +81,13 @@ STANDARD_RADII = (0.65, 0.85, 1.0, 1.15, 1.8, 2.5)
 # admissible band and sigma_2 goes negative mid-bridge; hence an early short
 # taper and a bridge that ends by r = 1.
 TRANSITION_RADII = (0.06, 0.10, 0.20, 0.30, 1.00, 6.00)
+
+# The construction's fixed values: the padding A >= 0 of the annulus slope,
+# and the cutoff of the assembly's deficit model (1 below CUT_RADIUS, 0 from
+# CUT_RADIUS + CUT_WIDTH on).  The eps margin follows from gamma.
+PADDING_A = 0.01
+CUT_RADIUS = 0.12
+CUT_WIDTH = 0.04
 
 # Node spacing (in log r) of the antiderivative tables.  The cubic Hermite
 # interpolant between nodes errs by about h^4 |f'''| / 384, which keeps the
@@ -383,13 +393,8 @@ def _sphere_constants_cached(n: int) -> SphereConstants:
 
 
 def _lam2_target(sc: SphereConstants, delta_r: float) -> float:
-    """The lam^2 response target ``B^{(4-n)/n} C delta_r``; ValueError where B,
-    subnormal from n = 331 on and 0 from n = 341, puts it out of float range."""
-    try:
-        return sc.B ** ((4.0 - sc.n) / sc.n) * sc.require_C() * delta_r
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"the lam^2 target B^((4-n)/n) C delta_r is out of float range "
-                         f"at n = {sc.n}, where B = {sc.B!r}") from None
+    """The lam^2 response target ``B^{(4-n)/n} C delta_r``."""
+    return sc.B ** ((4.0 - sc.n) / sc.n) * sc.require_C() * delta_r
 
 
 def sphere_constants(n: int) -> SphereConstants:
@@ -400,11 +405,20 @@ def sphere_constants(n: int) -> SphereConstants:
         Y2 = 2n(n-1) B^{4/n}
 
     Both come in closed form: B = vol(S^n)/2^n (stereographic projection),
-    and C from the Beta-function moments of its integrand.
+    and C from the Beta-function moments of its integrand.  B is subnormal
+    from n = 327 on.  From n = 331 on B^{(4-n)/n}, a factor of the lam^2
+    target, overflows and Y2 drifts (4e-9 relative at n = 335, 0 from
+    n = 341); such n, like n < 5, raise ValueError.
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
-    return _sphere_constants_cached(int(n))
+    sc = _sphere_constants_cached(int(n))
+    try:
+        sc.B ** ((4.0 - n) / n)  # the factor of the lam^2 target
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"the sphere constants leave the float range at n = {n}, "
+                         f"where B = {sc.B!r}; n may be at most 330") from None
+    return sc
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +639,11 @@ class GluingProfile:
         return self.core.derivatives(r)
 
 
-def glue_lemma6(bp: BubbleParams, gamma: float, A: float = 0.01) -> GluingProfile:
+def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
     """Build and verify the gluing annulus between bubble and tube.
 
-    The slope starts at the bubble value ``2 delta^2/(lam + delta^2)``,
+    The slope is the Bernoulli profile with the padding ``A = PADDING_A``.
+    It starts at the bubble value ``2 delta^2/(lam + delta^2)``,
     decays per the closed-form profile, and hits ``gamma`` at ``delta1``
     (located by bisection).  Verified here: the slope band, monotonicity,
     C^1 matching at both edges, the padded cone brackets, true pointwise
@@ -640,8 +655,7 @@ def glue_lemma6(bp: BubbleParams, gamma: float, A: float = 0.01) -> GluingProfil
     """
     if not 1.0 < gamma < 2.0:
         raise ConstructionError("glue", f"gamma must lie in (1, 2), got {gamma}")
-    if A < 0.0:
-        raise ConstructionError("glue", "the padding constant A must be >= 0")
+    A = PADDING_A
     n, lam = bp.n, bp.lam
     core = _GluingCore(n, lam, bp.beta, gamma, A)
     delta, delta1 = core.delta, core.delta1
@@ -925,6 +939,12 @@ def transition_lemma7(gamma: float, eps_margin: float, radii,
 # ---------------------------------------------------------------------------
 # assembled comparison metric
 
+def _eps_margin(gamma: float) -> float:
+    """The transition's eps margin in the assembly: 80% of the bound
+    (2 - gamma)/5 that ``transition_lemma7`` checks, and at most 0.15."""
+    return min(0.15, 0.8 * (2.0 - gamma) / 5.0)
+
+
 class _PatchProfile:
     """Full radial profile on (0, infinity): bubble through outer cap.
 
@@ -950,10 +970,10 @@ class _PatchProfile:
     REGIONS = ("bubble", "seam_inner", "annulus", "seam_outer", "tube",
                "ramp", "tube_cap", "taper", "bridge", "outer")
 
-    def __init__(self, n, lam, beta, gamma, A, eps, radii):
+    def __init__(self, n, lam, beta, gamma, radii):
         self.lam = lam
         self.r8, self.r7, self.r6, self.r5, self.r4, self.r0 = radii
-        self.glue = _GluingCore(n, lam, beta, gamma, A)
+        self.glue = _GluingCore(n, lam, beta, gamma, PADDING_A)
         self.delta, self.delta1 = self.glue.delta, self.glue.delta1
         if not self.delta1 < self.r8:
             raise ConstructionError(
@@ -965,7 +985,7 @@ class _PatchProfile:
                 "assemble", f"the tube region is empty: its blend window ends at "
                 f"{self.delta1 + 0.5 * self.blend_w:.4g}, past the transition "
                 f"radius r8 = {self.r8}")
-        self.trans = _TransitionCore(n, gamma, eps, self.r8, self.r7,
+        self.trans = _TransitionCore(n, gamma, _eps_margin(gamma), self.r8, self.r7,
                                      self.r6, self.r5, self.r4)
         self.b0, self.b1 = self.glue.b0, self.trans.b1
         self.bounds = [
@@ -1065,15 +1085,13 @@ class AssembledMetric:
     desk-scale radii the cap ramp and taper regions carry negative sigma_2
     zones, and ``gamma2_ok`` is then false.  Y2 is an infimum over metrics
     in Gamma_2^+, so the margin of such an assembly bounds nothing.
+    ``eps_margin`` is the transition's margin, derived from gamma.
     """
 
     bp: BubbleParams
     gamma: float
     radii: tuple
-    A: float
     eps_margin: float
-    r_cut: float
-    cut_width: float
     beta_in_proof_range: bool
     delta: float
     delta1: float
@@ -1096,21 +1114,19 @@ class AssembledMetric:
     lambda2_target: float
     profile: _PatchProfile = field(repr=False)
 
-    def u_eval(self, r):
-        return self.profile.derivatives(r)[0]
 
-
-def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
-                         A: float = 0.01, eps_margin: float | None = None,
-                         r_cut: float = 0.12, cut_width: float = 0.04) -> AssembledMetric:
+def assemble_and_compare(bp: BubbleParams, gamma: float,
+                         radii=STANDARD_RADII) -> AssembledMetric:
     """Stitch bubble, gluing annulus, transition, and outer cap; compare.
 
-    Returns the assembled profile with per-region energies, the pointwise
-    cone report, the scale-invariant energy, and its margin below the round
-    sphere's value.  When the bubble carries a curvature deficit, a flat
-    twin (same construction, deficit 0) is compared as well and the
-    measured lam^2 energy response is reported against
-    ``B^{(4-n)/n} C delta_r``.
+    The construction's fixed values are the annulus padding ``PADDING_A``,
+    the transition margin ``eps_margin = min(0.15, 0.8 (2 - gamma)/5)`` and
+    the deficit model's cutoff ``(CUT_RADIUS, CUT_WIDTH)``.  Returns the
+    assembled profile with per-region energies, the pointwise cone report,
+    the scale-invariant energy, and its margin below the round sphere's
+    value.  When the bubble carries a curvature deficit, a flat twin (same
+    construction, deficit 0) is compared as well and the measured lam^2
+    energy response is reported against ``B^{(4-n)/n} C delta_r``.
 
     The comparison is one pass over all regions.  Their quadrature nodes lie
     end to end in one array and their cone nodes in another, with region
@@ -1127,15 +1143,13 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     if len(radii) != 6 or not all(a < b for a, b in zip(radii, radii[1:])):
         raise ConstructionError(
             "assemble", "radii must be six increasing values (r8, r7, r6, r5, r4, r0)")
-    if eps_margin is None:
-        eps_margin = min(0.15, 0.8 * (2.0 - gamma) / 5.0)
     n = bp.n
     beta_ok = 0.25 < bp.beta < (n - 4.0) / (2.0 * n)
     sc = sphere_constants(n)
     # before any quadrature, which overflows long before the target fails
     lam2_target = _lam2_target(sc, bp.delta_r) if bp.delta_r != 0.0 else math.nan
 
-    prof = _PatchProfile(n, bp.lam, bp.beta, gamma, A, eps_margin, radii)
+    prof = _PatchProfile(n, bp.lam, bp.beta, gamma, radii)
     names, r_lo, r_hi, rq, wq, rc = zip(*prof.region_nodes())
     # every region's nodes end to end: region k has the quadrature nodes
     # rq[q_off[k]:q_off[k+1]] and the cone nodes rc[c_off[k]:c_off[k+1]]
@@ -1151,7 +1165,7 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
     # the flat twin first, then the deficit model; the profile and every
     # factor that does not depend on the background are shared
     twins = [bp] if bp.delta_r == 0.0 else [BubbleParams(n, bp.lam, bp.r0, bp.beta, 0.0), bp]
-    models = [params.model(r_cut, cut_width) for params in twins]
+    models = [params.model(CUT_RADIUS, CUT_WIDTH) for params in twins]
     energies, volumes = _masses(rq, wq, dq, models, n, q_off)
     cones = _cone_values(rc, dc, models, n)
     vol = math.fsum(volumes)
@@ -1171,8 +1185,7 @@ def assemble_and_compare(bp: BubbleParams, gamma: float, radii=STANDARD_RADII,
             slope = (F2t - am.F2_tilde) / params.lam ** 2
             target = lam2_target
         am = AssembledMetric(
-            bp=params, gamma=gamma, radii=radii, A=A, eps_margin=eps_margin,
-            r_cut=r_cut, cut_width=cut_width,
+            bp=params, gamma=gamma, radii=radii, eps_margin=prof.trans.eps,
             beta_in_proof_range=beta_ok,
             delta=prof.delta, delta1=prof.delta1,
             a1=prof.glue.a1, b0=prof.b0, b1=prof.b1,
@@ -1207,10 +1220,11 @@ class MarginSweep:
 
 
 def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
-                 beta: float = 0.26, radii=STANDARD_RADII, delta_r: float = -1.0,
-                 A: float = 0.01, eps_margin: float | None = None,
-                 r_cut: float = 0.12, cut_width: float = 0.04) -> MarginSweep:
+                 beta: float = 0.26, radii=STANDARD_RADII,
+                 delta_r: float = -1.0) -> MarginSweep:
     """Assemble at several bubble scales and fit the lam^2 energy response.
+
+    Each scale is one ``assemble_and_compare``, with its fixed values.
 
     The fit basis carries the leading remainder exponent alongside lam^2, so
     the extracted coefficient is not polluted by the next order; that
@@ -1227,8 +1241,7 @@ def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
     reports = []
     for lam in lams:
         bp = BubbleParams(n, lam, radii[-1], beta, delta_r)
-        reports.append(assemble_and_compare(bp, gamma, radii, A, eps_margin,
-                                            r_cut, cut_width))
+        reports.append(assemble_and_compare(bp, gamma, radii))
     lam_arr = np.asarray(lams, dtype=float)
     diff = np.array([rep.F2_tilde - rep.flat.F2_tilde for rep in reports])
     design = np.column_stack([lam_arr ** e for e in fit_exponents])

@@ -366,14 +366,47 @@ def test_extreme_flow_settings_end_non_finite_under_strict_fp(capsys, setting):
 @pytest.mark.parametrize("command,n", [
     *((command, 400) for command in
       ("flow", "eigen", "continuation", "verify", "construct", "sweep")),
-    ("construct", 331), ("construct", 342), ("sweep", 342)])
+    ("construct", 331), ("construct", 342), ("sweep", 342),
+    ("verify", 331), ("verify", 335), ("verify", 342)])
 def test_dimensions_beyond_float_range_are_usage_errors(capsys, command, n):
     # |S^m| overflows Gamma from m = 343 on, and the lam^2 target leaves the
-    # float range from n = 331 on; both were tracebacks
+    # float range from n = 331 on; both were tracebacks.  verify reported the
+    # drifting Y2 of a subnormal B there (4e-9 off at n = 335; B = Y2 = 0
+    # from n = 341) with status ok
     rc, cap = run_cli(capsys, [command, "--n", str(n)])
     assert rc == 2
     assert cap.out == ""
     assert cap.err.startswith(f"sigma2 {command}: ") and "float" in cap.err
+
+
+def test_verify_runs_at_the_largest_dimension(capsys):
+    # n = 330 is the last dimension whose sphere constants verify reports
+    rc, cap = run_cli(capsys, ["verify", "--n", "330", "--trials", "5"])
+    assert rc == 0
+    d = _strict_json(cap.out)
+    assert d["status"] == "ok"
+    assert 0.0 < d["B"] < 1e-311 and d["Y2_sphere"] == pytest.approx(36.5061828850079)
+
+
+def test_commands_end_with_a_true_status_under_strict_fp(capsys):
+    # under raising error modes the benchmark's commands end as they do by
+    # default, and construct at n = 40, whose outer quadrature overflows,
+    # ends as a numeric error with a strict JSON summary, not a traceback
+    cases = [
+        (["verify", "--trials", "1000"], 0, "ok"),
+        (["construct"], 0, "ok"),
+        (["sweep"], 0, "ok"),
+        (["flow", "--grid-points", "96", "--t-max", "1.0", "--tol-converge", "0",
+          "--record-dt", "0.05"], 0, "t_max"),
+        (["eigen", "--n", "9", "--grid-points", "48"], 0, "converged"),
+        (["flow", "--amplitude", "3"], 3, "cone_exit"),
+        (["construct", "--n", "40"], 3, "error"),
+    ]
+    for argv, code, status in cases:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rc, cap = run_cli(capsys, argv)
+        assert rc == code, (argv, cap.err)
+        assert _strict_json(cap.out)["status"] == status, argv
 
 
 def test_sweep_and_eigen_reruns_are_byte_identical(tmp_path):

@@ -299,7 +299,7 @@ def test_flow_run_from_a_packaged_field(s5_grid):
     {"dt_safety": 0.0}, {"dt_safety": -1.0}, {"dt_safety": math.nan},
     {"t_max": math.nan}, {"t_max": math.inf}, {"t_max": -1.0},
     {"record_dt": 0.0}, {"record_dt": -0.01}, {"record_dt": math.inf},
-    {"eps": math.nan}, {"tol_converge": math.inf}, {"blowup_floor": -math.inf},
+    {"eps": math.nan}, {"tol_converge": math.inf}, {"timeout": math.inf},
     {"timeout": math.nan},
     {"t_max": 1.0, "record_dt": 0.01, "max_steps": 99},
     {"dt_safety": 1.0}, {"dt_safety": 2.0},

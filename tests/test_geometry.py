@@ -140,18 +140,26 @@ def test_flat_ball_background_is_flat():
 
 def test_curvature_model_trace_identity():
     model = CurvatureModel(9, 2.5, -1.0, 0.12, 0.04)
+
+    def trace(r):
+        s_r0, s_t0 = model.base_schouten(r)
+        return s_r0 + (model.n - 1) * s_t0
+
+    # the radially averaged scalar curvature delta_r r^2 chi / (2n)
+    def scalar_curvature(r):
+        return model.delta_r * r * r * model.chi(r) / (2.0 * model.n)
+
     r = np.linspace(0.01, 0.3, 57)
-    s_r0, s_t0 = model.base_schouten(r)
-    trace = s_r0 + (model.n - 1) * s_t0
     np.testing.assert_allclose(
-        trace, model.scalar_curvature(r) / (2.0 * (model.n - 1)), rtol=1e-13, atol=1e-18)
+        trace(r), scalar_curvature(r) / (2.0 * (model.n - 1)), rtol=1e-13, atol=1e-18)
     # the cutoff really cuts
     far = np.array([0.2, 0.5, 1.0])
-    np.testing.assert_array_equal(model.scalar_curvature(far), np.zeros(3))
+    np.testing.assert_array_equal(scalar_curvature(far), np.zeros(3))
+    np.testing.assert_array_equal(trace(far), np.zeros(3))
     # leading quadratic with chi = 1 inside the cut radius
     inside = np.array([0.02, 0.05])
     np.testing.assert_allclose(
-        model.scalar_curvature(inside), -1.0 * inside**2 / (2 * 9), rtol=1e-13)
+        scalar_curvature(inside), -1.0 * inside**2 / (2 * 9), rtol=1e-13)
 
 
 def test_curvature_model_validation():

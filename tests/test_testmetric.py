@@ -324,8 +324,6 @@ def test_glue_validation():
     bp = BubbleParams(9, 1e-4)
     with pytest.raises(ConstructionError, match=r"gamma must lie in \(1, 2\)"):
         glue_lemma6(bp, 2.5)
-    with pytest.raises(ConstructionError, match="padding constant A must be >= 0"):
-        glue_lemma6(bp, 1.5, A=-0.01)
 
 
 def test_construction_error_shape():
@@ -430,7 +428,7 @@ def test_assemble_region_report(assembled):
 
 
 def test_assemble_profile_eval(assembled):
-    u = assembled.u_eval(np.array([0.01, 0.1, 1.0]))
+    u = assembled.profile.derivatives(np.array([0.01, 0.1, 1.0]))[0]
     np.testing.assert_allclose(u, [-7.39590422, -3.47438548, 0.69314718], atol=1e-6)
 
 
@@ -520,7 +518,7 @@ def test_regions_equal_the_sums_over_their_own_nodes(n):
     assert [p[0] for p in plan] == [r.name for r in am.regions]
     assert am.r_nodes.tobytes() == np.concatenate([p[5] for p in plan]).tobytes()
     for rep in (am, am.flat):
-        model = rep.bp.model(rep.r_cut, rep.cut_width)
+        model = rep.bp.model(testmetric_module.CUT_RADIUS, testmetric_module.CUT_WIDTH)
         for (name, r_lo, r_hi, rq, wq, rc), region in zip(plan, rep.regions):
             [[energy]], [volume] = testmetric_module._masses(
                 rq, wq, prof.eval_region(rq, name), [model], n, [0, rq.size])
