@@ -60,7 +60,6 @@ from .testmetric import (
     GluingProfile,
     MarginSweep,
     SphereConstants,
-    TransitionProfile,
     assemble_and_compare,
     bernoulli_alpha,
     bernoulli_residual,
@@ -68,7 +67,6 @@ from .testmetric import (
     lemma5_integrals,
     margin_sweep,
     sphere_constants,
-    transition_lemma7,
 )
 
 __version__ = "0.1.0"

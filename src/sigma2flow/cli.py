@@ -14,6 +14,7 @@ summary with the failure status is still emitted), 4 I/O failure.
 
 Options may also come from a config file (``--config FILE``) of flat
 ``key = value`` lines with ``#`` comments; explicit flags win over the file.
+A value parses the same way from the file as from its flag.
 All output is deterministic: reruns produce byte-identical CSV and JSON.
 """
 
@@ -75,24 +76,23 @@ class _UsageError(Exception):
 # ---------------------------------------------------------------------------
 # option plumbing
 
-def _parse_value(text: str):
-    text = text.strip()
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
+def _floats(text: str) -> list[float]:
+    """A comma-separated list of numbers."""
     try:
-        return int(text)
+        return [float(part) for part in text.split(",")]
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if "," in text:
-        return [_parse_value(part) for part in text.split(",")]
-    return text
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
+#: the one converter of each option, for its flag and its config key alike
+_CONVERTERS = {
+    "n": int, "eps": float, "grid_points": int, "init": str, "amplitude": float,
+    "t_max": float, "dt_safety": float, "tol_converge": float, "record_dt": float,
+    "timeout": float, "ladder": _floats, "trials": int, "seed": int,
+    "lam": float, "gamma": float, "beta": float, "delta_r": float,
+    "radii": _floats, "lambdas": _floats,
+}
 
 
 def _read_config(path: str) -> dict:
@@ -109,34 +109,30 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = _parse_value(value)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
 def _merge(defaults: dict, file_cfg: dict, cli: dict) -> dict:
     eff = dict(defaults)
-    for key, value in file_cfg.items():
+    for key, text in file_cfg.items():
         if key not in defaults:
             raise _UsageError(f"unknown config key: {key}")
-        eff[key] = value
+        try:
+            eff[key] = _CONVERTERS[key](text)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise _UsageError(f"config key {key}: invalid value {text!r}") from None
     for key, value in cli.items():
         if value is not None:
             eff[key] = value
     return eff
 
 
-def _float_list(value, count=None, what="list"):
-    if isinstance(value, str):
-        value = [_parse_value(p) for p in value.split(",")]
-    if not isinstance(value, (list, tuple)):
-        value = [value]
-    try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise _UsageError(f"{what} must be numeric") from None
-    if count is not None and len(out) != count:
-        raise _UsageError(f"{what} needs exactly {count} comma-separated values")
-    return out
+def _radii(cfg: dict) -> list[float]:
+    radii = cfg["radii"]
+    if len(radii) != 6:
+        raise _UsageError("radii needs exactly 6 comma-separated values")
+    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +193,24 @@ _FLOW_DEFAULTS = {
 
 
 def _flow_pieces(cfg: dict, step_tol: float = STEP_TOL):
-    n = int(cfg["n"])
+    n = cfg["n"]
     if n < 5:
         raise _UsageError(f"the flow needs dimension n >= 5, got {n}")
     if cfg["init"] not in INITIAL_FIELDS:
         known = ", ".join(sorted(INITIAL_FIELDS))
         raise _UsageError(f"unknown init '{cfg['init']}' (known: {known})")
-    if int(cfg["grid_points"]) < 16:
+    if cfg["grid_points"] < 16:
         raise _UsageError("grid_points must be at least 16")
     background = RoundSphere(n)
-    grid = sphere_latitude(n, int(cfg["grid_points"]))
-    u0 = initial_field(cfg["init"], grid, float(cfg["amplitude"]))
+    grid = sphere_latitude(n, cfg["grid_points"])
+    u0 = initial_field(cfg["init"], grid, cfg["amplitude"])
     fc = FlowConfig(
-        eps=float(cfg["eps"]),
-        t_max=float(cfg["t_max"]),
-        dt_safety=float(cfg["dt_safety"]),
-        tol_converge=float(cfg["tol_converge"]),
-        record_dt=float(cfg["record_dt"]),
-        timeout=None if cfg["timeout"] is None else float(cfg["timeout"]),
+        eps=cfg["eps"],
+        t_max=cfg["t_max"],
+        dt_safety=cfg["dt_safety"],
+        tol_converge=cfg["tol_converge"],
+        record_dt=cfg["record_dt"],
+        timeout=cfg["timeout"],
         step_tol=step_tol,
     )
     return background, grid, u0, fc
@@ -264,7 +260,7 @@ _CONT_DEFAULTS.pop("eps")
 
 
 def _cmd_continuation(cfg: dict, args) -> int:
-    ladder = _float_list(cfg["ladder"], what="ladder")
+    ladder = cfg["ladder"]
     run_cfg = dict(cfg, eps=ladder[0])
     background, grid, u0, fc = _flow_pieces(run_cfg, EQUILIBRIUM_STEP_TOL)
     rungs = continuation(background, u0, ladder, fc)
@@ -300,13 +296,13 @@ _VERIFY_DEFAULTS = {
 
 
 def _cmd_verify(cfg: dict, args) -> int:
-    n = int(cfg["n"])
+    n = cfg["n"]
     if n < 5:
         raise _UsageError(f"verify needs dimension n >= 5, got {n}")
     sc = sphere_constants(n)
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
-    for _ in range(int(cfg["trials"])):
+    for _ in range(cfg["trials"]):
         m = int(rng.integers(2, 9))
         q, _ = np.linalg.qr(rng.standard_normal((m, m)))
         a = q @ np.diag(rng.standard_normal(m)) @ q.T
@@ -319,11 +315,11 @@ def _cmd_verify(cfg: dict, args) -> int:
                     abs(s2_trace - s2_eig) / scale)
 
     background = RoundSphere(n)
-    grid = sphere_latitude(n, int(cfg["grid_points"]))
-    u = float(cfg["amplitude"]) * np.cos(grid.x)
+    grid = sphere_latitude(n, cfg["grid_points"])
+    u = cfg["amplitude"] * np.cos(grid.x)
     res_coarse = divergence_identity_residual(grid, background, u)
-    grid2 = sphere_latitude(n, 2 * int(cfg["grid_points"]))
-    u2 = float(cfg["amplitude"]) * np.cos(grid2.x)
+    grid2 = sphere_latitude(n, 2 * cfg["grid_points"])
+    u2 = cfg["amplitude"] * np.cos(grid2.x)
     res_fine = divergence_identity_residual(grid2, background, u2)
 
     ok = worst < 1e-10 and res_coarse < 1e-3
@@ -360,13 +356,12 @@ def _finite_energies(reports) -> bool:
 
 
 def _cmd_construct(cfg: dict, args) -> int:
-    radii = _float_list(cfg["radii"], 6, "radii")
+    radii = _radii(cfg)
     try:
-        bp = BubbleParams(int(cfg["n"]), float(cfg["lam"]), radii[-1],
-                          float(cfg["beta"]), float(cfg["delta_r"]))
+        bp = BubbleParams(cfg["n"], cfg["lam"], radii[-1], cfg["beta"], cfg["delta_r"])
     except ValueError as e:
         raise _UsageError(str(e)) from None
-    rep = assemble_and_compare(bp, float(cfg["gamma"]), radii)
+    rep = assemble_and_compare(bp, cfg["gamma"], radii)
     ok = _finite_energies([rep])
     payload = _summary(
         "construct", cfg, "ok" if ok else "error",
@@ -413,14 +408,13 @@ _SWEEP_DEFAULTS = {
 
 
 def _cmd_sweep(cfg: dict, args) -> int:
-    radii = _float_list(cfg["radii"], 6, "radii")
-    lams = _float_list(cfg["lambdas"], what="lambdas")
-    if float(cfg["delta_r"]) >= 0.0:
+    radii = _radii(cfg)
+    lams = cfg["lambdas"]
+    if cfg["delta_r"] >= 0.0:
         raise _UsageError("the sweep needs a strict deficit deltaR < 0")
     try:
         sw = margin_sweep(
-            int(cfg["n"]), tuple(lams), float(cfg["gamma"]), float(cfg["beta"]),
-            tuple(radii), float(cfg["delta_r"]))
+            cfg["n"], tuple(lams), cfg["gamma"], cfg["beta"], tuple(radii), cfg["delta_r"])
     except ValueError as e:
         raise _UsageError(str(e)) from None
     ok = _finite_energies(sw.reports)
@@ -448,29 +442,31 @@ def _add_common(p):
     p.add_argument("--json", help="summary output path (default: stdout)")
 
 
+def _option(p, *flags, dest=None, help=None):
+    """A flag that parses with its option's converter; the option is
+    ``dest``, or the first flag with dashes made underscores."""
+    dest = dest or flags[0][2:].replace("-", "_")
+    p.add_argument(*flags, dest=dest, type=_CONVERTERS[dest], help=help)
+
+
 def _add_flow_options(p, with_eps=True):
-    p.add_argument("--n", type=int)
+    _option(p, "--n")
     if with_eps:
-        p.add_argument("--eps", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--init")
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--dt-safety", dest="dt_safety", type=float)
-    p.add_argument("--tol-converge", dest="tol_converge", type=float)
-    p.add_argument("--record-dt", dest="record_dt", type=float)
-    p.add_argument("--timeout", type=float)
+        _option(p, "--eps")
+    for flag in ("--grid-points", "--init", "--amplitude", "--t-max", "--dt-safety",
+                 "--tol-converge", "--record-dt", "--timeout"):
+        _option(p, flag)
     p.add_argument("--csv", help="monitor trace output path")
 
 
 def _add_construct_options(p, include_lambda=True):
-    p.add_argument("--n", type=int)
+    _option(p, "--n")
     if include_lambda:
-        p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--deltaR", "--delta-r", dest="delta_r", type=float)
-    p.add_argument("--radii")
+        _option(p, "--lambda", dest="lam")
+    _option(p, "--gamma")
+    _option(p, "--beta")
+    _option(p, "--deltaR", "--delta-r", dest="delta_r")
+    _option(p, "--radii", help="six comma-separated radii")
 
 
 #: a negative decimal number, with or without an exponent
@@ -509,15 +505,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continuation", help="descend an eps ladder")
     _add_flow_options(p, with_eps=False)
-    p.add_argument("--ladder", help="comma-separated eps values")
+    _option(p, "--ladder", help="comma-separated eps values")
     _add_common(p)
 
     p = sub.add_parser("verify", help="algebra and identity self-checks")
-    p.add_argument("--n", type=int)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    for flag in ("--n", "--grid-points", "--amplitude", "--trials", "--seed"):
+        _option(p, flag)
     _add_common(p)
 
     p = sub.add_parser("construct", help="assemble the comparison metric")
@@ -526,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="margin sweep over bubble scales")
     _add_construct_options(p, include_lambda=False)
-    p.add_argument("--lambdas", help="comma-separated bubble scales")
+    _option(p, "--lambdas", help="comma-separated bubble scales")
     _add_common(p)
 
     return parser

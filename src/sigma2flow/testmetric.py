@@ -21,9 +21,15 @@ constant ``b0`` and the outer cap the constant ``b1``.  All energies use
 and the scale-invariant energy is F2 / vol^{(n-4)/n}.
 
 Every radial profile (bubble, annulus, transition, assembled patch) is a
-triple ``(u, u', u'')`` at given radii; the piecewise ones come from one
-region dispatcher, and energies, volumes and cone values of all of them come
-from the same routines.
+triple ``(u, u', u'')`` at given radii; the assembled patch is the one
+piecewise profile, with one region dispatcher, and energies, volumes and
+cone values of all of them come from the same routines.
+
+The transition is built only inside the assembled patch, and it is
+certified there: Y2 is an infimum over metrics in Gamma_2^+, so the cone has
+to hold on the glued metric, and the per-region cone minima of
+``assemble_and_compare`` (regions ``tube`` to ``outer``) are the
+transition's certificate.
 """
 
 from __future__ import annotations
@@ -55,15 +61,12 @@ __all__ = [
     "bernoulli_residual",
     "GluingProfile",
     "glue_lemma6",
-    "TransitionProfile",
-    "transition_lemma7",
     "RegionReport",
     "AssembledMetric",
     "assemble_and_compare",
     "MarginSweep",
     "margin_sweep",
     "STANDARD_RADII",
-    "TRANSITION_RADII",
     "PADDING_A",
     "CUT_RADIUS",
     "CUT_WIDTH",
@@ -75,12 +78,6 @@ __all__ = [
 # [r8, r7].  Chosen so the positive-margin window of the energy comparison is
 # widest at lam in [1e-4, 1e-3].
 STANDARD_RADII = (0.65, 0.85, 1.0, 1.15, 1.8, 2.5)
-
-# Stand-alone transition demo layout.  The slope must be gone before the cap
-# slope 2r^2/(1+r^2) nears 1, or the combined radial slope leaves the
-# admissible band and sigma_2 goes negative mid-bridge; hence an early short
-# taper and a bridge that ends by r = 1.
-TRANSITION_RADII = (0.06, 0.10, 0.20, 0.30, 1.00, 6.00)
 
 # The construction's fixed values: the padding A >= 0 of the annulus slope,
 # and the cutoff of the assembly's deficit model (1 below CUT_RADIUS, 0 from
@@ -234,22 +231,6 @@ def _cap(r):
     return np.log1p(rr), 2.0 * r / (1.0 + rr), (2.0 - 2.0 * rr) / (1.0 + rr) ** 2
 
 
-def _dispatch(profile, r):
-    """(u, u', u'') of a piecewise profile at arbitrary radii.
-
-    Radius r belongs to region k of ``profile.REGIONS`` when
-    ``bounds[k-1] < r <= bounds[k]``; ``profile.eval_region`` evaluates it.
-    """
-    r = np.asarray(r, dtype=float)
-    out = np.empty((3,) + r.shape)
-    idx = np.searchsorted(profile.bounds, r, side="left")
-    for k, name in enumerate(profile.REGIONS):
-        m = idx == k
-        if np.any(m):
-            out[:, m] = profile.eval_region(r[m], name)
-    return out[0], out[1], out[2]
-
-
 def _sigma_pair(r, derivs, model, n: int):
     """sigma_1(W) and sigma_2(W) of a profile with (u, u', u'') = derivs at r."""
     u, up, upp = derivs
@@ -273,6 +254,16 @@ def _panel_nodes(edges):
     return (mid + half * _PANEL_Z).ravel(), (half * _PANEL_W).ravel()
 
 
+def _fsum(values) -> float:
+    """``math.fsum``, or the plain sum where fsum raises: on inf + -inf (nan)
+    and on a finite sum past the float range (inf).  A sum that leaves the
+    float range is then non-finite instead of an error."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return sum(values)
+
+
 def _masses(r, weights, derivs, models, n: int, offsets):
     """Per-region quadrature sums of e^{(4-n)u} sigma_2(W) and e^{-nu} against
     |S^{n-1}| r^{n-1} dr.
@@ -282,7 +273,8 @@ def _masses(r, weights, derivs, models, n: int, offsets):
     ``energies[m][k]`` is region k's energy against ``models[m]``.  The
     factors that do not depend on the background (the measure, e^{(4-n)u}
     and the volumes) are computed once for all models; each model costs one
-    sigma_2 evaluation over all regions.
+    sigma_2 evaluation over all regions.  A region whose terms leave the
+    float range has a non-finite sum.
     """
     measure = sphere_measure(n - 1) * r ** (n - 1) * weights
     u = derivs[0]
@@ -291,7 +283,7 @@ def _masses(r, weights, derivs, models, n: int, offsets):
 
     def sums(terms):
         terms = terms.tolist()
-        return [math.fsum(terms[a:b]) for a, b in spans]
+        return [_fsum(terms[a:b]) for a, b in spans]
 
     energies = [sums(decay * _sigma_pair(r, derivs, m, n)[1] * measure) for m in models]
     return energies, sums(np.exp(-float(n) * u) * measure)
@@ -560,9 +552,6 @@ class _GluingCore:
         # annulus value at its inner edge; the bubble shift follows from it
         self.u_inner = gamma * math.log(delta1) - float(self._w(delta1))
         self.b0 = self.u_inner - math.log(lam + delta * delta)
-        # constant of the closed-form potential, matched at the tube edge
-        self.a2 = gamma * math.log(delta1) - (4.0 / (4.0 - n)) * math.log(
-            delta1 ** (0.5 * (4.0 - n)) + 2.0 * self.a1)
 
     def alpha(self, r):
         # a float stays a float: the bisection for delta1 runs on scalars
@@ -573,10 +562,6 @@ class _GluingCore:
     def _alpha_prime(self, r, a):
         quad = 2.0 * a - a * a - self.A * r * r * a
         return (self.A * r * r * a - 0.25 * (self.n - 4) * quad) / r
-
-    def alpha_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        return self._alpha_prime(r, self.alpha(r))
 
     def u(self, r):
         return self.u_inner + self._w(r)
@@ -606,7 +591,6 @@ class GluingProfile:
     delta1: float
     a1: float
     b0: float
-    a2: float
     r_nodes: np.ndarray
     alpha_nodes: np.ndarray
     delta1_ratio: float
@@ -628,15 +612,6 @@ class GluingProfile:
 
     def alpha(self, r):
         return self.core.alpha(r)
-
-    def alpha_prime(self, r):
-        return self.core.alpha_prime(r)
-
-    def u(self, r):
-        return self.core.u(r)
-
-    def derivatives(self, r):
-        return self.core.derivatives(r)
 
 
 def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
@@ -675,7 +650,7 @@ def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
     match_outer = abs(float(core.alpha(delta1)) - gamma)
 
     # padded Schouten brackets from the closed-form slope
-    ap = core.alpha_prime(r)
+    ap = core._alpha_prime(r, alpha)
     quad = 2.0 * alpha - alpha * alpha - A * r * r * alpha
     ratio = (r * ap - A * r * r * alpha) / quad
     s1_bracket = (n - 2) + 2.0 * ratio
@@ -698,7 +673,7 @@ def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
 
     return GluingProfile(
         n=n, lam=lam, beta=bp.beta, gamma=gamma, A=A,
-        delta=delta, delta1=delta1, a1=core.a1, b0=core.b0, a2=core.a2,
+        delta=delta, delta1=delta1, a1=core.a1, b0=core.b0,
         r_nodes=r, alpha_nodes=alpha,
         delta1_ratio=delta1 ** (0.5 * (n - 4)) * lam / delta ** (0.5 * n),
         delta1_ratio_target=2.0 / gamma - 1.0,
@@ -723,15 +698,20 @@ def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
 # transition annulus
 
 class _TransitionCore:
-    """Slope taper + cap cutoff on (0, r0], tube-normalized (u = gamma log r)."""
+    """Slope taper + cap cutoff on (0, r0], tube-normalized (u = gamma log r).
 
-    REGIONS = ("tube", "ramp", "tube_cap", "taper", "bridge", "outer")
+    The taper slope ``alpha(r) = (2-5 eps) dt/(dt + r^{1/2-5 eps/4})`` solves
+    the eps-padded slope equation exactly, with ``dt`` chosen so the taper
+    meets the tube value gamma at r6; the bridge smoothsteps it to 0 on
+    [r5, r4], and the cap cutoff is a quintic smoothstep on [r8, r7].  Only
+    ``_PatchProfile.eval_region`` reads it, region by region; the assembly's
+    cone report on those regions is its certificate.
+    """
 
-    def __init__(self, n: int, gamma: float, eps: float, r8: float, r7: float,
+    def __init__(self, gamma: float, eps: float, r8: float, r7: float,
                  r6: float, r5: float, r4: float):
-        self.n, self.gamma, self.eps = n, gamma, eps
+        self.gamma, self.eps = gamma, eps
         self.r8, self.r7, self.r6, self.r5, self.r4 = r8, r7, r6, r5, r4
-        self.bounds = (r8, r7, r6, r5, r4)
         self.top = top = 2.0 - 5.0 * eps
         self.qhat = qhat = 0.5 - 1.25 * eps
         if not top > gamma:
@@ -768,18 +748,6 @@ class _TransitionCore:
         s = (np.asarray(r, dtype=float) - self.r5) / (self.r4 - self.r5)
         return -self.alpha5 * _smoothstep_d(s) / (self.r4 - self.r5)
 
-    def alpha(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.select(
-            [r < self.r6, r <= self.r5, r < self.r4],
-            [np.full(r.shape, self.gamma), self._taper_alpha(r), self._bridge_alpha(r)],
-            default=0.0,
-        )
-
-    def xi(self, r):
-        r = np.asarray(r, dtype=float)
-        return smoothstep((r - self.r8) / (self.r7 - self.r8))
-
     def eval_region(self, r, region):
         """(u, u', u'') on one of the named radial zones."""
         r = np.asarray(r, dtype=float)
@@ -810,138 +778,15 @@ class _TransitionCore:
             raise KeyError(region)
         return w + cap, a / r + capp, (ap * r - a) / (r * r) + cappp
 
-    def derivatives(self, r):
-        return _dispatch(self, r)
-
-
-@dataclass
-class TransitionProfile:
-    """Verified transition annulus: taper slope alpha and cap cutoff xi."""
-
-    n: int
-    gamma: float
-    eps_margin: float
-    r8: float
-    r7: float
-    r6: float
-    r5: float
-    r4: float
-    r0: float
-    r8_input: float
-    r7_input: float
-    top: float
-    delta_t: float
-    alpha5: float
-    b1: float
-    ode_residual_max: float
-    cone_ok: bool
-    min_sigma1: float
-    min_sigma2: float
-    window_margin: float
-    interior_margin: float
-    shrink_steps: int
-    core: _TransitionCore = field(repr=False)
-
-    def alpha(self, r):
-        return self.core.alpha(r)
-
-    def xi(self, r):
-        return self.core.xi(r)
-
-    def u(self, r):
-        return self.core.derivatives(r)[0]
-
-    def derivatives(self, r):
-        return self.core.derivatives(r)
-
-
-def transition_lemma7(gamma: float, eps_margin: float, radii,
-                      n: int = 9, shrink: bool = True) -> TransitionProfile:
-    """Taper the tube slope gamma down to 0 and switch on the round cap.
-
-    The taper slope ``alpha(r) = (2-5 eps) dt/(dt + r^{1/2-5 eps/4})`` solves
-    the eps-padded slope equation exactly, with ``dt`` chosen so the taper
-    meets the tube value gamma at r6.  The cap cutoff xi is a quintic
-    smoothstep on [r8, r7]; if the cone margin under the cutoff window falls
-    below 10% of the taper-zone value, the window is scaled toward the
-    origin (both endpoints, fixed ratio) until it clears, which realizes the
-    requirement that r^2 * (background response of xi*cap) stays small.
-
-    Requires a flat-model cone certificate at every sampled node; violations
-    raise with the offending radius.
-    """
-    if not 0.0 < gamma < 2.0:
-        raise ConstructionError("transition", f"gamma must lie in (0, 2), got {gamma}")
-    if not 0.0 < eps_margin < (2.0 - gamma) / 5.0:
-        raise ConstructionError(
-            "transition",
-            f"eps_margin must lie in (0, (2-gamma)/5) = (0, {(2.0 - gamma) / 5.0:.4f})")
-    radii = tuple(float(v) for v in radii)
-    if len(radii) != 6 or not all(a < b for a, b in zip(radii, radii[1:])) or radii[0] <= 0.0:
-        raise ConstructionError(
-            "transition", "radii must be six increasing positive values (r8 .. r4, r0)")
-    r8, r7, r6, r5, r4, r0 = radii
-    model = FlatRadialBall(n, r0)
-
-    scale = 1.0
-    for steps in range(48):
-        core = _TransitionCore(n, gamma, eps_margin, r8 * scale, r7 * scale, r6, r5, r4)
-        # (r, e^{2u} sigma_1, e^{4u} sigma_2) on sample nodes of every zone
-        samples = {}
-        for name, r in (("tube", np.linspace(0.5 * core.r8, core.r8, 65)),
-                        ("ramp", np.linspace(core.r8, core.r7, 257)),
-                        ("tube_cap", np.linspace(core.r7, r6, 129)),
-                        ("taper", np.linspace(r6, r5, 129)),
-                        ("bridge", np.linspace(r5, r4, 257)),
-                        ("outer", np.linspace(r4, min(1.5 * r4, 0.98 * r0), 65))):
-            samples[name] = (r, *_cone_values(r, core.eval_region(r, name), [model], n)[0])
-        interior_min = float(samples["taper"][2].min())
-        window_min = float(min(samples["tube"][2].min(), samples["ramp"][2].min()))
-        if not shrink or (window_min > 0.0 and window_min >= 0.1 * interior_min):
-            break
-        scale *= 0.8
-    else:
-        raise ConstructionError(
-            "transition",
-            f"cutoff window still unsafe after shrinking to r7 = {core.r7:.4g}")
-
-    min_s1 = min(float(m1.min()) for _, m1, _ in samples.values())
-    worst_rr, _, worst_m2 = min(samples.values(), key=lambda smp: smp[2].min())
-    min_s2 = float(worst_m2.min())
-    if min_s1 <= 0.0 or min_s2 <= 0.0:
-        worst_r = float(worst_rr[int(np.argmin(worst_m2))])
-        raise ConstructionError(
-            "transition", f"cone violation at r = {worst_r:.6g} "
-            f"(min sigma_1 = {min_s1:.3e}, min sigma_2 = {min_s2:.3e})")
-
-    r_ode = np.geomspace(r6 * (1.0 + 1e-9), r5 * (1.0 - 1e-9), 257)
-    h = 1e-6 * r_ode
-    a0 = core._taper_alpha(r_ode)
-    ap = (core._taper_alpha(r_ode + h) - core._taper_alpha(r_ode - h)) / (2.0 * h)
-    residual = 0.25 * (2.0 * a0 - a0 * a0 - eps_margin * a0) + r_ode * ap - eps_margin * a0
-
-    return TransitionProfile(
-        n=n, gamma=gamma, eps_margin=eps_margin,
-        r8=core.r8, r7=core.r7, r6=r6, r5=r5, r4=r4, r0=r0,
-        r8_input=r8, r7_input=r7,
-        top=core.top, delta_t=core.delta_t, alpha5=core.alpha5, b1=core.b1,
-        ode_residual_max=float(np.abs(residual).max()),
-        cone_ok=True,
-        min_sigma1=min_s1,
-        min_sigma2=min_s2,
-        window_margin=window_min,
-        interior_margin=interior_min,
-        shrink_steps=steps,
-        core=core,
-    )
-
 
 # ---------------------------------------------------------------------------
 # assembled comparison metric
 
 def _eps_margin(gamma: float) -> float:
     """The transition's eps margin in the assembly: 80% of the bound
-    (2 - gamma)/5 that ``transition_lemma7`` checks, and at most 0.15."""
+    (2 - gamma)/5 below which ``_TransitionCore`` has ``2 - 5 eps > gamma``,
+    and at most 0.15.  The cone on the transition is then certified by the
+    assembly's region report, not by this margin."""
     return min(0.15, 0.8 * (2.0 - gamma) / 5.0)
 
 
@@ -954,6 +799,11 @@ class _PatchProfile:
     would reach past the annulus tables).  The other joints meet as
     they are: the transition is C^1 at r6 and r5, where the slope's
     derivative switches on and off, so u'' (and sigma_2 with it) jumps there.
+
+    The regions ``tube`` to ``outer`` are the transition, a ``_TransitionCore``
+    that ``eval_region`` reads region by region; it is built nowhere else,
+    and the cone minima that ``assemble_and_compare`` reports for these
+    regions certify it on the glued metric.
 
         bubble       u = log(lam + r^2) + b0
         seam_inner   blend(bubble, annulus) at delta
@@ -985,7 +835,7 @@ class _PatchProfile:
                 "assemble", f"the tube region is empty: its blend window ends at "
                 f"{self.delta1 + 0.5 * self.blend_w:.4g}, past the transition "
                 f"radius r8 = {self.r8}")
-        self.trans = _TransitionCore(n, gamma, _eps_margin(gamma), self.r8, self.r7,
+        self.trans = _TransitionCore(gamma, _eps_margin(gamma), self.r8, self.r7,
                                      self.r6, self.r5, self.r4)
         self.b0, self.b1 = self.glue.b0, self.trans.b1
         self.bounds = [
@@ -1019,7 +869,17 @@ class _PatchProfile:
         return self.trans.eval_region(r, region)
 
     def derivatives(self, r):
-        return _dispatch(self, r)
+        """(u, u', u'') at arbitrary radii: the profile's one region
+        dispatcher.  Radius r belongs to region k of ``REGIONS`` when
+        ``bounds[k-1] < r <= bounds[k]``."""
+        r = np.asarray(r, dtype=float)
+        out = np.empty((3,) + r.shape)
+        idx = np.searchsorted(self.bounds, r, side="left")
+        for k, name in enumerate(self.REGIONS):
+            m = idx == k
+            if np.any(m):
+                out[:, m] = self.eval_region(r[m], name)
+        return out[0], out[1], out[2]
 
     def pieces(self):
         """Quadrature panel edges per region (outer region handled separately)."""
@@ -1085,7 +945,12 @@ class AssembledMetric:
     desk-scale radii the cap ramp and taper regions carry negative sigma_2
     zones, and ``gamma2_ok`` is then false.  Y2 is an infimum over metrics
     in Gamma_2^+, so the margin of such an assembly bounds nothing.
-    ``eps_margin`` is the transition's margin, derived from gamma.
+
+    The regions ``tube`` to ``outer`` are the transition, and their cone
+    minima are its certificate on the glued metric: the ``min_sigma2`` of
+    ``tube`` and ``ramp`` is the margin under the cap cutoff window, that of
+    ``taper`` the margin inside the slope taper.  ``eps_margin`` is the
+    transition's margin, derived from gamma.
     """
 
     bp: BubbleParams
@@ -1100,10 +965,6 @@ class AssembledMetric:
     b1: float
     regions: tuple
     gamma2_ok: bool
-    r_nodes: np.ndarray
-    u_nodes: np.ndarray
-    sigma1_nodes: np.ndarray
-    sigma2_nodes: np.ndarray
     F2: float
     volume: float
     F2_tilde: float
@@ -1122,9 +983,9 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
     The construction's fixed values are the annulus padding ``PADDING_A``,
     the transition margin ``eps_margin = min(0.15, 0.8 (2 - gamma)/5)`` and
     the deficit model's cutoff ``(CUT_RADIUS, CUT_WIDTH)``.  Returns the
-    assembled profile with per-region energies, the pointwise cone report,
-    the scale-invariant energy, and its margin below the round sphere's
-    value.  When the bubble carries a curvature deficit, a flat twin (same
+    assembled profile with per-region energies and cone minima (those of
+    the regions ``tube`` to ``outer`` are the transition's certificate), the
+    scale-invariant energy, and its margin below the round sphere's value.  When the bubble carries a curvature deficit, a flat twin (same
     construction, deficit 0) is compared as well and the measured lam^2
     energy response is reported against ``B^{(4-n)/n} C delta_r``.
 
@@ -1168,7 +1029,7 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
     models = [params.model(CUT_RADIUS, CUT_WIDTH) for params in twins]
     energies, volumes = _masses(rq, wq, dq, models, n, q_off)
     cones = _cone_values(rc, dc, models, n)
-    vol = math.fsum(volumes)
+    vol = _fsum(volumes)
 
     am = None
     for params, region_energies, (m1, m2) in zip(twins, energies, cones):
@@ -1178,7 +1039,7 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
             for name, lo, hi, e, v, qa, qb, ca, cb in zip(
                 names, r_lo, r_hi, region_energies, volumes,
                 q_off, q_off[1:], c_off, c_off[1:]))
-        F2 = math.fsum(region_energies)
+        F2 = _fsum(region_energies)
         F2t = F2 / vol ** ((n - 4.0) / n)
         slope, target = math.nan, math.nan
         if am is not None:
@@ -1191,8 +1052,6 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
             a1=prof.glue.a1, b0=prof.b0, b1=prof.b1,
             regions=regions,
             gamma2_ok=bool(all(rr.in_cone for rr in regions)),
-            r_nodes=rc, u_nodes=dc[0],
-            sigma1_nodes=m1, sigma2_nodes=m2,
             F2=F2, volume=vol, F2_tilde=F2t,
             Y2_sphere=sc.Y2_sphere,
             margin=sc.Y2_sphere - F2t,

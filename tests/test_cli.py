@@ -283,6 +283,19 @@ def test_construct_with_non_finite_energy_is_an_error(capsys):
     assert d["margin"] is None
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "9", "--lambda", "1e-60", "--beta", "0.26", "--gamma", "1.05"],
+    ["sweep", "--lambdas", "1e-60,1e-61"],
+])
+def test_energy_sums_past_the_float_range_are_numeric_failures(capsys, argv):
+    # region terms of both signs overflow at lam 1e-60: the sums are not
+    # finite, which is a numeric failure (exit 3), not a usage error
+    rc, cap = run_cli(capsys, argv)
+    assert rc == 3, cap.err
+    assert _strict_json(cap.out)["status"] == "error"
+
+
 def test_construct_at_large_dimension_has_a_finite_target(capsys):
     # the curvature-response target stays finite at large n
     rc, cap = run_cli(capsys, ["construct", "--n", "34"])
@@ -443,6 +456,31 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert d["config"]["eps"] == 2.0  # untouched default
 
 
+@pytest.mark.parametrize("command,line", [
+    ("verify", "trials = yes"),
+    ("verify", "n = 5.9"),
+    ("flow", "amplitude = 0.1,0.2"),
+    ("construct", "radii = 0.65,0.85,x,1.15,1.8,2.5"),
+])
+def test_config_values_parse_as_their_flags_do(capsys, tmp_path, command, line):
+    # the flag --n 5.9 is a usage error, and so is the same value from a file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc, cap = run_cli(capsys, [command, "--config", str(cfg)])
+    assert rc == 2
+    assert cap.out == "" and f"config key {line.split()[0]}: invalid value" in cap.err
+
+
+def test_list_options_echo_the_same_from_a_flag_and_a_file(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambdas = 1e-3,3e-4,1e-4\n")
+    rc_flag, by_flag = run_cli(capsys, ["sweep", "--lambdas", "1e-3,3e-4,1e-4"])
+    rc_file, by_file = run_cli(capsys, ["sweep", "--config", str(cfg)])
+    assert rc_flag == rc_file == 0
+    assert by_flag.out == by_file.out
+    assert json.loads(by_flag.out)["config"]["lambdas"] == [1e-3, 3e-4, 1e-4]
+
+
 def test_config_file_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("amplituude = 0.05\n")
@@ -467,15 +505,17 @@ def test_version_flag(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_leaves_scipy_out():
-    # numpy is the only dependency: a fresh interpreter that imports the CLI
-    # must not pull in scipy
+def test_imports_load_only_numpy_and_the_standard_library():
+    # numpy is the only dependency: every top-level module that a fresh
+    # interpreter loads for the package and its CLI is numpy, sigma2flow or
+    # part of the standard library (scipy, say, is not)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(sigma2flow.__file__).parents[1]) + os.pathsep + env.get(
         "PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, sigma2flow.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    script = ("import sys; before = set(sys.modules); import sigma2flow, sigma2flow.cli; "
+              "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+              "print(','.join(sorted(new - set(sys.stdlib_module_names))))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "numpy,sigma2flow"

@@ -9,7 +9,6 @@ import sigma2flow.testmetric as testmetric_module
 from sigma2flow.discretize import gauss_panels, log_edges, sphere_measure
 from sigma2flow.geometry import CurvatureModel, FlatRadialBall, schouten_pointwise
 from sigma2flow.testmetric import (
-    TRANSITION_RADII,
     BubbleParams,
     ConstructionError,
     assemble_and_compare,
@@ -19,8 +18,16 @@ from sigma2flow.testmetric import (
     lemma5_integrals,
     margin_sweep,
     sphere_constants,
-    transition_lemma7,
 )
+
+# A transition layout (r8, r7, r6, r5, r4, r0) whose glued metric keeps the
+# transition in the cone.  The slope must be gone before the cap slope
+# 2r^2/(1+r^2) nears 1, or the combined radial slope leaves the admissible
+# band and sigma_2 goes negative mid-bridge; hence an early short taper and
+# a bridge that ends by r = 1.  The glue edge delta1 lies below r8 only at
+# tiny lam: lam 1e-30 at n = 9, lam 1e-9 at n = 12.
+TRANSITION_RADII = (0.06, 0.10, 0.20, 0.30, 1.00, 6.00)
+TRANSITION_REGIONS = ("tube", "ramp", "tube_cap", "taper", "bridge", "outer")
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +35,16 @@ def glue15():
     return glue_lemma6(BubbleParams(9, 1e-4), 1.5)
 
 
+def _transition_regions(n, lam, gamma):
+    """The transition's region reports in the assembly at TRANSITION_RADII."""
+    bp = BubbleParams(n, lam, TRANSITION_RADII[-1], 0.26, -1.0)
+    am = assemble_and_compare(bp, gamma, TRANSITION_RADII)
+    return am, {r.name: r for r in am.regions if r.name in TRANSITION_REGIONS}
+
+
 @pytest.fixture(scope="module")
 def trans105():
-    return transition_lemma7(1.05, 0.15, TRANSITION_RADII)
+    return _transition_regions(9, 1e-30, 1.05)
 
 
 @pytest.fixture(scope="module")
@@ -338,51 +352,68 @@ def test_construction_error_shape():
 
 
 def test_transition_default_passes(trans105):
-    t = trans105
-    assert t.cone_ok
-    assert t.shrink_steps == 0
-    assert t.r8 == 0.06 and t.r7 == 0.1  # window not shrunk
-    assert t.min_sigma1 == pytest.approx(2.458629420506817, rel=1e-9)
-    assert t.min_sigma2 == pytest.approx(2.4617006230408074, rel=1e-9)
-    assert t.window_margin == pytest.approx(2.4672892356659943, rel=1e-9)
-    assert t.interior_margin == pytest.approx(4.422397318386222, rel=1e-9)
-    assert t.ode_residual_max < 1e-9
+    # the region report of the glued metric is the transition's certificate
+    am, regions = trans105
+    assert am.eps_margin == 0.15
+    assert all(r.in_cone for r in regions.values())
+    # the margin inside the slope taper, and the margin under the cap cutoff
+    # window, which must be at least 10% of it
+    interior = regions["taper"].min_sigma2
+    assert interior == pytest.approx(4.422397318386222, rel=1e-9)
+    assert regions["bridge"].min_sigma2 == pytest.approx(2.4617006230408074, rel=1e-9)
+    assert min(regions["tube"].min_sigma2, regions["ramp"].min_sigma2) >= 0.1 * interior
+
+
+def test_transition_in_the_cone_at_n12():
+    _, regions = _transition_regions(12, 1e-9, 1.05)
+    assert tuple(regions) == TRANSITION_REGIONS
+    assert all(r.in_cone for r in regions.values())
+    assert regions["taper"].min_sigma2 == pytest.approx(9.466561790076568, rel=1e-9)
 
 
 def test_transition_slope_and_cutoff(trans105):
-    t = trans105
-    assert float(t.alpha(np.array([t.r6]))[0]) == pytest.approx(t.gamma, abs=1e-12)
-    assert t.alpha5 == pytest.approx(float(t.alpha(np.array([t.r5]))[0]), rel=1e-14)
-    r_taper = np.linspace(t.r6, t.r5, 64)
-    assert np.all(np.diff(t.alpha(r_taper)) < 0.0)
-    np.testing.assert_allclose(t.xi(np.array([t.r8, t.r7])), [0.0, 1.0], atol=1e-15)
+    core = trans105[0].profile.trans
+    gamma, eps = core.gamma, core.eps
+    assert float(core._taper_alpha(core.r6)) == pytest.approx(gamma, abs=1e-12)
+    assert core.alpha5 == float(core._taper_alpha(core.r5))
+    r_taper = np.linspace(core.r6, core.r5, 64)
+    assert np.all(np.diff(core._taper_alpha(r_taper)) < 0.0)
+    # the taper solves the eps-padded slope equation; a' by central differences
+    r = np.geomspace(core.r6 * (1.0 + 1e-9), core.r5 * (1.0 - 1e-9), 257)
+    h = 1e-6 * r
+    a = core._taper_alpha(r)
+    ap = (core._taper_alpha(r + h) - core._taper_alpha(r - h)) / (2.0 * h)
+    np.testing.assert_allclose(core._taper_alpha_prime(r), ap, rtol=1e-7)
+    residual = 0.25 * (2.0 * a - a * a - eps * a) + r * ap - eps * a
+    assert np.abs(residual).max() < 1e-9
+    # the cap cutoff ramps from the tube to the tube with the cap on
+    for rj, plain in ((core.r8, "tube"), (core.r7, "tube_cap")):
+        ramp = np.asarray(core.eval_region(np.array([rj]), "ramp"))
+        np.testing.assert_allclose(ramp, np.asarray(core.eval_region(np.array([rj]), plain)),
+                                   rtol=0.0, atol=1e-14)
 
 
-def test_transition_joint_continuity(trans105):
-    t = trans105
-    for rj in (t.r8, t.r7, t.r6, t.r5, t.r4):
-        lo = float(t.u(np.array([rj * (1.0 - 1e-9)]))[0])
-        hi = float(t.u(np.array([rj * (1.0 + 1e-9)]))[0])
+def test_transition_joint_continuity(assembled):
+    prof = assembled.profile
+    for rj in (prof.r8, prof.r7, prof.r6, prof.r5, prof.r4):
+        lo, hi = prof.derivatives(np.array([rj * (1.0 - 1e-9), rj * (1.0 + 1e-9)]))[0]
         assert abs(hi - lo) < 1e-8
 
 
 def test_transition_steep_tube_fails():
     # At gamma = 1.5 the taper keeps too much slope into the bridge: the
     # combined radial log-slope exceeds 2 where the cap slope approaches 1,
-    # so sigma_2 goes negative mid-bridge and the construction refuses.
-    with pytest.raises(ConstructionError, match="cone violation at r ="):
-        transition_lemma7(1.5, 0.08, TRANSITION_RADII, shrink=False)
-    with pytest.raises(ConstructionError, match="cutoff window still unsafe"):
-        transition_lemma7(1.5, 0.08, TRANSITION_RADII)
+    # so sigma_2 goes negative mid-bridge, near r = 0.685.
+    am, regions = _transition_regions(9, 1e-30, 1.5)
+    assert am.eps_margin == 0.08
+    assert not regions["bridge"].in_cone and not am.gamma2_ok
+    assert regions["bridge"].min_sigma2 == pytest.approx(-2.2690448577149542, rel=1e-9)
+    assert all(r.in_cone for name, r in regions.items() if name != "bridge")
 
 
 def test_transition_validation():
-    with pytest.raises(ConstructionError, match=r"gamma must lie in \(0, 2\)"):
-        transition_lemma7(2.5, 0.05, TRANSITION_RADII)
-    with pytest.raises(ConstructionError, match=r"eps_margin must lie in"):
-        transition_lemma7(1.05, 0.4, TRANSITION_RADII)
-    with pytest.raises(ConstructionError, match="six increasing positive values"):
-        transition_lemma7(1.05, 0.15, (0.1, 0.2, 0.3))
+    with pytest.raises(ConstructionError, match=r"need 2 - 5 eps > gamma"):
+        testmetric_module._TransitionCore(1.5, 0.1, *TRANSITION_RADII[:5])
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +547,6 @@ def test_regions_equal_the_sums_over_their_own_nodes(n):
     prof = am.profile
     plan = prof.region_nodes()
     assert [p[0] for p in plan] == [r.name for r in am.regions]
-    assert am.r_nodes.tobytes() == np.concatenate([p[5] for p in plan]).tobytes()
     for rep in (am, am.flat):
         model = rep.bp.model(testmetric_module.CUT_RADIUS, testmetric_module.CUT_WIDTH)
         for (name, r_lo, r_hi, rq, wq, rc), region in zip(plan, rep.regions):
