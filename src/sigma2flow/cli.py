@@ -167,7 +167,6 @@ def emit_summary(payload: dict, path: str | None) -> None:
 def _summary(command: str, config: dict, status: str, **scalars) -> dict:
     return {
         "version": __version__,
-        "backend": "numpy",
         "command": command,
         "config": config,
         "status": status,

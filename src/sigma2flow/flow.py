@@ -180,7 +180,6 @@ class FlowResult:
     steps: int
     u: np.ndarray
     grid: RadialGrid
-    background: object
     config: FlowConfig
     records: list[MonitorRecord]
     F2: float
@@ -190,7 +189,6 @@ class FlowResult:
     equilibrium_residual: float
     max_step_F2_increase: float
     max_V_drift: float
-    wall_time: float
     evaluations: int = 0
 
     @property
@@ -669,7 +667,6 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         steps=steps,
         u=u,
         grid=grid,
-        background=background,
         config=config,
         records=records,
         F2=s[_S_F2],
@@ -679,7 +676,6 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         equilibrium_residual=residual,
         max_step_F2_increase=(0.0 if max_f2_inc == -np.inf else max_f2_inc),
         max_V_drift=max_drift,
-        wall_time=time.monotonic() - t_start,
         evaluations=stepper.evaluations,
     )
 
@@ -864,7 +860,8 @@ def continuation(background, u0, eps_ladder,
 # CSV output
 
 def write_monitor_csv(records, path) -> None:
-    """Write the monitor trace with 17 significant digits per field.
+    """Write the monitor trace to the file at ``path``, 17 significant
+    digits per field.
 
     The formatting (plus the deterministic accumulation in the kernels)
     makes repeated runs byte-identical.
@@ -872,9 +869,5 @@ def write_monitor_csv(records, path) -> None:
     lines = [",".join(MONITOR_COLUMNS)]
     for rec in records:
         lines.append(",".join(f"{v:.17g}" for v in rec))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -153,12 +153,12 @@ def elementary_symmetric(w) -> np.ndarray:
 
 
 def sigma_k(a, k: int) -> float:
-    """sigma_k of a symmetric matrix, or of a vector of eigenvalues.
+    """sigma_k of a symmetric matrix, through its Jacobi eigenvalues.
 
-    Matrix input goes through the Jacobi eigenvalue route.
+    Takes a matrix only; the sigma_k of a vector of eigenvalues is entry k
+    of ``elementary_symmetric``.
     """
-    a = np.asarray(a, dtype=float)
-    w = a if a.ndim == 1 else jacobi_eigenvalues(a)
+    w = jacobi_eigenvalues(a)
     if not 0 <= k <= w.size:
         raise ValueError(f"k={k} out of range for size {w.size}")
     return float(elementary_symmetric(w)[k])

@@ -463,17 +463,17 @@ def bernoulli_alpha(r, a1: float, A: float, n: int):
         1/alpha(r) = 1/2 + (a1 + H(r)) r^{(n-4)/2} e^{-n A r^2 / 8}
 
     with H anchored at 1 (H(1) = 0).  For A = 0 this reduces to
-    ``alpha = 2/(1 + 2 a1 r^{(n-4)/2})`` exactly.
+    ``alpha = 2/(1 + 2 a1 r^{(n-4)/2})`` exactly.  Takes an array of radii
+    and returns the array of slopes.
     """
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
     if np.any(r <= 0.0):
         raise ValueError("need r > 0")
     h = _bernoulli_h(A, n, min(float(r.min()), 1.0), max(float(r.max()), 1.0))
     alpha = _slope(a1, h(r), _slope_factor(r, A, n))
     if np.any(alpha <= 0.0) or np.any(alpha >= 2.0):
         raise ValueError("slope left the admissible band (0, 2)")
-    return float(alpha) if scalar else alpha
+    return alpha
 
 
 def bernoulli_residual(r, a1: float, A: float, n: int):
@@ -591,8 +591,6 @@ class GluingProfile:
     delta1: float
     a1: float
     b0: float
-    r_nodes: np.ndarray
-    alpha_nodes: np.ndarray
     delta1_ratio: float
     delta1_ratio_target: float
     boundary_match_inner: float
@@ -604,8 +602,6 @@ class GluingProfile:
     sigma1_bracket_min: float
     sigma2_bracket_min: float
     padding_dominates: bool
-    energy_integral: float
-    volume_integral: float
     energy_const: float
     volume_const: float
     core: _GluingCore = field(repr=False)
@@ -674,7 +670,6 @@ def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
     return GluingProfile(
         n=n, lam=lam, beta=bp.beta, gamma=gamma, A=A,
         delta=delta, delta1=delta1, a1=core.a1, b0=core.b0,
-        r_nodes=r, alpha_nodes=alpha,
         delta1_ratio=delta1 ** (0.5 * (n - 4)) * lam / delta ** (0.5 * n),
         delta1_ratio_target=2.0 / gamma - 1.0,
         boundary_match_inner=match_inner,
@@ -686,8 +681,6 @@ def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
         sigma1_bracket_min=float(s1_bracket.min()),
         sigma2_bracket_min=float(s2_bracket.min()),
         padding_dominates=padding_dominates,
-        energy_integral=energy,
-        volume_integral=volume,
         energy_const=energy / energy_norm,
         volume_const=volume / volume_norm,
         core=core,
@@ -800,6 +793,8 @@ class _PatchProfile:
     they are: the transition is C^1 at r6 and r5, where the slope's
     derivative switches on and off, so u'' (and sigma_2 with it) jumps there.
 
+    ``eval_region`` is the one dispatcher: it evaluates (u, u', u'') on a
+    region named by the caller, and ``pieces`` lays out the regions' extents.
     The regions ``tube`` to ``outer`` are the transition, a ``_TransitionCore``
     that ``eval_region`` reads region by region; it is built nowhere else,
     and the cone minima that ``assemble_and_compare`` reports for these
@@ -817,12 +812,9 @@ class _PatchProfile:
         outer        u = cap + b1
     """
 
-    REGIONS = ("bubble", "seam_inner", "annulus", "seam_outer", "tube",
-               "ramp", "tube_cap", "taper", "bridge", "outer")
-
     def __init__(self, n, lam, beta, gamma, radii):
         self.lam = lam
-        self.r8, self.r7, self.r6, self.r5, self.r4, self.r0 = radii
+        self.r8, self.r7, self.r6, self.r5, self.r4 = radii[:5]
         self.glue = _GluingCore(n, lam, beta, gamma, PADDING_A)
         self.delta, self.delta1 = self.glue.delta, self.glue.delta1
         if not self.delta1 < self.r8:
@@ -838,11 +830,6 @@ class _PatchProfile:
         self.trans = _TransitionCore(gamma, _eps_margin(gamma), self.r8, self.r7,
                                      self.r6, self.r5, self.r4)
         self.b0, self.b1 = self.glue.b0, self.trans.b1
-        self.bounds = [
-            self.delta - 0.5 * self.blend_w, self.delta + 0.5 * self.blend_w,
-            self.delta1 - 0.5 * self.blend_w, self.delta1 + 0.5 * self.blend_w,
-            self.r8, self.r7, self.r6, self.r5, self.r4,
-        ]
 
     def _blend(self, r, left: str, right: str, center: float):
         s = (r - (center - 0.5 * self.blend_w)) / self.blend_w
@@ -867,19 +854,6 @@ class _PatchProfile:
         if region == "seam_outer":
             return self._blend(r, "annulus", "tube", self.delta1)
         return self.trans.eval_region(r, region)
-
-    def derivatives(self, r):
-        """(u, u', u'') at arbitrary radii: the profile's one region
-        dispatcher.  Radius r belongs to region k of ``REGIONS`` when
-        ``bounds[k-1] < r <= bounds[k]``."""
-        r = np.asarray(r, dtype=float)
-        out = np.empty((3,) + r.shape)
-        idx = np.searchsorted(self.bounds, r, side="left")
-        for k, name in enumerate(self.REGIONS):
-            m = idx == k
-            if np.any(m):
-                out[:, m] = self.eval_region(r[m], name)
-        return out[0], out[1], out[2]
 
     def pieces(self):
         """Quadrature panel edges per region (outer region handled separately)."""
@@ -950,12 +924,12 @@ class AssembledMetric:
     minima are its certificate on the glued metric: the ``min_sigma2`` of
     ``tube`` and ``ramp`` is the margin under the cap cutoff window, that of
     ``taper`` the margin inside the slope taper.  ``eps_margin`` is the
-    transition's margin, derived from gamma.
+    transition's margin, derived from gamma.  ``F2_tilde`` is NaN unless F2
+    and the volume are both finite, and so are the margin and the slope.
     """
 
     bp: BubbleParams
     gamma: float
-    radii: tuple
     eps_margin: float
     beta_in_proof_range: bool
     delta: float
@@ -1040,13 +1014,16 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
                 names, r_lo, r_hi, region_energies, volumes,
                 q_off, q_off[1:], c_off, c_off[1:]))
         F2 = _fsum(region_energies)
-        F2t = F2 / vol ** ((n - 4.0) / n)
+        # F2 / inf**x is a finite 0, so F2_tilde needs both sums finite
+        F2t = math.nan
+        if math.isfinite(F2) and math.isfinite(vol):
+            F2t = F2 / vol ** ((n - 4.0) / n)
         slope, target = math.nan, math.nan
         if am is not None:
             slope = (F2t - am.F2_tilde) / params.lam ** 2
             target = lam2_target
         am = AssembledMetric(
-            bp=params, gamma=gamma, radii=radii, eps_margin=prof.trans.eps,
+            bp=params, gamma=gamma, eps_margin=prof.trans.eps,
             beta_in_proof_range=beta_ok,
             delta=prof.delta, delta1=prof.delta1,
             a1=prof.glue.a1, b0=prof.b0, b1=prof.b1,

@@ -35,7 +35,8 @@ def test_verify_ok(capsys, tmp_path):
     assert d["refinement_gain"] > 3.0
     assert d["round_sigma2"] == 2.5
     assert d["Y2_sphere"] == pytest.approx(39.003151786888736, rel=1e-12)
-    assert "backend" in d and "version" in d and "config" in d
+    assert "version" in d and "config" in d
+    assert "backend" not in d  # one numpy path; the key said nothing
 
 
 def test_verify_runs_the_eigen_route_once_per_trial(capsys, monkeypatch):
@@ -287,13 +288,27 @@ def test_construct_with_non_finite_energy_is_an_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["construct", "--n", "9", "--lambda", "1e-60", "--beta", "0.26", "--gamma", "1.05"],
     ["sweep", "--lambdas", "1e-60,1e-61"],
+    ["construct", "--n", "9", "--lambda", "1e-40", "--beta", "0.26", "--gamma", "1.05"],
+    ["sweep", "--lambdas", "1e-40,1e-41", "--beta", "0.26"],
 ])
 def test_energy_sums_past_the_float_range_are_numeric_failures(capsys, argv):
     # region terms of both signs overflow at lam 1e-60: the sums are not
-    # finite, which is a numeric failure (exit 3), not a usage error
+    # finite, which is a numeric failure (exit 3), not a usage error.  At
+    # lam 1e-40 only the volume overflows, and F2 / inf**((n-4)/n), a
+    # finite 0, must not pass for an energy: no margin is reported
     rc, cap = run_cli(capsys, argv)
     assert rc == 3, cap.err
-    assert _strict_json(cap.out)["status"] == "error"
+    d = _strict_json(cap.out)
+    assert d["status"] == "error"
+    if argv[0] == "construct":
+        assert d["F2_tilde"] is None and d["margin"] is None
+        assert d["lambda2_slope"] is None
+        assert d["margin_positive"] is False
+    else:
+        assert d["F2_tilde"] == [None, None] and d["F2_tilde_flat"] == [None, None]
+        assert d["margins"] == [None, None] and d["flat_margins"] == [None, None]
+        assert d["K2_fit"] is None and d["K2_rel_dev"] is None
+        assert d["all_margins_positive"] is False
 
 
 def test_construct_at_large_dimension_has_a_finite_target(capsys):

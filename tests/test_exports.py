@@ -1,8 +1,12 @@
 """Every name a module exports resolves, and so does every module attribute
-that the benchmark scripts under ``perfbench/`` read."""
+that the benchmark scripts under ``perfbench/`` read; the package itself
+exports only its version."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +34,18 @@ def test_benchmark_reads_only_names_that_exist():
     missing = sorted(f"{module}.{attr}" for module, attr in reads
                      if not hasattr(importlib.import_module(f"sigma2flow.{module}"), attr))
     assert missing == []
+
+
+def test_package_import_loads_no_module():
+    # the package holds no names but its version: a fresh interpreter's
+    # ``import sigma2flow`` loads neither numpy nor any of its modules
+    env = dict(os.environ)
+    package = importlib.import_module("sigma2flow")
+    env["PYTHONPATH"] = str(Path(package.__file__).parents[1]) + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    script = ("import sys, sigma2flow; print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'numpy' or m.startswith('sigma2flow.')))")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

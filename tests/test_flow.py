@@ -1,5 +1,4 @@
 import contextlib
-import io
 import math
 import signal
 from dataclasses import replace
@@ -362,23 +361,21 @@ def test_records_land_on_the_record_grid(s5_grid):
     assert res.evaluations >= 2 * res.steps + 1
 
 
-def test_write_monitor_csv_format(s5_grid):
+def test_write_monitor_csv_format(s5_grid, tmp_path):
     sphere, grid = s5_grid
     u0 = initial_field("cosine", grid, 0.1)
     res = flow_run(sphere, u0, FlowConfig(eps=2.0, t_max=0.1, record_dt=0.05,
                                           tol_converge=0.0), grid=grid)
-    buf = io.StringIO()
-    write_monitor_csv(res.records, buf)
-    text = buf.getvalue()
+    write_monitor_csv(res.records, tmp_path / "a.csv")
+    text = (tmp_path / "a.csv").read_text()
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(MONITOR_COLUMNS)
     assert len(lines) == len(res.records) + 1
     # 17 significant digits round-trip doubles exactly
     first = lines[1].split(",")
     assert float(first[1]) == res.records[0].F2
-    buf2 = io.StringIO()
-    write_monitor_csv(res.records, buf2)
-    assert buf2.getvalue() == text
+    write_monitor_csv(res.records, tmp_path / "b.csv")
+    assert (tmp_path / "b.csv").read_text() == text
 
 
 def test_eigen_solver_round_s5(s5_grid):

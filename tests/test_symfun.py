@@ -133,11 +133,16 @@ def test_sigma_k_three_routes_agree():
     assert worst < 1e-10
 
 
-def test_sigma_k_accepts_eigenvalue_vector():
-    assert sigma_k(np.array([1.0, 2.0, 3.0]), 2) == pytest.approx(11.0)
-    assert sigma_k(np.array([1.0, 2.0, 3.0]), 0) == 1.0
+def test_sigma_k_of_diagonal_matrices():
+    # the sigma_k of eigenvalues is that of their diagonal matrix, and entry
+    # k of elementary_symmetric; sigma_k takes a matrix only
+    assert sigma_k(np.diag([1.0, 2.0, 3.0]), 2) == pytest.approx(11.0)
+    assert sigma_k(np.diag([1.0, 2.0, 3.0]), 0) == 1.0
+    assert elementary_symmetric([1.0, 2.0, 3.0])[2] == 11.0
     with pytest.raises(ValueError):
-        sigma_k(np.array([1.0, 2.0]), 3)
+        sigma_k(np.diag([1.0, 2.0]), 3)
+    with pytest.raises(ValueError, match="square matrix"):
+        sigma_k(np.array([1.0, 2.0, 3.0]), 2)
 
 
 def test_sigma_k_minors_matches_det_and_trace():

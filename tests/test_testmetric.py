@@ -225,9 +225,9 @@ def test_bernoulli_residual_small():
 
 def test_bernoulli_band_violations():
     with pytest.raises(ValueError, match=r"admissible band \(0, 2\)"):
-        bernoulli_alpha(1.0, 0.0, 0.0, 9)  # alpha = 2 exactly
+        bernoulli_alpha(np.array([1.0]), 0.0, 0.0, 9)  # alpha = 2 exactly
     with pytest.raises(ValueError, match="need r > 0"):
-        bernoulli_alpha(-1.0, 0.5, 0.0, 9)
+        bernoulli_alpha(np.array([-1.0]), 0.5, 0.0, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +242,10 @@ def test_glue_matching_data(glue15):
     assert g.b0 == pytest.approx(0.7392059987853123, rel=1e-12)
     assert g.boundary_match_inner < 1e-12
     assert g.boundary_match_outer < 1e-12
-    assert np.all(np.diff(g.alpha_nodes) < 0.0)
-    assert g.alpha_nodes.min() > g.gamma - 1e-9
-    assert g.alpha_nodes.max() < 2.0
+    alpha = g.alpha(np.geomspace(g.delta, g.delta1, 1001))
+    assert np.all(np.diff(alpha) < 0.0)
+    assert alpha.min() > g.gamma - 1e-9
+    assert alpha.max() < 2.0
 
 
 def test_glue_outer_radius_ratio(glue15):
@@ -394,10 +395,14 @@ def test_transition_slope_and_cutoff(trans105):
 
 
 def test_transition_joint_continuity(assembled):
+    # the two regions that meet at each joint agree there in u and u'
     prof = assembled.profile
-    for rj in (prof.r8, prof.r7, prof.r6, prof.r5, prof.r4):
-        lo, hi = prof.derivatives(np.array([rj * (1.0 - 1e-9), rj * (1.0 + 1e-9)]))[0]
-        assert abs(hi - lo) < 1e-8
+    names = TRANSITION_REGIONS
+    for rj, inner, outer in zip((prof.r8, prof.r7, prof.r6, prof.r5, prof.r4),
+                                names, names[1:]):
+        lo = np.asarray(prof.eval_region(np.array([rj]), inner))[:2, 0]
+        hi = np.asarray(prof.eval_region(np.array([rj]), outer))[:2, 0]
+        np.testing.assert_allclose(hi, lo, rtol=0.0, atol=1e-8)
 
 
 def test_transition_steep_tube_fails():
@@ -459,7 +464,11 @@ def test_assemble_region_report(assembled):
 
 
 def test_assemble_profile_eval(assembled):
-    u = assembled.profile.derivatives(np.array([0.01, 0.1, 1.0]))[0]
+    # u through the first region whose extent holds each radius
+    u = []
+    for r in (0.01, 0.1, 1.0):
+        name = next(reg.name for reg in assembled.regions if reg.r_lo <= r <= reg.r_hi)
+        u.append(assembled.profile.eval_region(np.array([r]), name)[0][0])
     np.testing.assert_allclose(u, [-7.39590422, -3.47438548, 0.69314718], atol=1e-6)
 
 
