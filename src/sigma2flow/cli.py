@@ -233,6 +233,13 @@ def _cmd_flow(cfg: dict, args) -> int:
     return _EXIT_NUMERIC if res.status in _FAIL_STATUSES else _EXIT_OK
 
 
+def _coarse_work(coarse) -> dict:
+    """Summary keys of an equilibrium solve's coarse-grid run (0 without one)."""
+    if coarse is None:
+        return {"coarse_points": 0, "coarse_evaluations": 0}
+    return {"coarse_points": coarse.grid.num_points, "coarse_evaluations": coarse.evaluations}
+
+
 def _cmd_eigen(cfg: dict, args) -> int:
     cfg = dict(cfg)
     cfg["eps"] = 2.0
@@ -244,7 +251,7 @@ def _cmd_eigen(cfg: dict, args) -> int:
         "eigen", cfg, res.flow.status,
         lambda1=res.lambda1,
         t=res.flow.t, steps=res.flow.steps,
-        evaluations=res.flow.evaluations, step_tol=fc.step_tol,
+        evaluations=res.flow.evaluations, **_coarse_work(res.coarse), step_tol=fc.step_tol,
         F2=res.flow.F2, V_eps=res.flow.V_eps,
         equilibrium_residual=res.flow.equilibrium_residual,
         max_V_drift=res.flow.max_V_drift,
@@ -266,7 +273,7 @@ def _cmd_continuation(cfg: dict, args) -> int:
     status = rungs[-1].status
     payload = _summary(
         "continuation", cfg, status,
-        step_tol=fc.step_tol,
+        step_tol=fc.step_tol, **_coarse_work(rungs[0].coarse),
         rungs=[
             {
                 "eps": r.eps,

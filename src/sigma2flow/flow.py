@@ -54,6 +54,18 @@ and the step error only decides which member a run ends on: V_eps drifts by
 1e-9 to 1e-7 instead of 1e-11 to 1e-9.  r_eps and the Y energies do not see
 the constant, so they agree with a ``STEP_TOL`` run to about 1e-14.
 
+The drivers also converge on a coarse grid first (nested iteration, the
+full multigrid start).  A solve that stops on convergence on 64 or more
+points runs from u0 interpolated onto 32 points of the same background,
+interpolates that equilibrium back, shifts it to the V_eps of u0, and
+finishes on the requested grid to the same ``tol_converge``; a coarse run
+that does not converge is dropped, and the solve runs from u0 alone.  The
+fine run then starts next to its equilibrium, and on S^5 at 512 points the
+solve takes about 5x fewer kernel evaluations.  Its r_eps and Y energies
+agree with a single-grid solve to about 1e-14, and its final u with the
+single-grid one to about 1e-8 up to a constant.  ``flow_run`` and ``step``
+never do this.
+
 The monitors only a record reads (min sigma_2(g), the gradient bound and the
 dF2/dt formula) are computed only at the states that become records.
 """
@@ -397,8 +409,7 @@ class _Stepper:
     def __init__(self, background, grid: RadialGrid, eps: float, dt_safety: float,
                  step_tol: float = STEP_TOL):
         n = background.n
-        self.background = background
-        self.eps = eps = float(eps)
+        eps = float(eps)
         self.tables = _cached_kernel_inputs(grid, background)
         self.n = n
         self.h2 = grid.h * grid.h
@@ -706,8 +717,8 @@ class FlowState:
     ``dt`` is the length of the next step, as proposed by the controller.
     ``velocity`` and ``slots`` are the kernel's output at ``field.u``, which
     the next step starts from; ``flow_state`` and ``step`` fill them.
-    ``stepper``, which ``flow_state`` builds from the checked settings, also
-    gives ``eps``, ``dt_safety`` and ``background``; only ``flow_state`` sets them.
+    ``stepper`` holds the settings ``flow_state`` checked; only ``flow_state``
+    builds it.
     """
 
     field: ConformalField
@@ -717,18 +728,6 @@ class FlowState:
     velocity: np.ndarray
     slots: list
     stepper: _Stepper
-
-    @property
-    def eps(self) -> float:
-        return self.stepper.eps
-
-    @property
-    def dt_safety(self) -> float:
-        return self.stepper.dt_safety
-
-    @property
-    def background(self):
-        return self.stepper.background
 
 
 def flow_state(background, field: ConformalField, eps: float,
@@ -767,6 +766,63 @@ def step(state: FlowState) -> FlowState:
 
 
 # ---------------------------------------------------------------------------
+# equilibrium solves: converge on a coarse grid first
+
+#: points of the grid on which an equilibrium solve converges first
+_COARSE_POINTS = 32
+#: smallest requested grid whose solve starts on the coarse grid
+_COARSE_MIN_POINTS = 64
+
+
+def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
+    """``flow_run`` to an equilibrium, started from the coarse grid's one.
+
+    Nested iteration (Brandt, Math. Comp. 31, 1977, the full multigrid
+    start): u0 is interpolated onto a ``_COARSE_POINTS`` grid of the same
+    background, the flow runs there with ``config``, and a ``converged``
+    coarse field is interpolated back and shifted by the constant that gives
+    it the V_eps of u0 on ``grid``, so the fine run conserves the quantity a
+    run from u0 does.  The fine run then ends on the same ``tol_converge``.
+    A coarse run that ends any other way is dropped, and the fine run starts
+    from u0.  Only a solve that stops on convergence (``tol_converge > 0``)
+    on a grid of at least ``_COARSE_MIN_POINTS`` points starts coarse; any
+    other is plain ``flow_run``.  So is one whose start ``flow_run`` does
+    not step from on ``grid`` (a u0 that is not finite, lies outside the
+    cone there or has converged already): a ``t_max = 0`` run from u0 finds
+    that in one evaluation, and its result is the plain run's.
+
+    Returns ``(result, coarse)``: the fine run, whose ``evaluations`` count
+    every run of the solve and whose ``config`` is ``config``, and the
+    coarse run or None.  ``config.timeout`` bounds the whole solve: the fine
+    run gets what the coarse run left.
+    """
+    if config.tol_converge <= 0.0 or grid.num_points < _COARSE_MIN_POINTS:
+        return flow_run(background, u0, config, grid=grid), None
+    t_start = time.monotonic()
+    probe = flow_run(background, u0, replace(config, t_max=0.0), grid=grid)
+    if probe.status != "t_max":
+        return replace(probe, config=config), None
+    coarse_grid = background.make_grid(_COARSE_POINTS)
+    coarse = flow_run(background, np.interp(coarse_grid.x, grid.x, u0), config,
+                      grid=coarse_grid)
+    start = u0
+    if coarse.converged:
+        start = np.interp(grid.x, coarse_grid.x, coarse.u)
+        k = 2.0 * config.eps - background.n
+        if k != 0.0:
+            # V_eps(u + c) = e^{k c} V_eps(u); at k = 0, V_eps is the volume
+            start += math.log(functional_V(grid, background, u0, config.eps)
+                              / functional_V(grid, background, start, config.eps)) / k
+    fine_config = config
+    if config.timeout is not None:
+        left = config.timeout - (time.monotonic() - t_start)
+        fine_config = replace(config, timeout=max(0.0, left))
+    res = flow_run(background, start, fine_config, grid=grid)
+    work = probe.evaluations + coarse.evaluations + res.evaluations
+    return replace(res, config=config, evaluations=work), coarse
+
+
+# ---------------------------------------------------------------------------
 # eigenvalue mode
 
 @dataclass
@@ -774,6 +830,7 @@ class EigenResult:
     lambda1: float
     u: np.ndarray
     flow: FlowResult
+    coarse: FlowResult | None = None
 
 
 def eigen_solve(background, u0, config: FlowConfig | None = None,
@@ -790,13 +847,22 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
     moves only that constant, so lambda1 agrees with a ``STEP_TOL`` run to
     about 1e-14 while V_2 drifts by 1e-9 to 1e-7 (``flow.max_V_drift``) and
     the solve takes 2-3x fewer kernel evaluations.
+
+    A solve that stops on convergence on 64 or more points converges on a
+    32-point grid first (``coarse``, None otherwise) and finishes on
+    ``grid`` from the interpolated coarse equilibrium; on S^5 at 512 points
+    that takes about 5x fewer evaluations, and lambda1 agrees with a
+    single-grid solve to about 1e-14.  ``flow`` is the fine run, except that
+    its ``evaluations`` count both grids.
     """
     if config is None:
         config = FlowConfig(eps=2.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)
     if config.eps != 2.0:
         raise ValueError("the eigenvalue mode runs the eps = 2 flow")
-    res = flow_run(background, u0, config, grid=grid)
-    return EigenResult(lambda1=res.r_eps, u=res.u, flow=res)
+    if grid is None:
+        grid = background.make_grid(np.size(u0))
+    res, coarse = _equilibrium_run(background, u0, config, grid)
+    return EigenResult(lambda1=res.r_eps, u=res.u, flow=res, coarse=coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +879,7 @@ class ContinuationRung:
     r_eps: float
     u: np.ndarray
     evaluations: int
+    coarse: FlowResult | None = None
 
 
 def continuation(background, u0, eps_ladder,
@@ -828,6 +895,11 @@ def continuation(background, u0, eps_ladder,
     both energies are scale-invariant, so the step error, which moves u
     only by an additive constant (V_eps drifts by up to about 1e-7), leaves
     them within about 1e-14 of a ``STEP_TOL`` run.
+
+    The first rung, which starts cold from u0, converges on a 32-point grid
+    first as ``eigen_solve`` does (its ``coarse`` run, and its
+    ``evaluations`` count both grids); the warm rungs run on the grid of u0
+    alone.
     """
     if base_config is None:
         base_config = FlowConfig(eps=0.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)
@@ -837,18 +909,22 @@ def continuation(background, u0, eps_ladder,
     grid = background.make_grid(u.size)
     for eps in eps_ladder:
         eps = float(eps)
-        res = flow_run(background, u, replace(base_config, eps=eps), grid=grid)
+        config = replace(base_config, eps=eps)
+        if rungs:
+            res, coarse = flow_run(background, u, config, grid=grid), None
+        else:
+            res, coarse = _equilibrium_run(background, u, config, grid)
         if res.status == "cone_exit":
             rungs.append(ContinuationRung(eps, res.status, math.nan, math.nan,
                                           math.nan, math.nan, math.nan, res.u,
-                                          res.evaluations))
+                                          res.evaluations, coarse))
             break
         vol = functional_V(res.grid, background, res.u, 0.0)
         y_eps = res.V_eps ** (-(n - 4.0) / (n - 2.0 * eps)) * res.F2
         y2 = vol ** (-(n - 4.0) / n) * res.F2
         rungs.append(
             ContinuationRung(eps, res.status, float(y_eps), float(y2),
-                             res.F2, res.V_eps, res.r_eps, res.u, res.evaluations)
+                             res.F2, res.V_eps, res.r_eps, res.u, res.evaluations, coarse)
         )
         if res.status not in ("converged", "t_max"):
             break

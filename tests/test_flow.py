@@ -511,7 +511,7 @@ def test_stencil_tables_built_once_per_grid(monkeypatch):
     real = discretize_module.stencil_tables
 
     def counting(grid, order):
-        calls.append(order)
+        calls.append((grid.num_points, order))
         return real(grid, order)
 
     monkeypatch.setattr(discretize_module, "stencil_tables", counting)
@@ -521,8 +521,116 @@ def test_stencil_tables_built_once_per_grid(monkeypatch):
     cfg = FlowConfig(eps=2.0, t_max=0.05, tol_converge=0.0)
     flow_run(sphere, u0, cfg, grid=grid)
     flow_run(sphere, u0, cfg, grid=grid)
-    assert sorted(calls) == [1, 2]
+    assert sorted(calls) == [(64, 1), (64, 2)]
     calls.clear()
+    # the first rung runs on the 32-point coarse grid too: one build per grid
     continuation(sphere, u0, (2.0, 1.5, 1.0),
                  FlowConfig(eps=0.0, t_max=0.05, step_tol=flow_module.EQUILIBRIUM_STEP_TOL))
-    assert sorted(calls) == [1, 2]
+    assert sorted(calls) == [(32, 1), (32, 2), (64, 1), (64, 2)]
+
+
+# ---------------------------------------------------------------------------
+# equilibrium solves that converge on a coarse grid first; the oracle is the
+# single-grid solve, plain flow_run from u0 on the requested grid
+
+def _counted_flow_runs(monkeypatch):
+    """Record the result of every flow_run call the drivers make."""
+    results = []
+    real = flow_module.flow_run
+
+    def counting(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(flow_module, "flow_run", counting)
+    return results
+
+
+@pytest.mark.parametrize("n, points, init", [(5, 128, "cosine"), (9, 128, "bump"),
+                                             (5, 512, "cosine")])
+def test_eigen_coarse_start_matches_the_single_grid_solve(n, points, init, monkeypatch):
+    sphere = RoundSphere(n)
+    grid = sphere_latitude(n, points)
+    u0 = initial_field(init, grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    single = flow_run(sphere, u0, cfg, grid=grid)
+    runs = _counted_flow_runs(monkeypatch)
+    res = eigen_solve(sphere, u0, grid=grid)
+    assert single.status == res.flow.status == res.coarse.status == "converged"
+    assert res.coarse.grid.num_points == 32 and res.flow.grid is grid
+    assert abs(res.lambda1 - single.r_eps) <= 1e-12
+    assert np.ptp(res.u - single.u) <= 1e-8
+    # every run is counted once, in its own result and in the solve's total
+    assert [r.grid.num_points for r in runs] == [points, 32, points]
+    assert res.flow.evaluations == sum(r.evaluations for r in runs)
+    assert runs[-1].evaluations < res.flow.evaluations
+    if points == 512:
+        assert 3 * res.flow.evaluations <= single.evaluations
+
+
+def test_continuation_coarse_start_matches_the_single_grid_ladder():
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 128)
+    u0 = initial_field("cosine", grid, 0.1)
+    ladder = (2.0, 1.5, 1.0)
+    base = FlowConfig(eps=0.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    rungs = continuation(sphere, u0, ladder)
+    assert [r.eps for r in rungs] == list(ladder)
+    assert rungs[0].coarse.status == "converged"
+    assert all(r.coarse is None for r in rungs[1:])
+    u = u0
+    for eps, rung in zip(ladder, rungs):
+        single = flow_run(sphere, u, replace(base, eps=eps), grid=grid)
+        u = single.u
+        y_eps = single.V_eps ** (-1.0 / (5.0 - 2.0 * eps)) * single.F2
+        y2 = functional_V(grid, sphere, single.u, 0.0) ** (-1.0 / 5.0) * single.F2
+        assert rung.status == single.status == "converged"
+        assert rung.Y_eps == pytest.approx(y_eps, rel=1e-12, abs=0.0)
+        assert rung.Y2_estimate == pytest.approx(y2, rel=1e-12, abs=0.0)
+        assert np.ptp(rung.u - single.u) <= 1e-8
+
+
+def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    # 0.499 cos x is inside the cone on 64 points, outside it on 32; from
+    # 0.1 cos x, neither run converges by t = 0.5
+    edge, mild = 0.499 * np.cos(grid.x), initial_field("cosine", grid, 0.1)
+    for u0, config, coarse_status in ((edge, cfg, "cone_exit"),
+                                      (mild, replace(cfg, t_max=0.5), "t_max"),
+                                      (mild, replace(cfg, tol_converge=0.0, t_max=0.5), None)):
+        plain = flow_run(sphere, u0, config, grid=grid)
+        runs = _counted_flow_runs(monkeypatch)
+        res = eigen_solve(sphere, u0, config, grid=grid)
+        monkeypatch.undo()
+        assert (res.coarse and res.coarse.status) == coarse_status
+        assert res.flow.status == plain.status != "cone_exit"
+        assert res.u.tobytes() == plain.u.tobytes()
+        assert res.flow.records == plain.records
+        assert (res.flow.t, res.flow.steps, res.flow.F2) == (plain.t, plain.steps, plain.F2)
+        assert res.flow.evaluations == sum(r.evaluations for r in runs)
+        assert runs[-1].evaluations == plain.evaluations
+    # a start outside the cone on the requested grid ends there, as plain
+    # flow_run does, although the coarse grid would take it
+    u0 = initial_field("bump", grid, 0.1)
+    plain = flow_run(sphere, u0, cfg, grid=grid)
+    res = eigen_solve(sphere, u0, cfg, grid=grid)
+    assert plain.status == res.flow.status == "cone_exit" and res.coarse is None
+    assert res.flow.evaluations == plain.evaluations == 1
+    assert flow_run(sphere, np.interp(sphere_latitude(5, 32).x, grid.x, u0),
+                    replace(cfg, t_max=0.0)).status == "t_max"
+
+
+def test_timeout_bounds_the_whole_equilibrium_solve():
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 512)
+    u0 = initial_field("cosine", grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, timeout=1e-3,
+                     step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    with _alarm(20):
+        res = eigen_solve(sphere, u0, cfg, grid=grid)
+        rungs = continuation(sphere, u0, (2.0, 1.5), replace(cfg, eps=0.0))
+    assert res.flow.status == "timeout" and res.flow.config.timeout == 1e-3
+    assert res.coarse.status == "timeout"
+    assert [(r.eps, r.status) for r in rungs] == [(2.0, "timeout")]
