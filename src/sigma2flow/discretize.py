@@ -80,11 +80,15 @@ class RadialGrid:
 
     @property
     def weights(self) -> np.ndarray:
-        """Trapezoid weights times the volume density."""
-        w = np.full(self.x.size, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w * self.density
+        """Trapezoid weights times the volume density (read-only)."""
+        w = self._ops.get("weights")
+        if w is None:
+            w = np.full(self.x.size, self.h)
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            w = self._ops["weights"] = w * self.density
+            w.flags.writeable = False
+        return w
 
     @property
     def stencils(self) -> "Stencils":
@@ -98,7 +102,8 @@ class RadialGrid:
             self._ops["stencils"] = st
         return st
 
-    # per-grid caches: the stencils, and the flow kernel's inputs per background
+    # per-grid caches: the stencils, the weights, and per background the inputs
+    # of the one Schouten routine, for the flow kernel and ``schouten_fields``
     _ops: dict = field(default_factory=dict, repr=False, compare=False)
 
 

@@ -80,8 +80,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretize import RadialGrid, Stencils
-from .geometry import ConeViolation, ConformalField, functional_V, schouten_fields
+from .discretize import RadialGrid
+from .geometry import (ConeViolation, ConformalField, functional_V, radial_schouten,
+                       scale_invariant_energy, schouten_fields, schouten_inputs)
 
 __all__ = [
     "FlowConfig",
@@ -273,50 +274,6 @@ def initial_field(name: str, grid: RadialGrid, amplitude: float = 0.1) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# driver
-
-class _KernelTables(NamedTuple):
-    """Per-grid inputs of the velocity kernel.
-
-    ``stencils`` are the grid's derivative stencils with band rows u'', u'
-    and u' again; the kernel turns the second row into the tangential
-    Hessian.
-    """
-
-    stencils: Stencils      # band rows u'', u', u'
-    lat: np.ndarray         # factor of u' in the tangential Hessian
-    pole: np.ndarray        # axis nodes, where the tangential Hessian is u''
-    base: np.ndarray        # (2, N) background Schouten branches s_r0, s_t0
-    aniso_half: np.ndarray | None  # half the anisotropy factor of |u'|^2
-    weights: np.ndarray     # quadrature weights times the volume density
-
-
-def _kernel_inputs(grid: RadialGrid, background) -> _KernelTables:
-    st = grid.stencils
-    rows = [1, 0, 0]
-    x = grid.x
-    s_r0, s_t0 = background.base_schouten(x)
-    aniso_half = 0.5 * np.asarray(background.aniso_over_r2(x), dtype=float)
-    return _KernelTables(
-        stencils=st._replace(band=st.band[rows], closure_coef=st.closure_coef[rows]),
-        lat=np.array(background.lateral(x), dtype=float),
-        pole=np.array(background.pole_mask(x), dtype=bool),
-        base=np.array([s_r0, s_t0], dtype=float),
-        aniso_half=aniso_half if aniso_half.any() else None,
-        weights=np.array(grid.weights, dtype=float),
-    )
-
-
-def _cached_kernel_inputs(grid: RadialGrid, background) -> _KernelTables:
-    key = ("kernel", background)
-    tables = grid._ops.get(key)
-    if tables is None:
-        tables = _kernel_inputs(grid, background)
-        grid._ops[key] = tables
-    return tables
-
-
-# ---------------------------------------------------------------------------
 # time stepping: damped second-order Runge-Kutta-Chebyshev (RKC)
 
 #: damping of the RKC stability polynomial (Sommeijer, Shampine & Verwer 1998)
@@ -390,10 +347,6 @@ def _stage_count(dt: float, lam_max: float, h2: float) -> int:
     return max(2, math.ceil(math.sqrt(1.0 + z / _RKC_BETA)))
 
 
-#: signs of |u'|^2 / 2 in the radial and tangential Schouten branches
-_HALF_GRAD_SIGNS = np.array([[0.5], [-0.5]])
-
-
 class _Stepper:
     """The velocity kernel, the RKC step and its step-size controller.
 
@@ -410,7 +363,9 @@ class _Stepper:
                  step_tol: float = STEP_TOL):
         n = background.n
         eps = float(eps)
-        self.tables = _cached_kernel_inputs(grid, background)
+        # band rows u'', u', u', and the background's tables, for radial_schouten
+        self.stencils, self.schouten = schouten_inputs(grid, background)
+        self.weights = grid.weights
         self.n = n
         self.h2 = grid.h * grid.h
         self.dt_safety = dt_safety
@@ -418,9 +373,6 @@ class _Stepper:
         self.evaluations = 0
         # exponents of e^{(4-n)u} (F2), e^{(2 eps-n)u} (V_eps), e^{(2 eps-4)u} (b^2)
         self.exponents = np.array([[4.0 - n], [2.0 * eps - n], [2.0 * eps - 4.0]])
-        # [w_r, w_t] -> [sigma_1, (n-1) (w_r + (n-2)/2 w_t)]; w_t times the
-        # second is sigma_2 before the anisotropy, in product form
-        self.mix = np.array([[1.0, n - 1.0], [n - 1.0, 0.5 * (n - 1.0) * (n - 2.0)]])
 
     def velocity(self, u, level, out=None):
         """(v, slots) at u, or None outside the cone.
@@ -429,30 +381,20 @@ class _Stepper:
         velocity goes to ``out`` when it is given.
         """
         self.evaluations += 1
-        tb = self.tables
         n = self.n
-        d = tb.stencils.apply(u)
-        upp, tang, up = d[0], d[1], d[2]
-        tang *= tb.lat
-        np.copyto(tang, upp, where=tb.pole)
-        up2 = up * up
-        w = up2 * _HALF_GRAD_SIGNS
-        w += d[:2]
-        w += tb.base
+        # rows u'', then the tangential Hessian in place of u', then u'
+        d = self.stencils.apply(u)
         # rows sigma_1, sigma_2, then b^2 once r_eps is known
         q = np.empty((3, u.size))
-        np.matmul(self.mix, w, out=q[:2])
+        radial_schouten(self.schouten, d, q[:2])
         s1, s2 = q[0], q[1]
-        s2 *= w[1]
-        if tb.aniso_half is not None:
-            s2 -= up2 * tb.aniso_half
         if np.minimum.reduce(q[:2], axis=None) <= 0.0:
             return None
         e = self.exponents * u
         np.exp(e, out=e)
         f2i = e[0] * s2
-        f2 = float(np.dot(f2i, tb.weights))
-        wv = e[1] * tb.weights
+        f2 = float(np.dot(f2i, self.weights))
+        wv = e[1] * self.weights
         veps = float(np.add.reduce(wv))
         reps = f2 / veps
         np.multiply(e[2], reps, out=q[2])
@@ -478,10 +420,10 @@ class _Stepper:
                       float(np.minimum.reduce(u)))
         if level == _RECORD:
             grad = np.maximum.reduce(np.abs(d[:2]))
-            grad += up2
+            grad += d[2] * d[2]
             slots += (float(np.minimum.reduce(np.exp(u * 4.0) * s2)),
                       float(np.maximum.reduce(grad)),
-                      -0.5 * (n - 4.0) * float(np.dot((f2i - e[1] * reps) * tb.weights, hd)))
+                      -0.5 * (n - 4.0) * float(np.dot((f2i - e[1] * reps) * self.weights, hd)))
         return v, slots
 
     def first_dt(self, slots) -> float:
@@ -888,7 +830,8 @@ def continuation(background, u0, eps_ladder,
 
     Per rung two scale-invariant energies are reported: ``Y_eps`` uses the
     V_eps normalization the rung actually ran with, ``Y2_estimate`` the plain
-    volume normalization (the quantity the ladder estimates).  The ladder
+    volume normalization (the quantity the ladder estimates); both come from
+    ``scale_invariant_energy``, so ``Y_eps`` is NaN at 2 eps = n.  The ladder
     stops early if a rung fails to converge or leaves the cone.
 
     Without a ``base_config`` every rung steps at ``EQUILIBRIUM_STEP_TOL``:
@@ -920,12 +863,10 @@ def continuation(background, u0, eps_ladder,
                                           res.evaluations, coarse))
             break
         vol = functional_V(res.grid, background, res.u, 0.0)
-        y_eps = res.V_eps ** (-(n - 4.0) / (n - 2.0 * eps)) * res.F2
-        y2 = vol ** (-(n - 4.0) / n) * res.F2
-        rungs.append(
-            ContinuationRung(eps, res.status, float(y_eps), float(y2),
-                             res.F2, res.V_eps, res.r_eps, res.u, res.evaluations, coarse)
-        )
+        rungs.append(ContinuationRung(
+            eps, res.status, scale_invariant_energy(res.F2, res.V_eps, n, eps),
+            scale_invariant_energy(res.F2, vol, n), res.F2, res.V_eps, res.r_eps, res.u,
+            res.evaluations, coarse))
         if res.status not in ("converged", "t_max"):
             break
         u = res.u

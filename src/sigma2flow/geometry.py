@@ -12,6 +12,11 @@ velocity) is built from these two fields, plus an optional tangential
 Hessian anisotropy correction ``var`` used by the curvature-deficit model
 background.
 
+One routine, ``radial_schouten``, turns the derivative rows (u'', u') and
+per-node tables of the background into both branches and (sigma_1, sigma_2).
+The flow's velocity kernel, ``schouten_fields`` (the energies and the
+divergence identity) and the comparison-metric construction all call it.
+
 Sign and weight conventions:
 
     sigma_2(g)   = e^{4u} sigma_2(W)
@@ -25,16 +30,13 @@ both are plain background integrals of pointwise expressions in u.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .discretize import (
-    RadialGrid,
-    ball_radius,
-    integrate,
-    sphere_latitude,
-)
+from .discretize import RadialGrid, ball_radius, integrate, sphere_latitude
 
 __all__ = [
     "RoundSphere",
@@ -43,9 +45,13 @@ __all__ = [
     "ConeViolation",
     "ConformalField",
     "SchoutenFields",
+    "SchoutenTables",
+    "schouten_tables",
+    "schouten_inputs",
+    "radial_schouten",
     "schouten_fields",
     "schouten_pointwise",
-    "sigma_pair_radial",
+    "scale_invariant_energy",
     "functional_F2",
     "functional_V",
     "normalized_F2",
@@ -93,19 +99,11 @@ class RoundSphere:
         return np.zeros(np.shape(x))
 
 
-@dataclass(frozen=True)
-class FlatRadialBall:
-    """Flat ball of radius r0; the background Schouten tensor vanishes."""
-
-    n: int
-    r0: float
+class _Ball:
+    """Radius grid on [0, r0] and the axis at r = 0, for the ball backgrounds."""
 
     def make_grid(self, num_points: int) -> RadialGrid:
         return ball_radius(self.n, num_points, self.r0)
-
-    def base_schouten(self, x):
-        z = np.zeros(np.shape(x))
-        return z, z.copy()
 
     def lateral(self, x):
         x = np.asarray(x, dtype=float)
@@ -115,12 +113,24 @@ class FlatRadialBall:
     def pole_mask(self, x):
         return np.abs(np.asarray(x, dtype=float)) < _POLE_TOL
 
+
+@dataclass(frozen=True)
+class FlatRadialBall(_Ball):
+    """Flat ball of radius r0; the background Schouten tensor vanishes."""
+
+    n: int
+    r0: float
+
+    def base_schouten(self, x):
+        z = np.zeros(np.shape(x))
+        return z, z.copy()
+
     def aniso_over_r2(self, x):
         return np.zeros(np.shape(x))
 
 
 @dataclass(frozen=True)
-class CurvatureModel:
+class CurvatureModel(_Ball):
     """Radially averaged curvature-deficit model on a ball.
 
     Encodes, to leading order in the deficit ``delta_r`` (the second radial
@@ -150,9 +160,6 @@ class CurvatureModel:
         if not (0.0 < self.r_cut and self.cut_width > 0.0):
             raise ValueError("need r_cut > 0 and cut_width > 0")
 
-    def make_grid(self, num_points: int) -> RadialGrid:
-        return ball_radius(self.n, num_points, self.r0)
-
     def chi(self, x):
         x = np.asarray(x, dtype=float)
         return 1.0 - smoothstep((x - self.r_cut) / self.cut_width)
@@ -163,14 +170,6 @@ class CurvatureModel:
         core = self.delta_r * x * x * self.chi(x) / (4.0 * n * (n + 2) * (n - 1))
         return 3.0 * core, core
 
-    def lateral(self, x):
-        x = np.asarray(x, dtype=float)
-        safe = np.where(np.abs(x) < _POLE_TOL, 1.0, x)
-        return np.where(np.abs(x) < _POLE_TOL, 0.0, 1.0 / safe)
-
-    def pole_mask(self, x):
-        return np.abs(np.asarray(x, dtype=float)) < _POLE_TOL
-
     def aniso_over_r2(self, x):
         x = np.asarray(x, dtype=float)
         n = self.n
@@ -178,41 +177,91 @@ class CurvatureModel:
 
 
 # ---------------------------------------------------------------------------
-# pointwise fields
+# the radial Schouten routine
+
+class SchoutenTables(NamedTuple):
+    """What ``radial_schouten`` reads of one background at the nodes x."""
+
+    mix: np.ndarray                # (2, 2): [w_r, w_t] -> [sigma_1, (n-1) (w_r + (n-2)/2 w_t)]
+    lat: np.ndarray                # factor of u' in the tangential Hessian
+    pole: np.ndarray               # axis nodes, where the tangential Hessian is u''
+    base: np.ndarray               # (2, N) background branches s_r0, s_t0
+    aniso_half: np.ndarray | None  # half the anisotropy factor of |u'|^2; None if 0
+
+
+def schouten_tables(background, x) -> SchoutenTables:
+    """The background's Schouten tables at the 1-d array of nodes x."""
+    x = np.asarray(x, dtype=float)
+    n = background.n
+    aniso_half = 0.5 * np.asarray(background.aniso_over_r2(x), dtype=float)
+    return SchoutenTables(
+        mix=np.array([[1.0, n - 1.0], [n - 1.0, 0.5 * (n - 1.0) * (n - 2.0)]]),
+        lat=np.asarray(background.lateral(x), dtype=float),
+        pole=np.asarray(background.pole_mask(x), dtype=bool),
+        base=np.array(background.base_schouten(x), dtype=float),
+        aniso_half=aniso_half if aniso_half.any() else None,
+    )
+
+
+def schouten_inputs(grid: RadialGrid, background):
+    """The grid's stencils with band rows u'', u', u' (the rows
+    ``radial_schouten`` reads) and the background's tables at its nodes."""
+    key = ("schouten", background)
+    inputs = grid._ops.get(key)
+    if inputs is None:
+        st, rows = grid.stencils, [1, 0, 0]
+        inputs = (st._replace(band=st.band[rows], closure_coef=st.closure_coef[rows]),
+                  schouten_tables(background, grid.x))
+        grid._ops[key] = inputs
+    return inputs
+
+
+#: signs of |u'|^2 / 2 in the radial and tangential Schouten branches
+_HALF_GRAD_SIGNS = np.array([[0.5], [-0.5]])
+
+
+def radial_schouten(tables: SchoutenTables, d, sigma=None):
+    """Both Schouten branches and (sigma_1, sigma_2), from derivative rows.
+
+    ``d`` is a (3, N) float array with rows u'', u', u' at the tables'
+    nodes.  Its second row becomes the tangential Hessian ``u' * lateral``,
+    which at an axis node is u'' (L'Hopital on 0 * inf).  sigma_1 and sigma_2
+    go to the (2, N) buffer ``sigma``, or a new one.  sigma_2 is the product
+    form (n-1) w_t (w_r + (n-2)/2 w_t) - var/2, which avoids the cancellation
+    of the trace formula near the cone boundary.  Returns ``(w, sigma)``.
+    """
+    upp, tang, up = d[0], d[1], d[2]   # indexing: unpacking d iterates, slower
+    tang *= tables.lat
+    np.copyto(tang, upp, where=tables.pole)
+    up2 = up * up
+    w = up2 * _HALF_GRAD_SIGNS
+    w += d[:2]
+    w += tables.base
+    if sigma is None:
+        sigma = np.empty_like(w)
+    np.matmul(tables.mix, w, out=sigma)
+    sigma[1] *= w[1]
+    if tables.aniso_half is not None:
+        sigma[1] -= up2 * tables.aniso_half
+    return w, sigma
+
+
+def _branches(tables: SchoutenTables, d):
+    """``radial_schouten`` on the rows d as (w_r, w_t, var, sigma_1, sigma_2),
+    with var = |u'|^2 times the anisotropy factor (zeros without one)."""
+    w, (s1, s2) = radial_schouten(tables, d)
+    up, aniso = d[2], tables.aniso_half
+    var = np.zeros(up.shape) if aniso is None else (up * up) * (2.0 * aniso)
+    return w[0], w[1], var, s1, s2
+
 
 def schouten_pointwise(background, x, u, up, upp):
-    """Radial/tangential Schouten branches from analytic derivatives.
-
-    At an axis point the tangential second fundamental term ``u' * lateral``
-    degenerates to 0 * inf; by L'Hopital it equals ``u''`` there, which is
-    what the pole mask substitutes.  Returns ``(w_r, w_t, var)``.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    up = np.asarray(up, dtype=float)
-    upp = np.asarray(upp, dtype=float)
-    s_r0, s_t0 = background.base_schouten(x)
-    lat = background.lateral(x)
-    pole = background.pole_mask(x)
-    half_grad2 = 0.5 * up * up
-    w_r = upp + half_grad2 + s_r0
-    w_t = np.where(pole, upp, up * lat) - half_grad2 + s_t0
-    var = up * up * background.aniso_over_r2(x)
-    return w_r, w_t, var
-
-
-def sigma_pair_radial(n: int, w_r, w_t, var=None):
-    """sigma_1 and sigma_2 of diag(w_r, w_t, ..., w_t) (+ anisotropy).
-
-    The product form sigma_2 = (n-1) w_t (w_r + (n-2)/2 w_t) - var/2 avoids
-    the catastrophic cancellation of the trace formula near the cone
-    boundary.
-    """
-    s1 = w_r + (n - 1) * w_t
-    s2 = (n - 1) * w_t * (w_r + 0.5 * (n - 2) * w_t)
-    if var is not None:
-        s2 = s2 - 0.5 * np.asarray(var)
-    return s1, s2
+    """Radial/tangential Schouten branches from analytic derivatives at the
+    nodes x (an array, or one node), by ``radial_schouten``.  Returns
+    ``(w_r, w_t, var)`` in the shape of x."""
+    d = np.array([upp, up, up], dtype=float).reshape(3, -1)
+    w_r, w_t, var, _, _ = _branches(schouten_tables(background, np.ravel(x)), d)
+    return tuple(a.reshape(np.shape(x)) for a in (w_r, w_t, var))
 
 
 @dataclass(frozen=True)
@@ -246,12 +295,12 @@ class SchoutenFields:
 
 
 def schouten_fields(grid: RadialGrid, background, u) -> SchoutenFields:
-    """Differentiate u on the grid and evaluate both Schouten branches."""
+    """Differentiate u on the grid and evaluate both Schouten branches, by
+    ``radial_schouten`` on the grid's cached tables, as the flow kernel does."""
     u = np.asarray(u, dtype=float)
-    up, upp = grid.stencils.apply(u)
-    w_r, w_t, var = schouten_pointwise(background, grid.x, u, up, upp)
-    s1, s2 = sigma_pair_radial(background.n, w_r, w_t, var)
-    return SchoutenFields(grid, u, up, upp, w_r, w_t, var, s1, s2)
+    stencils, tables = schouten_inputs(grid, background)
+    d = stencils.apply(u)
+    return SchoutenFields(grid, u, d[2], d[0], *_branches(tables, d))
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +319,21 @@ def functional_V(grid: RadialGrid, background, u, eps: float) -> float:
     return integrate(grid, np.exp((2.0 * eps - n) * u))
 
 
-def normalized_F2(grid: RadialGrid, background, u, eps: float | None = None) -> float:
-    """Scale-invariant sigma_2 energy.
+def scale_invariant_energy(f2: float, volume: float, n: int, eps: float = 0.0) -> float:
+    """V_eps^{-(n-4)/(n-2 eps)} F2, invariant under u -> u + const; NaN at
+    2 eps = n, where no power of V_eps (the plain volume) makes F2 invariant."""
+    if n == 2.0 * eps:
+        return math.nan
+    return volume ** (-(n - 4.0) / (n - 2.0 * eps)) * f2
 
-    With ``eps`` given this is V_eps^{-(n-4)/(n-2 eps)} F2; without it the
-    plain volume normalization V_0^{-(n-4)/n} F2.  Both are invariant under
-    u -> u + const, which the tests check to machine precision.
-    """
-    n = background.n
+
+def normalized_F2(grid: RadialGrid, background, u, eps: float | None = None) -> float:
+    """``scale_invariant_energy`` of u: V_eps^{-(n-4)/(n-2 eps)} F2, or
+    without ``eps`` the plain volume normalization V_0^{-(n-4)/n} F2."""
+    eps = 0.0 if eps is None else eps
     f2 = functional_F2(grid, background, u)
-    if eps is None:
-        vol = functional_V(grid, background, u, 0.0)
-        return vol ** (-(n - 4.0) / n) * f2
-    v = functional_V(grid, background, u, eps)
-    return v ** (-(n - 4.0) / (n - 2.0 * eps)) * f2
+    return scale_invariant_energy(f2, functional_V(grid, background, u, eps),
+                                  background.n, eps)
 
 
 def divergence_identity_residual(grid: RadialGrid, background, u) -> float:
@@ -310,7 +360,7 @@ def divergence_identity_residual(grid: RadialGrid, background, u) -> float:
     f = schouten_fields(grid, background, u)
     ew = np.exp((4.0 - n) * f.u)
     grad2 = f.up * f.up
-    s_r0, s_t0 = background.base_schouten(grid.x)
+    s_r0, s_t0 = schouten_inputs(grid, background)[1].base
 
     lhs = 2.0 * integrate(grid, ew * f.sigma2)
     t_rad = (n - 1) * f.w_t                     # radial eigenvalue of T_1(W)

@@ -46,8 +46,8 @@ from .discretize import log_edges, sphere_measure
 from .geometry import (
     CurvatureModel,
     FlatRadialBall,
-    schouten_pointwise,
-    sigma_pair_radial,
+    radial_schouten,
+    schouten_tables,
     smoothstep,
 )
 
@@ -231,19 +231,22 @@ def _cap(r):
     return np.log1p(rr), 2.0 * r / (1.0 + rr), (2.0 - 2.0 * rr) / (1.0 + rr) ** 2
 
 
-def _sigma_pair(r, derivs, model, n: int):
-    """sigma_1(W) and sigma_2(W) of a profile with (u, u', u'') = derivs at r."""
-    u, up, upp = derivs
-    return sigma_pair_radial(n, *schouten_pointwise(model, r, u, up, upp))
+def _sigma_pair(r, derivs, model):
+    """sigma_1(W) and sigma_2(W) of a profile with (u, u', u'') = derivs at r,
+    and the Schouten tables of ``model`` at r that they come from."""
+    _, up, upp = derivs
+    tables = schouten_tables(model, r)
+    s1, s2 = radial_schouten(tables, np.array([upp, up, up]))[1]
+    return s1, s2, tables
 
 
-def _cone_values(r, derivs, models, n: int):
+def _cone_values(r, derivs, models):
     """(e^{2u} sigma_1, e^{4u} sigma_2), the sigma pair of the metric e^{-2u} g0,
     against each background in ``models``; e^{2u} and e^{4u} are computed once
     for all of them."""
     u = derivs[0]
     e2, e4 = np.exp(2.0 * u), np.exp(4.0 * u)
-    return [(e2 * s1, e4 * s2) for s1, s2 in (_sigma_pair(r, derivs, m, n) for m in models)]
+    return [(e2 * s1, e4 * s2) for s1, s2, _ in (_sigma_pair(r, derivs, m) for m in models)]
 
 
 def _panel_nodes(edges):
@@ -285,7 +288,7 @@ def _masses(r, weights, derivs, models, n: int, offsets):
         terms = terms.tolist()
         return [_fsum(terms[a:b]) for a, b in spans]
 
-    energies = [sums(decay * _sigma_pair(r, derivs, m, n)[1] * measure) for m in models]
+    energies = [sums(decay * _sigma_pair(r, derivs, m)[1] * measure) for m in models]
     return energies, sums(np.exp(-float(n) * u) * measure)
 
 
@@ -654,9 +657,9 @@ def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
 
     # true pointwise cone check against the bubble's background model
     model = bp.model()
-    s1, s2 = _sigma_pair(r, core.derivatives(r), model, n)
+    s1, s2, tables = _sigma_pair(r, core.derivatives(r), model)
     cone_ok = bool(s1.min() > 0.0 and s2.min() > 0.0)
-    s_r0, s_t0 = model.base_schouten(r)
+    s_r0, s_t0 = tables.base
     pad_scale = 0.5 * A * float(alpha.min())
     padding_dominates = bool(
         max(np.abs(s_r0 / (r * r)).max(), np.abs(s_t0 / (r * r)).max()) <= pad_scale)
@@ -1002,7 +1005,7 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
     twins = [bp] if bp.delta_r == 0.0 else [BubbleParams(n, bp.lam, bp.r0, bp.beta, 0.0), bp]
     models = [params.model(CUT_RADIUS, CUT_WIDTH) for params in twins]
     energies, volumes = _masses(rq, wq, dq, models, n, q_off)
-    cones = _cone_values(rc, dc, models, n)
+    cones = _cone_values(rc, dc, models)
     vol = _fsum(volumes)
 
     am = None

@@ -133,6 +133,18 @@ def test_continuation(capsys):
     assert d["rungs"][0]["Y_eps"] == pytest.approx(2.5, abs=1e-7)
 
 
+def test_continuation_at_half_the_dimension_reports_a_null_y_eps(capsys):
+    # at eps = n/2 no power of V_eps makes F2 scale-invariant
+    rc, cap = run_cli(capsys, ["continuation", "--ladder", "2.5", "--n", "5",
+                               "--grid-points", "32"])
+    assert rc == 0
+    d = json.loads(cap.out)
+    [rung] = d["rungs"]
+    assert d["status"] == rung["status"] == "converged"
+    assert rung["Y_eps"] is None
+    assert rung["Y2_estimate"] == pytest.approx(39.003151786888736, rel=1e-3)
+
+
 def test_construct_defaults(capsys):
     rc, cap = run_cli(capsys, ["construct"])
     assert rc == 0

@@ -28,6 +28,7 @@ from sigma2flow.geometry import (
     CurvatureModel,
     FlatRadialBall,
     RoundSphere,
+    divergence_identity_residual,
     functional_V,
     schouten_fields,
 )
@@ -465,15 +466,44 @@ def _reference_flow(background, field, eps):
                          ids=["S5", "S9", "flat_ball", "curvature_model"])
 def test_velocity_matches_geometry_evaluation(background, num_points, eps):
     field = _kernel_field(background, num_points)
-    v_ref, mon, hd_scale = _reference_flow(background, field, eps)
-    v = velocity(background, field, eps)
+    # no floating-point exception anywhere on the kernel's or the fields' path
+    with np.errstate(all="raise"):
+        v_ref, mon, hd_scale = _reference_flow(background, field, eps)
+        v = velocity(background, field, eps)
+        rec = flow_state(background, field, eps).monitors
+        run = flow_run(background, field.u, FlowConfig(eps=eps, t_max=0.05),
+                       grid=field.grid)
+        if field.grid.right_even:
+            divergence_identity_residual(field.grid, background, field.u)
+    assert run.status == "t_max"
     assert np.abs(v - v_ref).max() <= 1e-11 * np.abs(v_ref).max()
-    rec = flow_state(background, field, eps).monitors
     assert rec.r_eps == pytest.approx(mon["r_eps"], rel=1e-12)
     assert rec.s_eps == pytest.approx(mon["s_eps"], rel=1e-12, abs=1e-12 * hd_scale)
     for name in ("F2", "V_eps", "r_eps", "min_sigma2", "sup_grad"):
         assert getattr(rec, name) == pytest.approx(mon[name], rel=1e-11), name
     assert rec.dF2dt_formula == pytest.approx(mon["dF2dt_formula"], rel=1e-9)
+
+
+@pytest.mark.parametrize("background,num_points", _KERNEL_CASES,
+                         ids=["S5", "S9", "flat_ball", "curvature_model"])
+def test_kernel_and_schouten_fields_share_the_sigma_pair(background, num_points,
+                                                        monkeypatch):
+    # the kernel's sigma_1 and sigma_2 are those of schouten_fields, bit for bit
+    seen = []
+    real = flow_module.radial_schouten
+
+    def capture(tables, d, sigma=None):
+        w, sigma = real(tables, d, sigma)
+        seen.append(sigma.copy())
+        return w, sigma
+
+    monkeypatch.setattr(flow_module, "radial_schouten", capture)
+    field = _kernel_field(background, num_points)
+    velocity(background, field, 2.0)
+    f = schouten_fields(field.grid, background, field.u)
+    [sigma] = seen
+    assert sigma[0].tobytes() == f.sigma1.tobytes()
+    assert sigma[1].tobytes() == f.sigma2.tobytes()
 
 
 def _assert_record_is_full_evaluation(sphere, grid, u, eps, rec):

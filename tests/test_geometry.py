@@ -16,6 +16,7 @@ from sigma2flow.geometry import (
     functional_V,
     normalized_F2,
     round_schouten_sigma2,
+    scale_invariant_energy,
     schouten_fields,
     smoothstep,
 )
@@ -95,6 +96,16 @@ def test_normalized_energy_shift_invariant(c):
     base = normalized_F2(grid, sphere, u, eps=1.5)
     shifted = normalized_F2(grid, sphere, u + c, eps=1.5)
     assert shifted == pytest.approx(base, rel=1e-12)
+
+
+def test_normalized_energy_is_nan_where_no_volume_power_is_invariant():
+    # at 2 eps = n, V_eps is the plain volume, and F2 scales alone under a shift
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 32)
+    u = 0.1 * np.cos(grid.x)
+    assert math.isnan(normalized_F2(grid, sphere, u, 2.5))
+    assert math.isnan(scale_invariant_energy(1.0, 2.0, 5, 2.5))
+    assert scale_invariant_energy(3.0, 2.0, 5, 2.0) == 2.0 ** -1.0 * 3.0
 
 
 def test_unnormalized_energy_scales_under_shift(s5):

@@ -518,11 +518,11 @@ def test_assembly_evaluates_all_regions_in_one_pass(monkeypatch):
     # one profile evaluation per region over its quadrature and cone nodes
     # together, and one background evaluation per node set and model
     schouten_calls = []
-    real_schouten = testmetric_module.schouten_pointwise
+    real_schouten = testmetric_module.schouten_tables
 
-    def counting_schouten(background, x, *args):
+    def counting_schouten(background, x):
         schouten_calls.append(np.size(x))
-        return real_schouten(background, x, *args)
+        return real_schouten(background, x)
 
     region_calls = []
     depth = [0]
@@ -539,7 +539,7 @@ def test_assembly_evaluates_all_regions_in_one_pass(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(testmetric_module, "schouten_pointwise", counting_schouten)
+    monkeypatch.setattr(testmetric_module, "schouten_tables", counting_schouten)
     monkeypatch.setattr(testmetric_module._PatchProfile, "eval_region", counting_eval)
     am = assemble_and_compare(BubbleParams(9, 1e-4, delta_r=-1.0), 1.05)
     assert len(schouten_calls) == 4
@@ -561,7 +561,7 @@ def test_regions_equal_the_sums_over_their_own_nodes(n):
         for (name, r_lo, r_hi, rq, wq, rc), region in zip(plan, rep.regions):
             [[energy]], [volume] = testmetric_module._masses(
                 rq, wq, prof.eval_region(rq, name), [model], n, [0, rq.size])
-            [(m1, m2)] = testmetric_module._cone_values(rc, prof.eval_region(rc, name), [model], n)
+            [(m1, m2)] = testmetric_module._cone_values(rc, prof.eval_region(rc, name), [model])
             assert (region.r_lo, region.r_hi) == (r_lo, r_hi)
             assert (region.quad_nodes, region.cone_nodes) == (rq.size, rc.size)
             assert region.energy == energy and region.volume == volume, name
