@@ -320,16 +320,25 @@ def functional_V(grid: RadialGrid, background, u, eps: float) -> float:
 
 
 def scale_invariant_energy(f2: float, volume: float, n: int, eps: float = 0.0) -> float:
-    """V_eps^{-(n-4)/(n-2 eps)} F2, invariant under u -> u + const; NaN at
-    2 eps = n, where no power of V_eps (the plain volume) makes F2 invariant."""
-    if n == 2.0 * eps:
+    """F2 / V_eps^{(n-4)/(n-2 eps)}, invariant under u -> u + const.
+
+    NaN where F2 or the volume is not finite (F2 / inf**x is a finite 0);
+    at 2 eps = n, where no power of V_eps (the plain volume) makes F2
+    invariant; and where the volume's power is 0, inf or past the float
+    range, where a Python float power raises.
+    """
+    if not (math.isfinite(f2) and math.isfinite(volume)):
         return math.nan
-    return volume ** (-(n - 4.0) / (n - 2.0 * eps)) * f2
+    try:
+        scale = volume ** ((n - 4.0) / (n - 2.0 * eps))
+    except ArithmeticError:  # 2 eps = n, 0 to a negative power, overflow
+        return math.nan
+    return f2 / scale if 0.0 < scale < math.inf else math.nan
 
 
 def normalized_F2(grid: RadialGrid, background, u, eps: float | None = None) -> float:
-    """``scale_invariant_energy`` of u: V_eps^{-(n-4)/(n-2 eps)} F2, or
-    without ``eps`` the plain volume normalization V_0^{-(n-4)/n} F2."""
+    """``scale_invariant_energy`` of u: F2 / V_eps^{(n-4)/(n-2 eps)}, or
+    without ``eps`` the plain volume normalization F2 / V_0^{(n-4)/n}."""
     eps = 0.0 if eps is None else eps
     f2 = functional_F2(grid, background, u)
     return scale_invariant_energy(f2, functional_V(grid, background, u, eps),

@@ -18,18 +18,16 @@ constant ``b0`` and the outer cap the constant ``b1``.  All energies use
     F2  = integral e^{(4-n)u} sigma_2(W) dvol_flat,
     vol = integral e^{-n u} dvol_flat,
 
-and the scale-invariant energy is F2 / vol^{(n-4)/n}.
+and ``scale_invariant_energy`` gives the scale-invariant F2 / vol^{(n-4)/n}.
 
-Every radial profile (bubble, annulus, transition, assembled patch) is a
-triple ``(u, u', u'')`` at given radii; the assembled patch is the one
-piecewise profile, with one region dispatcher, and energies, volumes and
-cone values of all of them come from the same routines.
-
-The transition is built only inside the assembled patch, and it is
-certified there: Y2 is an infimum over metrics in Gamma_2^+, so the cone has
-to hold on the glued metric, and the per-region cone minima of
-``assemble_and_compare`` (regions ``tube`` to ``outer``) are the
-transition's certificate.
+Every radial profile (bubble, annulus, assembled patch) is a triple
+``(u, u', u'')`` at given radii, and its energies, volumes and cone values
+come from the same routines.  ``_PatchProfile`` is the one piecewise
+profile, with one region dispatcher; its regions ``tube`` to ``outer`` are
+the transition, and their cone minima in ``assemble_and_compare`` are its
+certificate: Y2 is an infimum over metrics in Gamma_2^+, so the cone has to
+hold on the glued metric.  ``_ramp``, ``_blend`` and ``_from_slope`` give
+the smoothstep in r, the blend of two profiles, and a profile from its slope.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from .geometry import (
     CurvatureModel,
     FlatRadialBall,
     radial_schouten,
+    scale_invariant_energy,
     schouten_tables,
     smoothstep,
 )
@@ -109,14 +108,29 @@ class ConstructionError(RuntimeError):
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _smoothstep_d(s):
-    s = np.clip(s, 0.0, 1.0)
-    return 30.0 * (s * (1.0 - s)) ** 2
+def _ramp(r, lo: float, width: float):
+    """(S, S', S'') in r of the quintic smoothstep S((r - lo)/width): 0 up to
+    lo, 1 from lo + width on, and C^2 at both ends."""
+    s = np.clip((r - lo) / width, 0.0, 1.0)
+    return (smoothstep(s), 30.0 * (s * (1.0 - s)) ** 2 / width,
+            60.0 * s * (1.0 - 3.0 * s + 2.0 * s * s) / (width * width))
 
 
-def _smoothstep_dd(s):
-    s = np.clip(s, 0.0, 1.0)
-    return 60.0 * s * (1.0 - 3.0 * s + 2.0 * s * s)
+def _blend(base, step, ramp):
+    """(u, u', u'') of base + S step, for profiles ``base`` and ``step`` and
+    the ramp (S, S', S''), by the product rule."""
+    (b, bp, bpp), (d, dp, dpp), (S, Sd, Sdd) = base, step, ramp
+    return b + S * d, bp + S * dp + Sd * d, bpp + S * dpp + 2.0 * Sd * dp + Sdd * d
+
+
+def _from_slope(r, w, a, ap):
+    """(u, u', u'') of u = w with the logarithmic slope a = r u' and a'."""
+    return w, a / r, (ap * r - a) / (r * r)
+
+
+def _plus(p, q):
+    """The sum of two profiles (u, u', u'')."""
+    return tuple(x + y for x, y in zip(p, q))
 
 
 class _Nodes(NamedTuple):
@@ -521,7 +535,7 @@ class _GluingCore:
         self.delta = delta = lam ** beta
         # for lam > 1 (delta > 1) this slope is below 1, so past this check
         # delta lies inside the tables on [delta/2, 1.5]
-        alpha_delta = 2.0 * delta * delta / (lam + delta * delta)
+        self.alpha_delta = alpha_delta = 2.0 * delta * delta / (lam + delta * delta)
         if alpha_delta <= gamma:
             raise ConstructionError(
                 "glue", f"bubble-edge slope {alpha_delta:.4f} does not exceed gamma={gamma}")
@@ -562,9 +576,12 @@ class _GluingCore:
             r = np.asarray(r, dtype=float)
         return _slope(self.a1, self._h(r), _slope_factor(r, self.A, self.n))
 
+    def quad(self, r, a):
+        """The padded bracket 2 alpha - alpha^2 - A r^2 alpha at slope a."""
+        return 2.0 * a - a * a - self.A * r * r * a
+
     def _alpha_prime(self, r, a):
-        quad = 2.0 * a - a * a - self.A * r * r * a
-        return (self.A * r * r * a - 0.25 * (self.n - 4) * quad) / r
+        return (self.A * r * r * a - 0.25 * (self.n - 4) * self.quad(r, a)) / r
 
     def u(self, r):
         return self.u_inner + self._w(r)
@@ -572,7 +589,7 @@ class _GluingCore:
     def derivatives(self, r):
         r = np.asarray(r, dtype=float)
         a = self.alpha(r)
-        return self.u(r), a / r, (self._alpha_prime(r, a) * r - a) / (r * r)
+        return _from_slope(r, self.u(r), a, self._alpha_prime(r, a))
 
 
 @dataclass
@@ -644,13 +661,12 @@ def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
         raise ConstructionError("glue", f"slope exits (gamma, 2) near r = {worst:.6g}")
 
     # C^1 matching defects (should be at rounding level by construction)
-    alpha_delta = 2.0 * delta * delta / (lam + delta * delta)
-    match_inner = abs(float(core.alpha(delta)) - alpha_delta)
+    match_inner = abs(float(core.alpha(delta)) - core.alpha_delta)
     match_outer = abs(float(core.alpha(delta1)) - gamma)
 
     # padded Schouten brackets from the closed-form slope
     ap = core._alpha_prime(r, alpha)
-    quad = 2.0 * alpha - alpha * alpha - A * r * r * alpha
+    quad = core.quad(r, alpha)
     ratio = (r * ap - A * r * r * alpha) / quad
     s1_bracket = (n - 2) + 2.0 * ratio
     s2_bracket = (n - 4) + 4.0 * ratio
@@ -691,23 +707,65 @@ def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
 
 
 # ---------------------------------------------------------------------------
-# transition annulus
+# assembled comparison metric
 
-class _TransitionCore:
-    """Slope taper + cap cutoff on (0, r0], tube-normalized (u = gamma log r).
+def _eps_margin(gamma: float) -> float:
+    """The transition's eps margin in the assembly: 80% of the bound
+    (2 - gamma)/5 below which the taper of ``_PatchProfile`` has
+    ``2 - 5 eps > gamma``, and at most 0.15.  The cone on the transition is
+    then certified by the assembly's region report, not by this margin."""
+    return min(0.15, 0.8 * (2.0 - gamma) / 5.0)
 
-    The taper slope ``alpha(r) = (2-5 eps) dt/(dt + r^{1/2-5 eps/4})`` solves
-    the eps-padded slope equation exactly, with ``dt`` chosen so the taper
-    meets the tube value gamma at r6; the bridge smoothsteps it to 0 on
-    [r5, r4], and the cap cutoff is a quintic smoothstep on [r8, r7].  Only
-    ``_PatchProfile.eval_region`` reads it, region by region; the assembly's
-    cone report on those regions is its certificate.
+
+class _PatchProfile:
+    """Full radial profile on (0, infinity): bubble through outer cap.
+
+    Regions, inner to outer, with cap = log(1 + r^2) the round cap factor.
+    Three regions are C^2 blends of two profiles: the seams at delta and
+    delta1, over a window of width ``0.1 * min(delta, delta1 - delta)`` (a
+    window as wide as that minimum would reach past the annulus tables), and
+    the ramp on [r8, r7].  The other joints meet as they are: the transition
+    is C^1 at r6 and r5, where the slope's derivative switches on and off,
+    so u'' (and sigma_2 with it) jumps there.
+
+        bubble       u = log(lam + r^2) + b0
+        seam_inner   blend(bubble, annulus) at delta
+        annulus      u' = alpha/r with the Bernoulli slope
+        seam_outer   blend(annulus, tube) at delta1
+        tube         u = gamma log r
+        ramp         blend(tube, cap) on [r8, r7]
+        tube_cap     u = gamma log r + cap
+        taper        slope decays from gamma, cap on
+        bridge       slope smoothsteps to 0, cap on
+        outer        u = cap + b1
+
+    The regions ``tube`` to ``outer`` are the transition, normalized to the
+    tube.  The taper slope ``alpha(r) = (2-5 eps) dt/(dt + r^{1/2-5 eps/4})``
+    solves the eps-padded slope equation exactly, with ``dt`` chosen so the
+    taper meets gamma at r6; the bridge smoothsteps it from ``alpha5``, its
+    value at r5, to 0 at r4.  The cone minima that ``assemble_and_compare``
+    reports for these regions certify the transition on the glued metric.
+
+    ``eval_region`` is the one dispatcher: it evaluates (u, u', u'') on a
+    region named by the caller, and ``pieces`` lays out the regions' extents.
     """
 
-    def __init__(self, gamma: float, eps: float, r8: float, r7: float,
-                 r6: float, r5: float, r4: float):
-        self.gamma, self.eps = gamma, eps
-        self.r8, self.r7, self.r6, self.r5, self.r4 = r8, r7, r6, r5, r4
+    def __init__(self, n, lam, beta, gamma, radii):
+        self.lam, self.gamma = lam, gamma
+        self.r8, self.r7, self.r6, self.r5, self.r4 = r8, r7, r6, r5, r4 = radii[:5]
+        self.glue = _GluingCore(n, lam, beta, gamma, PADDING_A)
+        self.delta, self.delta1 = self.glue.delta, self.glue.delta1
+        if not self.delta1 < r8:
+            raise ConstructionError(
+                "assemble", f"gluing edge delta1 = {self.delta1:.4g} reaches the "
+                f"transition radius r8 = {r8}")
+        self.blend_w = 0.1 * min(self.delta, self.delta1 - self.delta)
+        if not self.delta1 + 0.5 * self.blend_w < r8:
+            raise ConstructionError(
+                "assemble", f"the tube region is empty: its blend window ends at "
+                f"{self.delta1 + 0.5 * self.blend_w:.4g}, past the transition "
+                f"radius r8 = {r8}")
+        self.eps = eps = _eps_margin(gamma)
         self.top = top = 2.0 - 5.0 * eps
         self.qhat = qhat = 0.5 - 1.25 * eps
         if not top > gamma:
@@ -716,10 +774,10 @@ class _TransitionCore:
         self.delta_t = gamma * r6 ** qhat / (top - gamma)
         self.alpha5 = float(self._taper_alpha(r5))
         self.w_r5 = gamma * math.log(r6) + float(self._taper_w(r5))
-        self._w_bridge = _antiderivative(lambda t: self._bridge_alpha(t) / t, r5, r5, r4)
-        self.b1 = self.w_r5 + float(self._w_bridge(r4))
+        self._w_bridge = _antiderivative(lambda t: self._bridge_alpha(t)[0] / t, r5, r5, r4)
+        self.b0, self.b1 = self.glue.b0, self.w_r5 + float(self._w_bridge(r4))
 
-    # taper branch: closed-form slope solving the eps-padded equation
+    # taper: closed-form slope solving the eps-padded equation
     def _taper_alpha(self, r):
         z = np.asarray(r, dtype=float) ** self.qhat
         return self.top * self.delta_t / (self.delta_t + z)
@@ -735,128 +793,44 @@ class _TransitionCore:
         return (self.top / self.qhat) * (
             np.log(z / (self.delta_t + z)) - math.log(z6 / (self.delta_t + z6)))
 
-    # bridge branch: smoothstep the slope down to zero
     def _bridge_alpha(self, r):
-        s = (np.asarray(r, dtype=float) - self.r5) / (self.r4 - self.r5)
-        return self.alpha5 * (1.0 - smoothstep(s))
+        """The bridge slope alpha5 (1 - S) and its derivative."""
+        S, Sd, _ = _ramp(r, self.r5, self.r4 - self.r5)
+        return self.alpha5 * (1.0 - S), -self.alpha5 * Sd
 
-    def _bridge_alpha_prime(self, r):
-        s = (np.asarray(r, dtype=float) - self.r5) / (self.r4 - self.r5)
-        return -self.alpha5 * _smoothstep_d(s) / (self.r4 - self.r5)
-
-    def eval_region(self, r, region):
-        """(u, u', u'') on one of the named radial zones."""
-        r = np.asarray(r, dtype=float)
-        g = self.gamma
-        if region == "tube":
-            return g * np.log(r), g / r, -g / (r * r)
-        cap, capp, cappp = _cap(r)
-        if region == "outer":
-            return cap + self.b1, capp, cappp
-        if region == "ramp":
-            span = self.r7 - self.r8
-            s = (r - self.r8) / span
-            S = smoothstep(s)
-            Sd = _smoothstep_d(s) / span
-            Sdd = _smoothstep_dd(s) / (span * span)
-            return (g * np.log(r) + S * cap,
-                    g / r + Sd * cap + S * capp,
-                    -g / (r * r) + Sdd * cap + 2.0 * Sd * capp + S * cappp)
-        if region == "tube_cap":
-            return g * np.log(r) + cap, g / r + capp, -g / (r * r) + cappp
-        if region == "taper":
-            a, ap = self._taper_alpha(r), self._taper_alpha_prime(r)
-            w = g * math.log(self.r6) + self._taper_w(r)
-        elif region == "bridge":
-            a, ap = self._bridge_alpha(r), self._bridge_alpha_prime(r)
-            w = self.w_r5 + self._w_bridge(r)
-        else:
-            raise KeyError(region)
-        return w + cap, a / r + capp, (ap * r - a) / (r * r) + cappp
-
-
-# ---------------------------------------------------------------------------
-# assembled comparison metric
-
-def _eps_margin(gamma: float) -> float:
-    """The transition's eps margin in the assembly: 80% of the bound
-    (2 - gamma)/5 below which ``_TransitionCore`` has ``2 - 5 eps > gamma``,
-    and at most 0.15.  The cone on the transition is then certified by the
-    assembly's region report, not by this margin."""
-    return min(0.15, 0.8 * (2.0 - gamma) / 5.0)
-
-
-class _PatchProfile:
-    """Full radial profile on (0, infinity): bubble through outer cap.
-
-    Regions, inner to outer.  Only the two seams, at delta and delta1, are
-    C^2 blends of their neighbours, over a window of width
-    ``0.1 * min(delta, delta1 - delta)`` (a window as wide as that minimum
-    would reach past the annulus tables).  The other joints meet as
-    they are: the transition is C^1 at r6 and r5, where the slope's
-    derivative switches on and off, so u'' (and sigma_2 with it) jumps there.
-
-    ``eval_region`` is the one dispatcher: it evaluates (u, u', u'') on a
-    region named by the caller, and ``pieces`` lays out the regions' extents.
-    The regions ``tube`` to ``outer`` are the transition, a ``_TransitionCore``
-    that ``eval_region`` reads region by region; it is built nowhere else,
-    and the cone minima that ``assemble_and_compare`` reports for these
-    regions certify it on the glued metric.
-
-        bubble       u = log(lam + r^2) + b0
-        seam_inner   blend(bubble, annulus) at delta
-        annulus      u' = alpha/r with the Bernoulli slope
-        seam_outer   blend(annulus, tube) at delta1
-        tube         u = gamma log r
-        ramp         u = gamma log r + xi * cap
-        tube_cap     u = gamma log r + cap
-        taper        slope decays from gamma, cap on
-        bridge       slope smoothsteps to 0, cap on
-        outer        u = cap + b1
-    """
-
-    def __init__(self, n, lam, beta, gamma, radii):
-        self.lam = lam
-        self.r8, self.r7, self.r6, self.r5, self.r4 = radii[:5]
-        self.glue = _GluingCore(n, lam, beta, gamma, PADDING_A)
-        self.delta, self.delta1 = self.glue.delta, self.glue.delta1
-        if not self.delta1 < self.r8:
-            raise ConstructionError(
-                "assemble", f"gluing edge delta1 = {self.delta1:.4g} reaches the "
-                f"transition radius r8 = {self.r8}")
-        self.blend_w = 0.1 * min(self.delta, self.delta1 - self.delta)
-        if not self.delta1 + 0.5 * self.blend_w < self.r8:
-            raise ConstructionError(
-                "assemble", f"the tube region is empty: its blend window ends at "
-                f"{self.delta1 + 0.5 * self.blend_w:.4g}, past the transition "
-                f"radius r8 = {self.r8}")
-        self.trans = _TransitionCore(gamma, _eps_margin(gamma), self.r8, self.r7,
-                                     self.r6, self.r5, self.r4)
-        self.b0, self.b1 = self.glue.b0, self.trans.b1
-
-    def _blend(self, r, left: str, right: str, center: float):
-        s = (r - (center - 0.5 * self.blend_w)) / self.blend_w
-        S = smoothstep(s)
-        Sd = _smoothstep_d(s) / self.blend_w
-        Sdd = _smoothstep_dd(s) / (self.blend_w * self.blend_w)
-        ul, upl, uppl = self.eval_region(r, left)
-        ur, upr, uppr = self.eval_region(r, right)
-        du, dup, dupp = ur - ul, upr - upl, uppr - uppl
-        return (ul + S * du,
-                upl + S * dup + Sd * du,
-                uppl + S * dupp + 2.0 * Sd * dup + Sdd * du)
+    def _seam(self, r, left: str, right: str, center: float):
+        base = self.eval_region(r, left)
+        step = [x - y for x, y in zip(self.eval_region(r, right), base)]
+        return _blend(base, step, _ramp(r, center - 0.5 * self.blend_w, self.blend_w))
 
     def eval_region(self, r, region):
         r = np.asarray(r, dtype=float)
         if region == "bubble":
             return _bubble(self.lam, r, self.b0)
         if region == "seam_inner":
-            return self._blend(r, "bubble", "annulus", self.delta)
+            return self._seam(r, "bubble", "annulus", self.delta)
         if region == "annulus":
             return self.glue.derivatives(r)
         if region == "seam_outer":
-            return self._blend(r, "annulus", "tube", self.delta1)
-        return self.trans.eval_region(r, region)
+            return self._seam(r, "annulus", "tube", self.delta1)
+        g = self.gamma
+        if region == "tube":
+            return g * np.log(r), g / r, -g / (r * r)
+        cap = _cap(r)
+        if region == "ramp":
+            return _blend(self.eval_region(r, "tube"), cap, _ramp(r, self.r8, self.r7 - self.r8))
+        if region == "tube_cap":
+            return _plus(self.eval_region(r, "tube"), cap)
+        if region == "taper":
+            w = g * math.log(self.r6) + self._taper_w(r)
+            return _plus(_from_slope(r, w, self._taper_alpha(r), self._taper_alpha_prime(r)),
+                         cap)
+        if region == "bridge":
+            return _plus(_from_slope(r, self.w_r5 + self._w_bridge(r), *self._bridge_alpha(r)),
+                         cap)
+        if region == "outer":
+            return cap[0] + self.b1, cap[1], cap[2]
+        raise KeyError(region)
 
     def pieces(self):
         """Quadrature panel edges per region (outer region handled separately)."""
@@ -927,8 +901,9 @@ class AssembledMetric:
     minima are its certificate on the glued metric: the ``min_sigma2`` of
     ``tube`` and ``ramp`` is the margin under the cap cutoff window, that of
     ``taper`` the margin inside the slope taper.  ``eps_margin`` is the
-    transition's margin, derived from gamma.  ``F2_tilde`` is NaN unless F2
-    and the volume are both finite, and so are the margin and the slope.
+    transition's margin, derived from gamma.  ``F2_tilde`` is NaN where
+    ``scale_invariant_energy`` is (F2 or the volume not finite, or the
+    volume's power out of range), and so are the margin and the slope.
     """
 
     bp: BubbleParams
@@ -962,7 +937,10 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
     the deficit model's cutoff ``(CUT_RADIUS, CUT_WIDTH)``.  Returns the
     assembled profile with per-region energies and cone minima (those of
     the regions ``tube`` to ``outer`` are the transition's certificate), the
-    scale-invariant energy, and its margin below the round sphere's value.  When the bubble carries a curvature deficit, a flat twin (same
+    scale-invariant energy ``scale_invariant_energy(F2, volume, n)``, and
+    its margin below the round sphere's value.
+
+    When the bubble carries a curvature deficit, a flat twin (same
     construction, deficit 0) is compared as well and the measured lam^2
     energy response is reported against ``B^{(4-n)/n} C delta_r``.
 
@@ -1017,16 +995,13 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
                 names, r_lo, r_hi, region_energies, volumes,
                 q_off, q_off[1:], c_off, c_off[1:]))
         F2 = _fsum(region_energies)
-        # F2 / inf**x is a finite 0, so F2_tilde needs both sums finite
-        F2t = math.nan
-        if math.isfinite(F2) and math.isfinite(vol):
-            F2t = F2 / vol ** ((n - 4.0) / n)
+        F2t = scale_invariant_energy(F2, vol, n)
         slope, target = math.nan, math.nan
         if am is not None:
             slope = (F2t - am.F2_tilde) / params.lam ** 2
             target = lam2_target
         am = AssembledMetric(
-            bp=params, gamma=gamma, eps_margin=prof.trans.eps,
+            bp=params, gamma=gamma, eps_margin=prof.eps,
             beta_in_proof_range=beta_ok,
             delta=prof.delta, delta1=prof.delta1,
             a1=prof.glue.a1, b0=prof.b0, b1=prof.b1,

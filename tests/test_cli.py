@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,6 +144,19 @@ def test_continuation_at_half_the_dimension_reports_a_null_y_eps(capsys):
     assert d["status"] == rung["status"] == "converged"
     assert rung["Y_eps"] is None
     assert rung["Y2_estimate"] == pytest.approx(39.003151786888736, rel=1e-3)
+
+
+def test_continuation_where_the_volume_power_leaves_the_float_range(capsys):
+    # near 2 eps = n the volume's power (n - 4)/(n - 2 eps) is about 8e7, so
+    # V_eps to it leaves the float range: a null Y_eps, not a traceback
+    rc, cap = run_cli(capsys, ["continuation", "--ladder", "9.9999999", "--n", "20",
+                               "--grid-points", "32", "--t-max", "1"])
+    assert rc == 0
+    d = _strict_json(cap.out)
+    [rung] = d["rungs"]
+    assert d["status"] == rung["status"] == "converged"
+    assert rung["Y_eps"] is None
+    assert math.isfinite(rung["Y2_estimate"])
 
 
 def test_construct_defaults(capsys):

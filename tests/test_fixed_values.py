@@ -62,7 +62,7 @@ def test_fixed_values_pass_the_checks_their_options_had():
     assert math.isfinite(flow.BLOWUP_FLOOR)
     assert isinstance(symfun.JACOBI_MAX_SWEEPS, int) and symfun.JACOBI_MAX_SWEEPS > 0
     assert testmetric.CUT_RADIUS > 0.0 and testmetric.CUT_WIDTH > 0.0
-    # the derived eps margin keeps _TransitionCore's 2 - 5 eps > gamma
+    # the derived eps margin keeps the taper's 2 - 5 eps > gamma
     for gamma in (1.0 + 1e-9, 1.05, 1.5, 2.0 - 1e-9):
         assert 0.0 < testmetric._eps_margin(gamma) < (2.0 - gamma) / 5.0
 

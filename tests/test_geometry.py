@@ -108,6 +108,16 @@ def test_normalized_energy_is_nan_where_no_volume_power_is_invariant():
     assert scale_invariant_energy(3.0, 2.0, 5, 2.0) == 2.0 ** -1.0 * 3.0
 
 
+def test_scale_invariant_energy_is_nan_past_the_float_range():
+    # F2 / inf**x would be a finite 0; the volume's power at exponent
+    # 16/2e-7 underflows to 0 below V = 1 and overflows (and raises) above it
+    for f2, volume in ((math.inf, 2.0), (1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)):
+        assert math.isnan(scale_invariant_energy(f2, volume, 9))
+    for volume in (0.29, 3.0):
+        assert math.isnan(scale_invariant_energy(1.0, volume, 20, 9.9999999))
+    assert math.isnan(scale_invariant_energy(1.0, 0.0, 9))
+
+
 def test_unnormalized_energy_scales_under_shift(s5):
     sphere, grid = s5
     u = 0.1 * np.cos(grid.x)

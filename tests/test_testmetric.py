@@ -373,36 +373,45 @@ def test_transition_in_the_cone_at_n12():
 
 
 def test_transition_slope_and_cutoff(trans105):
-    core = trans105[0].profile.trans
-    gamma, eps = core.gamma, core.eps
-    assert float(core._taper_alpha(core.r6)) == pytest.approx(gamma, abs=1e-12)
-    assert core.alpha5 == float(core._taper_alpha(core.r5))
-    r_taper = np.linspace(core.r6, core.r5, 64)
-    assert np.all(np.diff(core._taper_alpha(r_taper)) < 0.0)
+    prof = trans105[0].profile
+    gamma, eps = prof.gamma, prof.eps
+    assert float(prof._taper_alpha(prof.r6)) == pytest.approx(gamma, abs=1e-12)
+    assert prof.alpha5 == float(prof._taper_alpha(prof.r5))
+    r_taper = np.linspace(prof.r6, prof.r5, 64)
+    assert np.all(np.diff(prof._taper_alpha(r_taper)) < 0.0)
     # the taper solves the eps-padded slope equation; a' by central differences
-    r = np.geomspace(core.r6 * (1.0 + 1e-9), core.r5 * (1.0 - 1e-9), 257)
+    r = np.geomspace(prof.r6 * (1.0 + 1e-9), prof.r5 * (1.0 - 1e-9), 257)
     h = 1e-6 * r
-    a = core._taper_alpha(r)
-    ap = (core._taper_alpha(r + h) - core._taper_alpha(r - h)) / (2.0 * h)
-    np.testing.assert_allclose(core._taper_alpha_prime(r), ap, rtol=1e-7)
+    a = prof._taper_alpha(r)
+    ap = (prof._taper_alpha(r + h) - prof._taper_alpha(r - h)) / (2.0 * h)
+    np.testing.assert_allclose(prof._taper_alpha_prime(r), ap, rtol=1e-7)
     residual = 0.25 * (2.0 * a - a * a - eps * a) + r * ap - eps * a
     assert np.abs(residual).max() < 1e-9
     # the cap cutoff ramps from the tube to the tube with the cap on
-    for rj, plain in ((core.r8, "tube"), (core.r7, "tube_cap")):
-        ramp = np.asarray(core.eval_region(np.array([rj]), "ramp"))
-        np.testing.assert_allclose(ramp, np.asarray(core.eval_region(np.array([rj]), plain)),
+    for rj, plain in ((prof.r8, "tube"), (prof.r7, "tube_cap")):
+        ramp = np.asarray(prof.eval_region(np.array([rj]), "ramp"))
+        np.testing.assert_allclose(ramp, np.asarray(prof.eval_region(np.array([rj]), plain)),
                                    rtol=0.0, atol=1e-14)
 
 
 def test_transition_joint_continuity(assembled):
-    # the two regions that meet at each joint agree there in u and u'
+    # the two regions that meet at each of the nine joints agree there in u
+    # and u', and in u'' to 1e-12 relative but at r6 and r5: there the
+    # taper's slope derivative switches on and off, and u'' jumps (by 0.052
+    # and 0.041 here); these are the open C^1 joints of the transition
     prof = assembled.profile
-    names = TRANSITION_REGIONS
-    for rj, inner, outer in zip((prof.r8, prof.r7, prof.r6, prof.r5, prof.r4),
-                                names, names[1:]):
-        lo = np.asarray(prof.eval_region(np.array([rj]), inner))[:2, 0]
-        hi = np.asarray(prof.eval_region(np.array([rj]), outer))[:2, 0]
-        np.testing.assert_allclose(hi, lo, rtol=0.0, atol=1e-8)
+    half = 0.5 * prof.blend_w
+    joints = (prof.delta - half, prof.delta + half, prof.delta1 - half, prof.delta1 + half,
+              prof.r8, prof.r7, prof.r6, prof.r5, prof.r4)
+    regions = assembled.regions
+    assert tuple(r.r_hi for r in regions[:-1]) == joints
+    assert tuple(r.r_lo for r in regions[1:]) == joints
+    for rj, inner, outer in zip(joints, regions, regions[1:]):
+        lo = np.asarray(prof.eval_region(np.array([rj]), inner.name))[:, 0]
+        hi = np.asarray(prof.eval_region(np.array([rj]), outer.name))[:, 0]
+        np.testing.assert_allclose(hi[:2], lo[:2], rtol=0.0, atol=1e-8)
+        if rj not in (prof.r6, prof.r5):
+            np.testing.assert_allclose(hi[2], lo[2], rtol=1e-12, atol=0.0)
 
 
 def test_transition_steep_tube_fails():
@@ -416,9 +425,12 @@ def test_transition_steep_tube_fails():
     assert all(r.in_cone for name, r in regions.items() if name != "bridge")
 
 
-def test_transition_validation():
+def test_transition_validation(monkeypatch):
+    # the taper needs 2 - 5 eps > gamma, which the derived margin keeps
+    monkeypatch.setattr(testmetric_module, "_eps_margin", lambda gamma: 0.1)
+    bp = BubbleParams(9, 1e-30, TRANSITION_RADII[-1], 0.26, -1.0)
     with pytest.raises(ConstructionError, match=r"need 2 - 5 eps > gamma"):
-        testmetric_module._TransitionCore(1.5, 0.1, *TRANSITION_RADII[:5])
+        assemble_and_compare(bp, 1.5, TRANSITION_RADII)
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +631,13 @@ def test_margin_sweep_validation():
 
 def test_construction_under_strict_float_errors():
     # no overflow, underflow, division or invalid operation anywhere in the
-    # sweep's assemblies or in the gluing annulus
+    # sweep's assemblies, in the transition layout's assemblies (where the
+    # seams and the bridge leave the cone) or in the gluing annulus
     with np.errstate(all="raise"):
         margin_sweep()
         margin_sweep(12, (1e-3, 3e-4, 1e-4), 1.05, 0.26)
+        _transition_regions(12, 1e-9, 1.05)
+        _transition_regions(9, 1e-30, 1.5)
         for lam in (1e-3, 1e-5):
             glue_lemma6(BubbleParams(9, lam), 1.5)
             glue_lemma6(BubbleParams(10, lam, delta_r=-1.0), 1.05)
