@@ -12,9 +12,11 @@ Exit codes: 0 success (including a run that merely hit t_max or a timeout),
 2 usage error, 3 numeric failure, a FloatingPointError included (a JSON
 summary with the failure status is still emitted), 4 I/O failure.
 
-Options may also come from a config file (``--config FILE``) of flat
-``key = value`` lines with ``#`` comments; explicit flags win over the file.
-A value parses the same way from the file as from its flag.
+A command's options are the keys of its defaults table, each a flag
+(``--`` plus the key with dashes) and a config key.  Options may also come
+from a config file (``--config FILE``) of flat ``key = value`` lines with
+``#`` comments; explicit flags win over the file.  A value parses the same
+way from the file as from its flag.
 All output is deterministic: reruns produce byte-identical CSV and JSON.
 """
 
@@ -34,7 +36,6 @@ from .flow import (
     EQUILIBRIUM_STEP_TOL,
     STEP_TOL,
     FlowConfig,
-    INITIAL_FIELDS,
     continuation,
     eigen_solve,
     flow_run,
@@ -85,14 +86,26 @@ def _floats(text: str) -> list[float]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _radii(text: str) -> list[float]:
+    """The assembly layout's six radii (r8, r7, r6, r5, r4, r0)."""
+    radii = _floats(text)
+    if len(radii) != 6:
+        raise argparse.ArgumentTypeError(
+            f"expected exactly 6 comma-separated radii, got {len(radii)}")
+    return radii
+
+
 #: the one converter of each option, for its flag and its config key alike
 _CONVERTERS = {
     "n": int, "eps": float, "grid_points": int, "init": str, "amplitude": float,
     "t_max": float, "dt_safety": float, "tol_converge": float, "record_dt": float,
     "timeout": float, "ladder": _floats, "trials": int, "seed": int,
     "lam": float, "gamma": float, "beta": float, "delta_r": float,
-    "radii": _floats, "lambdas": _floats,
+    "radii": _radii, "lambdas": _floats,
 }
+
+#: the flags of the keys whose flag is not ``--`` plus the key with dashes
+_FLAGS = {"lam": ("--lambda",), "delta_r": ("--deltaR", "--delta-r")}
 
 
 def _read_config(path: str) -> dict:
@@ -126,13 +139,6 @@ def _merge(defaults: dict, file_cfg: dict, cli: dict) -> dict:
         if value is not None:
             eff[key] = value
     return eff
-
-
-def _radii(cfg: dict) -> list[float]:
-    radii = cfg["radii"]
-    if len(radii) != 6:
-        raise _UsageError("radii needs exactly 6 comma-separated values")
-    return radii
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +198,8 @@ _FLOW_DEFAULTS = {
 
 
 def _flow_pieces(cfg: dict, step_tol: float = STEP_TOL):
-    n = cfg["n"]
-    if n < 5:
-        raise _UsageError(f"the flow needs dimension n >= 5, got {n}")
-    if cfg["init"] not in INITIAL_FIELDS:
-        known = ", ".join(sorted(INITIAL_FIELDS))
-        raise _UsageError(f"unknown init '{cfg['init']}' (known: {known})")
-    if cfg["grid_points"] < 16:
-        raise _UsageError("grid_points must be at least 16")
-    background = RoundSphere(n)
-    grid = sphere_latitude(n, cfg["grid_points"])
+    background = RoundSphere(cfg["n"])
+    grid = sphere_latitude(cfg["n"], cfg["grid_points"])
     u0 = initial_field(cfg["init"], grid, cfg["amplitude"])
     fc = FlowConfig(
         eps=cfg["eps"],
@@ -303,8 +301,6 @@ _VERIFY_DEFAULTS = {
 
 def _cmd_verify(cfg: dict, args) -> int:
     n = cfg["n"]
-    if n < 5:
-        raise _UsageError(f"verify needs dimension n >= 5, got {n}")
     sc = sphere_constants(n)
     rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
@@ -362,11 +358,8 @@ def _finite_energies(reports) -> bool:
 
 
 def _cmd_construct(cfg: dict, args) -> int:
-    radii = _radii(cfg)
-    try:
-        bp = BubbleParams(cfg["n"], cfg["lam"], radii[-1], cfg["beta"], cfg["delta_r"])
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    radii = cfg["radii"]
+    bp = BubbleParams(cfg["n"], cfg["lam"], radii[-1], cfg["beta"], cfg["delta_r"])
     rep = assemble_and_compare(bp, cfg["gamma"], radii)
     ok = _finite_energies([rep])
     payload = _summary(
@@ -414,15 +407,10 @@ _SWEEP_DEFAULTS = {
 
 
 def _cmd_sweep(cfg: dict, args) -> int:
-    radii = _radii(cfg)
-    lams = cfg["lambdas"]
     if cfg["delta_r"] >= 0.0:
         raise _UsageError("the sweep needs a strict deficit deltaR < 0")
-    try:
-        sw = margin_sweep(
-            cfg["n"], tuple(lams), cfg["gamma"], cfg["beta"], tuple(radii), cfg["delta_r"])
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    sw = margin_sweep(cfg["n"], tuple(cfg["lambdas"]), cfg["gamma"], cfg["beta"],
+                      tuple(cfg["radii"]), cfg["delta_r"])
     ok = _finite_energies(sw.reports)
     payload = _summary(
         "sweep", cfg, "ok" if ok else "error",
@@ -443,38 +431,6 @@ def _cmd_sweep(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key = value option file")
-    p.add_argument("--json", help="summary output path (default: stdout)")
-
-
-def _option(p, *flags, dest=None, help=None):
-    """A flag that parses with its option's converter; the option is
-    ``dest``, or the first flag with dashes made underscores."""
-    dest = dest or flags[0][2:].replace("-", "_")
-    p.add_argument(*flags, dest=dest, type=_CONVERTERS[dest], help=help)
-
-
-def _add_flow_options(p, with_eps=True):
-    _option(p, "--n")
-    if with_eps:
-        _option(p, "--eps")
-    for flag in ("--grid-points", "--init", "--amplitude", "--t-max", "--dt-safety",
-                 "--tol-converge", "--record-dt", "--timeout"):
-        _option(p, flag)
-    p.add_argument("--csv", help="monitor trace output path")
-
-
-def _add_construct_options(p, include_lambda=True):
-    _option(p, "--n")
-    if include_lambda:
-        _option(p, "--lambda", dest="lam")
-    _option(p, "--gamma")
-    _option(p, "--beta")
-    _option(p, "--deltaR", "--delta-r", dest="delta_r")
-    _option(p, "--radii", help="six comma-separated radii")
-
-
 #: a negative decimal number, with or without an exponent
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -493,52 +449,41 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+#: each command's defaults table, which names its options, its handler and
+#: its help line
+_COMMANDS = {
+    "flow": (_FLOW_DEFAULTS, _cmd_flow, "integrate the normalized flow"),
+    "eigen": ({k: v for k, v in _FLOW_DEFAULTS.items() if k != "eps"}, _cmd_eigen,
+              "eps = 2 eigenvalue run"),
+    "continuation": (_CONT_DEFAULTS, _cmd_continuation, "descend an eps ladder"),
+    "verify": (_VERIFY_DEFAULTS, _cmd_verify, "algebra and identity self-checks"),
+    "construct": (_CONSTRUCT_DEFAULTS, _cmd_construct, "assemble the comparison metric"),
+    "sweep": (_SWEEP_DEFAULTS, _cmd_sweep, "margin sweep over bubble scales"),
+}
+
+#: the commands that write a monitor trace
+_TRACE_COMMANDS = ("flow", "eigen")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with a flag per key of its defaults table."""
     parser = _Parser(
         prog="sigma2",
         description="Radial sigma_2 flow and comparison-metric toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("flow", help="integrate the normalized flow")
-    _add_flow_options(p)
-    _add_common(p)
-
-    p = sub.add_parser("eigen", help="eps = 2 eigenvalue run")
-    _add_flow_options(p, with_eps=False)
-    _add_common(p)
-
-    p = sub.add_parser("continuation", help="descend an eps ladder")
-    _add_flow_options(p, with_eps=False)
-    _option(p, "--ladder", help="comma-separated eps values")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="algebra and identity self-checks")
-    for flag in ("--n", "--grid-points", "--amplitude", "--trials", "--seed"):
-        _option(p, flag)
-    _add_common(p)
-
-    p = sub.add_parser("construct", help="assemble the comparison metric")
-    _add_construct_options(p)
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="margin sweep over bubble scales")
-    _add_construct_options(p, include_lambda=False)
-    _option(p, "--lambdas", help="comma-separated bubble scales")
-    _add_common(p)
-
+    for name, (defaults, _, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for key, default in defaults.items():
+            flags = _FLAGS.get(key, ("--" + key.replace("_", "-"),))
+            p.add_argument(*flags, dest=key, type=_CONVERTERS[key],
+                           help=f"default: {default}")
+        if name in _TRACE_COMMANDS:
+            p.add_argument("--csv", help="monitor trace output path")
+        p.add_argument("--config", help="flat key = value option file")
+        p.add_argument("--json", help="summary output path (default: stdout)")
     return parser
-
-
-_COMMANDS = {
-    "flow": (_FLOW_DEFAULTS, _cmd_flow),
-    "eigen": ({k: v for k, v in _FLOW_DEFAULTS.items() if k != "eps"}, _cmd_eigen),
-    "continuation": (_CONT_DEFAULTS, _cmd_continuation),
-    "verify": (_VERIFY_DEFAULTS, _cmd_verify),
-    "construct": (_CONSTRUCT_DEFAULTS, _cmd_construct),
-    "sweep": (_SWEEP_DEFAULTS, _cmd_sweep),
-}
 
 
 def parse_and_dispatch(argv=None) -> int:
@@ -549,12 +494,10 @@ def parse_and_dispatch(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0) if e.code != 2 else _EXIT_USAGE
 
-    defaults, handler = _COMMANDS[args.command]
+    defaults, handler, _ = _COMMANDS[args.command]
     try:
         file_cfg = _read_config(args.config) if args.config else {}
-        cli_cfg = {k: v for k, v in vars(args).items()
-                   if k in defaults and v is not None}
-        cfg = _merge(defaults, file_cfg, cli_cfg)
+        cfg = _merge(defaults, file_cfg, {key: getattr(args, key) for key in defaults})
         return handler(cfg, args)
     except (_UsageError, ValueError) as e:
         print(f"sigma2 {args.command}: {e}", file=sys.stderr)

@@ -267,7 +267,7 @@ def initial_field(name: str, grid: RadialGrid, amplitude: float = 0.1) -> np.nda
     try:
         maker = INITIAL_FIELDS[name]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"unknown initial field {name!r}; choose from {sorted(INITIAL_FIELDS)}"
         ) from None
     return maker(grid.x, amplitude)
@@ -530,7 +530,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         raise ValueError("u0 does not match the grid")
     n = background.n
     if n <= 4:
-        raise ValueError("the flow needs dimension n >= 5")
+        raise ValueError(f"the flow needs dimension n >= 5, got {n}")
     stepper = _Stepper(background, grid, config.eps, config.dt_safety, config.step_tol)
 
     records: list[MonitorRecord] = []

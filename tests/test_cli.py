@@ -225,7 +225,8 @@ def test_inadmissible_start_exits_numeric(capsys):
         assert d["F2"] is None and d["equilibrium_residual"] is None
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
+    trace = tmp_path / "trace.csv"
     cases = [
         ["flow", "--n", "3"],
         ["flow", "--init", "sawtooth"],
@@ -235,10 +236,13 @@ def test_usage_errors(capsys):
         ["construct", "--radii", "1,2,3"],
         ["construct", "--beta", "0.6"],
         ["nonsense"],
+        # continuation writes no trace, so it takes no --csv
+        ["continuation", "--grid-points", "32", "--t-max", "1", "--csv", str(trace)],
     ]
     for argv in cases:
         rc, cap = run_cli(capsys, argv)
         assert rc == 2, argv
+    assert not trace.exists()
 
 
 def test_flow_settings_are_usage_errors(capsys):
