@@ -34,6 +34,7 @@ from . import __version__
 from .discretize import sphere_latitude
 from .flow import (
     EQUILIBRIUM_STEP_TOL,
+    INITIAL_FIELDS,
     STEP_TOL,
     FlowConfig,
     continuation,
@@ -188,7 +189,8 @@ _FLOW_DEFAULTS = {
     "eps": 2.0,
     "grid_points": 256,
     "init": "cosine",
-    "amplitude": 0.1,
+    # None: the start's own default (flow.INITIAL_FIELDS), which the summary reports
+    "amplitude": None,
     "t_max": 10.0,
     "dt_safety": 0.8,
     "tol_converge": 1e-8,
@@ -197,12 +199,16 @@ _FLOW_DEFAULTS = {
 }
 
 
-def _flow_pieces(cfg: dict, step_tol: float = STEP_TOL):
+def _flow_pieces(cfg: dict, step_tol: float = STEP_TOL, eps: float | None = None):
+    """Background, grid, start and FlowConfig of a flow command; a default
+    amplitude in ``cfg`` becomes the start's own."""
     background = RoundSphere(cfg["n"])
     grid = sphere_latitude(cfg["n"], cfg["grid_points"])
     u0 = initial_field(cfg["init"], grid, cfg["amplitude"])
+    if cfg["amplitude"] is None:
+        cfg["amplitude"] = INITIAL_FIELDS[cfg["init"]][1]
     fc = FlowConfig(
-        eps=cfg["eps"],
+        eps=cfg["eps"] if eps is None else eps,
         t_max=cfg["t_max"],
         dt_safety=cfg["dt_safety"],
         tol_converge=cfg["tol_converge"],
@@ -232,10 +238,11 @@ def _cmd_flow(cfg: dict, args) -> int:
 
 
 def _coarse_work(coarse) -> dict:
-    """Summary keys of an equilibrium solve's coarse-grid run (0 without one)."""
+    """Summary keys of an equilibrium solve's coarse-grid stage (0 without one)."""
     if coarse is None:
-        return {"coarse_points": 0, "coarse_evaluations": 0}
-    return {"coarse_points": coarse.grid.num_points, "coarse_evaluations": coarse.evaluations}
+        return {"coarse_points": 0, "coarse_evaluations": 0, "coarse_newton_iterations": 0}
+    return {"coarse_points": coarse.grid.num_points, "coarse_evaluations": coarse.evaluations,
+            "coarse_newton_iterations": coarse.newton_iterations}
 
 
 def _cmd_eigen(cfg: dict, args) -> int:
@@ -265,8 +272,7 @@ _CONT_DEFAULTS.pop("eps")
 
 def _cmd_continuation(cfg: dict, args) -> int:
     ladder = cfg["ladder"]
-    run_cfg = dict(cfg, eps=ladder[0])
-    background, grid, u0, fc = _flow_pieces(run_cfg, EQUILIBRIUM_STEP_TOL)
+    background, grid, u0, fc = _flow_pieces(cfg, EQUILIBRIUM_STEP_TOL, ladder[0])
     rungs = continuation(background, u0, ladder, fc)
     status = rungs[-1].status
     payload = _summary(

@@ -56,15 +56,21 @@ the constant, so they agree with a ``STEP_TOL`` run to about 1e-14.
 
 The drivers also converge on a coarse grid first (nested iteration, the
 full multigrid start).  A solve that stops on convergence on 64 or more
-points runs from u0 interpolated onto 32 points of the same background,
-interpolates that equilibrium back, shifts it to the V_eps of u0, and
-finishes on the requested grid to the same ``tol_converge``; a coarse run
-that does not converge is dropped, and the solve runs from u0 alone.  The
-fine run then starts next to its equilibrium, and on S^5 at 512 points the
-solve takes about 5x fewer kernel evaluations.  Its r_eps and Y energies
-agree with a single-grid solve to about 1e-14, and its final u with the
-single-grid one to about 1e-8 up to a constant.  ``flow_run`` and ``step``
-never do this.
+points starts from u0 interpolated onto 32 points of the same background.
+There the flow runs until sup |v| <= 1e-2, and damped Newton on the same 32
+points, with a forward-difference Jacobian of the one kernel, finishes the
+equilibrium to ``tol_converge`` and polishes it to rounding level.  The
+solve interpolates that equilibrium back, shifts it to the V_eps of u0, and
+finishes on the requested grid to the same ``tol_converge``.  When Newton
+fails, the coarse flow runs on to ``tol_converge`` as it would without
+Newton; a coarse stage that does not converge is dropped, and the solve
+runs from u0 alone.  The fine run then starts next to its equilibrium (on
+the round sphere, at it): an eigen solve takes about 1,000-1,300 kernel
+evaluations from 128 to 512 points, where the coarse flow run to
+``tol_converge`` took 1,900-6,600 and, on S^9 with the bump start at 256
+points, 196,000.  Its r_eps and Y energies agree with a single-grid solve to
+about 1e-14 relative, and its final u with the single-grid one to about
+1e-8 up to a constant.  ``flow_run`` and ``step`` never do this.
 
 The monitors only a record reads (min sigma_2(g), the gradient bound and the
 dF2/dt formula) are computed only at the states that become records.
@@ -203,6 +209,9 @@ class FlowResult:
     max_step_F2_increase: float
     max_V_drift: float
     evaluations: int = 0
+    #: Newton iterations that finished the run; only the coarse stage of an
+    #: equilibrium solve takes any
+    newton_iterations: int = 0
 
     @property
     def converged(self) -> bool:
@@ -256,21 +265,25 @@ def _init_bump(x, amplitude):
     return amplitude * np.exp(-(((x - c) / w) ** 2))
 
 
+#: each start's maker and its default amplitude; a bump of 0.1 leaves
+#: Gamma_2^+ of S^5 on 48 points and more, one of 0.05 does not
 INITIAL_FIELDS = {
-    "constant": _init_constant,
-    "cosine": _init_cosine,
-    "bump": _init_bump,
+    "constant": (_init_constant, 0.1),
+    "cosine": (_init_cosine, 0.1),
+    "bump": (_init_bump, 0.05),
 }
 
 
-def initial_field(name: str, grid: RadialGrid, amplitude: float = 0.1) -> np.ndarray:
+def initial_field(name: str, grid: RadialGrid, amplitude: float | None = None) -> np.ndarray:
+    """The start ``name`` on the grid; without an ``amplitude``, the start's
+    default from ``INITIAL_FIELDS``."""
     try:
-        maker = INITIAL_FIELDS[name]
+        maker, default = INITIAL_FIELDS[name]
     except KeyError:
         raise ValueError(
             f"unknown initial field {name!r}; choose from {sorted(INITIAL_FIELDS)}"
         ) from None
-    return maker(grid.x, amplitude)
+    return maker(grid.x, default if amplitude is None else amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +511,13 @@ class _Stepper:
                 return u1, v1, s1, t1, h, dt
 
 
+def _equilibrium_residual(background, grid, u, eps, reps) -> float:
+    """sup |sigma_2(W)^{1/2} - r_eps^{1/2} e^{(eps-2)u}| at u."""
+    f = schouten_fields(grid, background, u)
+    target = math.sqrt(reps) * np.exp((float(eps) - 2.0) * u)
+    return float(np.max(np.abs(np.sqrt(np.maximum(f.sigma2, 0.0)) - target)))
+
+
 class _StepFailed(ValueError):
     """A step that cannot be accepted; ``status`` is flow_run's terminal status."""
 
@@ -607,12 +627,9 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
             s = stepper.velocity(u, _RECORD)[1]
         push_record()
 
-    # equilibrium residual against sigma_2(W)^{1/2} = r_eps^{1/2} e^{(eps-2)u}
     residual = math.nan
     if status not in ("cone_exit", "non_finite", "stalled"):
-        f = schouten_fields(grid, background, u)
-        target = math.sqrt(s[_S_REPS]) * np.exp((float(config.eps) - 2.0) * u)
-        residual = float(np.max(np.abs(np.sqrt(np.maximum(f.sigma2, 0.0)) - target)))
+        residual = _equilibrium_residual(background, grid, u, config.eps, s[_S_REPS])
 
     return FlowResult(
         status=status,
@@ -714,6 +731,88 @@ def step(state: FlowState) -> FlowState:
 _COARSE_POINTS = 32
 #: smallest requested grid whose solve starts on the coarse grid
 _COARSE_MIN_POINTS = 64
+#: sup |v| at which the coarse flow hands its state to Newton; the relaxation
+#: converges only linearly from here on
+_NEWTON_SWITCH = 1e-2
+#: most Newton iterations of one coarse stage, the polish included
+_NEWTON_MAX_ITERATIONS = 20
+#: shortest damped Newton step, as a fraction of the full step
+_NEWTON_MIN_DAMPING = 2.0 ** -10
+#: relative increment of the forward-difference Jacobian, sqrt(machine eps)
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _newton_direction(stepper: _Stepper, u, v):
+    """The Newton step at u, whose velocity is v, or None.
+
+    The Jacobian is taken by forward differences of ``stepper.velocity``, one
+    evaluation per node.  It is singular twice over: v(u + c) = v(u), and
+    ``sum(w e^{(2 eps - n) u} v) = 0`` for every u, since s_eps is that
+    weighted mean.  So it is bordered by a column of ones (a multiplier that
+    takes up the part of -v outside its range) and by the V_eps weights as
+    last row (the step keeps V_eps to first order).  None when a difference
+    leaves the cone or the bordered matrix is singular.
+    """
+    size = u.size
+    a = np.zeros((size + 1, size + 1))
+    for j in range(size):
+        du = _FD_STEP * max(1.0, abs(u[j]))
+        shifted = u.copy()
+        shifted[j] += du
+        ev = stepper.velocity(shifted, _STAGE)
+        if ev is None:
+            return None
+        a[:size, j] = (ev[0] - v) / du
+    a[:size, size] = 1.0
+    a[size, :size] = stepper.weights * np.exp(stepper.exponents[1] * u)
+    rhs = np.zeros(size + 1)
+    rhs[:size] = -v
+    try:
+        delta = np.linalg.solve(a, rhs)[:size]
+    except np.linalg.LinAlgError:
+        return None
+    return delta if np.isfinite(delta).all() else None
+
+
+def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
+    """Damped Newton from u, near an equilibrium, to sup |v| <= tol.
+
+    Each iteration takes the Newton step, halved until sup |v| falls below
+    ``1 - damping / 4`` times its value, where ``damping`` is the fraction
+    of the full step taken (Deuflhard, *Newton Methods for Nonlinear
+    Problems*, 2004, ch. 3); a trial state outside Gamma_2^+, or past e^x's
+    float range, counts as a rejected step.  Once
+    sup |v| <= tol, full steps go on while they lower sup |v|: they remove
+    the roundoff-sized wiggle a stop at tol leaves, which interpolation onto
+    a finer grid would magnify.  Returns ``(u, slots, iterations)``, or None
+    when Newton fails short of tol: a step shorter than
+    ``_NEWTON_MIN_DAMPING``, a difference outside the cone, a singular
+    solve, ``_NEWTON_MAX_ITERATIONS`` or the deadline (``time.monotonic``).
+    """
+    v, s = stepper.velocity(u, _STEP)
+    reach = _EXP_MAX / float(np.max(np.abs(stepper.exponents)))
+    iterations = 0
+    while iterations < _NEWTON_MAX_ITERATIONS and (deadline is None
+                                                   or time.monotonic() < deadline):
+        polish = s[_S_SUPV] <= tol
+        delta = _newton_direction(stepper, u, v)
+        damping = 1.0
+        while delta is not None:
+            trial = u + damping * delta
+            bound = s[_S_SUPV] if polish else (1.0 - 0.25 * damping) * s[_S_SUPV]
+            ev = None
+            if float(np.max(np.abs(trial))) <= reach:
+                ev = stepper.velocity(trial, _STEP)
+            if ev is not None and ev[1][_S_SUPV] < bound:
+                break
+            damping *= 0.5
+            if polish or damping < _NEWTON_MIN_DAMPING:
+                delta = None
+        if delta is None:
+            break
+        u, (v, s) = trial, ev
+        iterations += 1
+    return (u, s, iterations) if s[_S_SUPV] <= tol else None
 
 
 def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
@@ -721,32 +820,69 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
 
     Nested iteration (Brandt, Math. Comp. 31, 1977, the full multigrid
     start): u0 is interpolated onto a ``_COARSE_POINTS`` grid of the same
-    background, the flow runs there with ``config``, and a ``converged``
-    coarse field is interpolated back and shifted by the constant that gives
-    it the V_eps of u0 on ``grid``, so the fine run conserves the quantity a
-    run from u0 does.  The fine run then ends on the same ``tol_converge``.
-    A coarse run that ends any other way is dropped, and the fine run starts
-    from u0.  Only a solve that stops on convergence (``tol_converge > 0``)
-    on a grid of at least ``_COARSE_MIN_POINTS`` points starts coarse; any
-    other is plain ``flow_run``.  So is one whose start ``flow_run`` does
-    not step from on ``grid`` (a u0 that is not finite, lies outside the
-    cone there or has converged already): a ``t_max = 0`` run from u0 finds
-    that in one evaluation, and its result is the plain run's.
+    background, and the coarse equilibrium is found there in two phases.
+    The flow runs with ``config`` until sup |v| <= max(``_NEWTON_SWITCH``,
+    ``tol_converge``): that relaxation globalizes, since Newton from u0
+    alone stalls on some starts, but converges only linearly.  Damped
+    Newton (``_newton_finish``) then takes the coarse field to
+    ``tol_converge`` and a few steps past it.  A ``converged`` coarse field
+    is interpolated back and shifted by the constant that gives it the
+    V_eps of u0 on ``grid``, so the fine run conserves the quantity a run
+    from u0 does.  The fine run then ends on the same ``tol_converge``.
+
+    When Newton fails, the coarse stage is the coarse ``flow_run`` with
+    ``config`` from the interpolated u0, as without Newton.  A coarse run
+    that does not converge is dropped, and the fine run starts from u0.
+    Only a solve that stops on convergence (``tol_converge > 0``) on a grid
+    of at least ``_COARSE_MIN_POINTS`` points starts coarse; any other is
+    plain ``flow_run``.  So is one whose start ``flow_run`` does not step
+    from on ``grid`` (a u0 that is not finite, lies outside the cone there
+    or has converged already): a ``t_max = 0`` run from u0 finds that in one
+    evaluation, and its result is the plain run's.
 
     Returns ``(result, coarse)``: the fine run, whose ``evaluations`` count
-    every run of the solve and whose ``config`` is ``config``, and the
-    coarse run or None.  ``config.timeout`` bounds the whole solve: the fine
-    run gets what the coarse run left.
+    every evaluation of the solve and whose ``config`` is ``config``, and
+    the coarse stage or None.  After Newton, the coarse stage's ``u`` and
+    its F2, V_eps, r_eps, s_eps and residual are Newton's, its
+    ``evaluations`` include Newton's and it reports its
+    ``newton_iterations``; its ``t``, ``steps`` and ``records`` are the
+    flow phase's.  ``config.timeout`` bounds the whole solve: each stage
+    gets what the ones before it left.
     """
     if config.tol_converge <= 0.0 or grid.num_points < _COARSE_MIN_POINTS:
         return flow_run(background, u0, config, grid=grid), None
-    t_start = time.monotonic()
+    deadline = None if config.timeout is None else time.monotonic() + config.timeout
+
+    def left(cfg: FlowConfig) -> FlowConfig:
+        if deadline is None:
+            return cfg
+        return replace(cfg, timeout=max(0.0, deadline - time.monotonic()))
+
     probe = flow_run(background, u0, replace(config, t_max=0.0), grid=grid)
     if probe.status != "t_max":
         return replace(probe, config=config), None
     coarse_grid = background.make_grid(_COARSE_POINTS)
-    coarse = flow_run(background, np.interp(coarse_grid.x, grid.x, u0), config,
+    coarse_u0 = np.interp(coarse_grid.x, grid.x, u0)
+    switch = max(_NEWTON_SWITCH, config.tol_converge)
+    coarse = flow_run(background, coarse_u0, replace(config, tol_converge=switch),
                       grid=coarse_grid)
+    coarse = replace(coarse, config=config)
+    if coarse.converged:
+        stepper = _Stepper(background, coarse_grid, config.eps, config.dt_safety,
+                           config.step_tol)
+        newton = _newton_finish(stepper, coarse.u, config.tol_converge, deadline)
+        spent = coarse.evaluations + stepper.evaluations
+        if newton is None:
+            coarse = flow_run(background, coarse_u0, left(config), grid=coarse_grid)
+            coarse = replace(coarse, config=config,
+                             evaluations=coarse.evaluations + spent)
+        else:
+            u, s, iterations = newton
+            coarse = replace(
+                coarse, u=u, F2=s[_S_F2], V_eps=s[_S_VEPS], r_eps=s[_S_REPS],
+                s_eps=s[_S_SEPS], evaluations=spent, newton_iterations=iterations,
+                equilibrium_residual=_equilibrium_residual(
+                    background, coarse_grid, u, config.eps, s[_S_REPS]))
     start = u0
     if coarse.converged:
         start = np.interp(grid.x, coarse_grid.x, coarse.u)
@@ -755,11 +891,7 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
             # V_eps(u + c) = e^{k c} V_eps(u); at k = 0, V_eps is the volume
             start += math.log(functional_V(grid, background, u0, config.eps)
                               / functional_V(grid, background, start, config.eps)) / k
-    fine_config = config
-    if config.timeout is not None:
-        left = config.timeout - (time.monotonic() - t_start)
-        fine_config = replace(config, timeout=max(0.0, left))
-    res = flow_run(background, start, fine_config, grid=grid)
+    res = flow_run(background, start, left(config), grid=grid)
     work = probe.evaluations + coarse.evaluations + res.evaluations
     return replace(res, config=config, evaluations=work), coarse
 
@@ -791,11 +923,14 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
     the solve takes 2-3x fewer kernel evaluations.
 
     A solve that stops on convergence on 64 or more points converges on a
-    32-point grid first (``coarse``, None otherwise) and finishes on
-    ``grid`` from the interpolated coarse equilibrium; on S^5 at 512 points
-    that takes about 5x fewer evaluations, and lambda1 agrees with a
-    single-grid solve to about 1e-14.  ``flow`` is the fine run, except that
-    its ``evaluations`` count both grids.
+    32-point grid first (``coarse``, None otherwise), by the flow down to
+    sup |v| = 1e-2 and damped Newton from there (``coarse.newton_iterations``,
+    0 when Newton failed and the coarse flow ran on), and finishes on
+    ``grid`` from the interpolated coarse equilibrium.  On S^5 at 512 points
+    that takes about 1,200 evaluations where the flow alone takes 38,000,
+    and lambda1 agrees with a single-grid solve to about 1e-14 relative.
+    ``flow`` is the fine run, except that its ``evaluations`` count every
+    kernel evaluation of the solve, Newton's included.
     """
     if config is None:
         config = FlowConfig(eps=2.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)
@@ -840,9 +975,9 @@ def continuation(background, u0, eps_ladder,
     them within about 1e-14 of a ``STEP_TOL`` run.
 
     The first rung, which starts cold from u0, converges on a 32-point grid
-    first as ``eigen_solve`` does (its ``coarse`` run, and its
-    ``evaluations`` count both grids); the warm rungs run on the grid of u0
-    alone.
+    first as ``eigen_solve`` does, flow then Newton (its ``coarse`` stage,
+    and its ``evaluations`` count every evaluation of both grids); the warm
+    rungs run ``flow_run`` on the grid of u0 alone.
     """
     if base_config is None:
         base_config = FlowConfig(eps=0.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)

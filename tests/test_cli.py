@@ -484,6 +484,51 @@ def test_sweep_and_eigen_reruns_are_byte_identical(tmp_path):
         assert blobs[0] == blobs[1], name
 
 
+def test_equilibrium_summaries_report_the_coarse_newton_stage(tmp_path):
+    # on 64 points the coarse stage runs, and Newton finishes it; reruns in
+    # fresh interpreters stay byte-identical
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(sigma2flow.__file__).parents[1]) + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    for name, argv in (("eigen", ["eigen", "--grid-points", "64"]),
+                       ("continuation", ["continuation", "--ladder", "2.0,1.5",
+                                         "--grid-points", "64"])):
+        blobs = []
+        for tag in ("a", "b"):
+            path = tmp_path / f"{name}_{tag}.json"
+            proc = subprocess.run([sys.executable, "-m", "sigma2flow", *argv, "--json", str(path)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1], name
+        d = json.loads(blobs[0])
+        assert d["status"] == "converged"
+        assert d["coarse_points"] == 32 and d["coarse_newton_iterations"] > 0
+        assert d["coarse_evaluations"] > 32 * d["coarse_newton_iterations"]
+    # below 64 points there is no coarse stage
+    proc = subprocess.run([sys.executable, "-m", "sigma2flow", "eigen", "--grid-points", "48"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    d = json.loads(proc.stdout)
+    assert (d["coarse_points"], d["coarse_evaluations"], d["coarse_newton_iterations"]) == (
+        0, 0, 0)
+
+
+def test_bump_start_runs_at_its_default_amplitude(capsys):
+    # each start has its own default amplitude; a bump of 0.1, the cosine's,
+    # leaves the cone of S^5 at t = 0
+    rc, cap = run_cli(capsys, ["flow", "--init", "bump", "--grid-points", "64",
+                               "--t-max", "0.1"])
+    assert rc == 0, cap.err
+    d = json.loads(cap.out)
+    assert d["status"] == "t_max" and d["steps"] > 0
+    assert d["config"]["amplitude"] == 0.05
+    rc, cap = run_cli(capsys, ["flow", "--grid-points", "64", "--t-max", "0.1"])
+    assert rc == 0 and json.loads(cap.out)["config"]["amplitude"] == 0.1
+    rc, cap = run_cli(capsys, ["flow", "--init", "bump", "--amplitude", "0.1",
+                               "--grid-points", "64", "--t-max", "0.1"])
+    assert rc == 3 and json.loads(cap.out)["status"] == "cone_exit"
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

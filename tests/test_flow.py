@@ -2,6 +2,7 @@ import contextlib
 import math
 import signal
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,6 +577,19 @@ def _counted_flow_runs(monkeypatch):
     return results
 
 
+def _counted_evaluations(monkeypatch):
+    """Record every kernel evaluation, whichever stepper makes it."""
+    calls = []
+    real = flow_module._Stepper.velocity
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.n)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(flow_module._Stepper, "velocity", counting)
+    return calls
+
+
 @pytest.mark.parametrize("n, points, init", [(5, 128, "cosine"), (9, 128, "bump"),
                                              (5, 512, "cosine")])
 def test_eigen_coarse_start_matches_the_single_grid_solve(n, points, init, monkeypatch):
@@ -585,14 +599,15 @@ def test_eigen_coarse_start_matches_the_single_grid_solve(n, points, init, monke
     cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
     single = flow_run(sphere, u0, cfg, grid=grid)
     runs = _counted_flow_runs(monkeypatch)
+    evaluations = _counted_evaluations(monkeypatch)
     res = eigen_solve(sphere, u0, grid=grid)
     assert single.status == res.flow.status == res.coarse.status == "converged"
     assert res.coarse.grid.num_points == 32 and res.flow.grid is grid
     assert abs(res.lambda1 - single.r_eps) <= 1e-12
     assert np.ptp(res.u - single.u) <= 1e-8
-    # every run is counted once, in its own result and in the solve's total
+    # every kernel evaluation of the solve is counted once, in its total
     assert [r.grid.num_points for r in runs] == [points, 32, points]
-    assert res.flow.evaluations == sum(r.evaluations for r in runs)
+    assert res.flow.evaluations == len(evaluations)
     assert runs[-1].evaluations < res.flow.evaluations
     if points == 512:
         assert 3 * res.flow.evaluations <= single.evaluations
@@ -650,6 +665,98 @@ def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
     assert res.flow.evaluations == plain.evaluations == 1
     assert flow_run(sphere, np.interp(sphere_latitude(5, 32).x, grid.x, u0),
                     replace(cfg, t_max=0.0)).status == "t_max"
+
+
+@pytest.mark.parametrize("points", [128, 256, 512])
+@pytest.mark.parametrize("n, init, amplitude", [(5, "cosine", 0.1), (5, "bump", 0.05),
+                                                (9, "cosine", 0.1), (9, "bump", 0.1)])
+def test_newton_finish_reaches_the_round_equilibrium(n, init, amplitude, points):
+    # the discrete equilibrium on the round sphere is a constant, whose
+    # eigenvalue is sigma_2 of the round Schouten tensor, n (n - 1) / 8, up
+    # to the stencil's rounding on that constant (1.4e-13 relative on S^9
+    # at 512 points); a bump of 0.1 leaves the cone of S^5 on these grids
+    sphere = RoundSphere(n)
+    grid = sphere_latitude(n, points)
+    res = eigen_solve(sphere, initial_field(init, grid, amplitude), grid=grid)
+    assert res.flow.status == res.coarse.status == "converged"
+    assert res.coarse.newton_iterations > 0
+    assert np.ptp(res.u) <= 1e-12
+    assert res.lambda1 == pytest.approx(n * (n - 1) / 8.0, rel=1e-12, abs=0.0)
+
+
+def test_coarse_start_costs_less_than_the_single_grid_run_on_s9():
+    sphere = RoundSphere(9)
+    grid = sphere_latitude(9, 256)
+    u0 = initial_field("bump", grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    res = eigen_solve(sphere, u0, cfg, grid=grid)
+    assert res.flow.status == "converged"
+    # the single-grid flow_run converges at t = 16.9 after about 153,000
+    # evaluations; up to the record time 0.5 it takes the steps of a run
+    # with t_max = 0.5, which already cost more than the whole solve
+    prefix = flow_run(sphere, u0, replace(cfg, t_max=0.5), grid=grid)
+    assert prefix.status == "t_max"
+    assert res.flow.evaluations < prefix.evaluations
+
+
+def _coarse_flow_solve(sphere, u0, config, grid):
+    """The solve whose coarse stage is the 32-point flow_run to
+    ``tol_converge`` alone: (coarse run, fine run)."""
+    coarse_grid = sphere_latitude(sphere.n, 32)
+    coarse = flow_run(sphere, np.interp(coarse_grid.x, grid.x, u0), config, grid=coarse_grid)
+    start = np.interp(grid.x, coarse_grid.x, coarse.u)
+    start += math.log(functional_V(grid, sphere, u0, config.eps)
+                      / functional_V(grid, sphere, start, config.eps)) / (
+                          2.0 * config.eps - sphere.n)
+    return coarse, flow_run(sphere, start, config, grid=grid)
+
+
+@pytest.mark.parametrize("n, init", [(5, "cosine"), (9, "bump")])
+def test_failed_newton_falls_back_to_the_coarse_flow(n, init, monkeypatch):
+    sphere = RoundSphere(n)
+    grid = sphere_latitude(n, 128)
+    u0 = initial_field(init, grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    coarse, plain = _coarse_flow_solve(sphere, u0, cfg, grid)
+    monkeypatch.setattr(flow_module, "_NEWTON_MAX_ITERATIONS", 0)
+    evaluations = _counted_evaluations(monkeypatch)
+    res = eigen_solve(sphere, u0, cfg, grid=grid)
+    assert res.coarse.status == coarse.status == "converged"
+    assert res.coarse.newton_iterations == 0
+    assert res.coarse.u.tobytes() == coarse.u.tobytes()
+    assert res.coarse.records == coarse.records
+    assert res.flow.status == plain.status == "converged"
+    assert res.u.tobytes() == plain.u.tobytes()
+    assert res.flow.records == plain.records
+    assert res.lambda1 == plain.r_eps
+    # the flow phase and the failed Newton stage count too
+    assert res.flow.evaluations == len(evaluations)
+    assert res.flow.evaluations > 1 + coarse.evaluations + plain.evaluations
+
+
+def test_newton_iterations_raise_no_floating_point_error(monkeypatch):
+    # the benchmark's relax starts: eigen solves on S^5 and S^9, and the
+    # first rung of the continuation ladder
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    real = flow_module._newton_finish
+    iterations = []
+
+    def strict(*args):
+        with np.errstate(all="raise"):
+            out = real(*args)
+        iterations.append(out and out[2])
+        return out
+
+    monkeypatch.setattr(flow_module, "_newton_finish", strict)
+    for seed in (11001, 20201):
+        relax = workloads.Relax(seed)
+        for sphere, _, u0 in relax.starts.values():
+            assert eigen_solve(sphere, u0).flow.status == "converged"
+        sphere, _, u0 = relax.ladder
+        assert continuation(sphere, u0, relax.LADDER[:1])[0].status == "converged"
+    assert len(iterations) == 12 and all(iterations)
 
 
 def test_timeout_bounds_the_whole_equilibrium_solve():
