@@ -108,6 +108,10 @@ _CONVERTERS = {
 #: the flags of the keys whose flag is not ``--`` plus the key with dashes
 _FLAGS = {"lam": ("--lambda",), "delta_r": ("--deltaR", "--delta-r")}
 
+#: what a None default means, for the keys where it is not "none"
+_NONE_DEFAULTS = {"amplitude": "the start's own (" + ", ".join(
+    f"{name} {default}" for name, (_, default) in INITIAL_FIELDS.items()) + ")"}
+
 
 def _read_config(path: str) -> dict:
     try:
@@ -483,8 +487,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_line)
         for key, default in defaults.items():
             flags = _FLAGS.get(key, ("--" + key.replace("_", "-"),))
-            p.add_argument(*flags, dest=key, type=_CONVERTERS[key],
-                           help=f"default: {default}")
+            shown = _NONE_DEFAULTS.get(key) if default is None else default
+            p.add_argument(*flags, dest=key, type=_CONVERTERS[key], help=f"default: {shown}")
         if name in _TRACE_COMMANDS:
             p.add_argument("--csv", help="monitor trace output path")
         p.add_argument("--config", help="flat key = value option file")

@@ -578,12 +578,13 @@ def _counted_flow_runs(monkeypatch):
 
 
 def _counted_evaluations(monkeypatch):
-    """Record every kernel evaluation, whichever stepper makes it."""
+    """Count every kernel evaluation, whichever stepper makes it: one list
+    entry per call."""
     calls = []
     real = flow_module._Stepper.velocity
 
     def counting(self, *args, **kwargs):
-        calls.append(self.n)
+        calls.append(1)
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(flow_module._Stepper, "velocity", counting)
