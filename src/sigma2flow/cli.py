@@ -87,22 +87,13 @@ def _floats(text: str) -> list[float]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _radii(text: str) -> list[float]:
-    """The assembly layout's six radii (r8, r7, r6, r5, r4, r0)."""
-    radii = _floats(text)
-    if len(radii) != 6:
-        raise argparse.ArgumentTypeError(
-            f"expected exactly 6 comma-separated radii, got {len(radii)}")
-    return radii
-
-
 #: the one converter of each option, for its flag and its config key alike
 _CONVERTERS = {
     "n": int, "eps": float, "grid_points": int, "init": str, "amplitude": float,
     "t_max": float, "dt_safety": float, "tol_converge": float, "record_dt": float,
     "timeout": float, "ladder": _floats, "trials": int, "seed": int,
     "lam": float, "gamma": float, "beta": float, "delta_r": float,
-    "radii": _radii, "lambdas": _floats,
+    "radii": _floats, "lambdas": _floats,
 }
 
 #: the flags of the keys whose flag is not ``--`` plus the key with dashes
@@ -417,8 +408,6 @@ _SWEEP_DEFAULTS = {
 
 
 def _cmd_sweep(cfg: dict, args) -> int:
-    if cfg["delta_r"] >= 0.0:
-        raise _UsageError("the sweep needs a strict deficit deltaR < 0")
     sw = margin_sweep(cfg["n"], tuple(cfg["lambdas"]), cfg["gamma"], cfg["beta"],
                       tuple(cfg["radii"]), cfg["delta_r"])
     ok = _finite_energies(sw.reports)

@@ -119,6 +119,8 @@ def sphere_latitude(n: int, num_points: int) -> RadialGrid:
     _validate(n, num_points)
     x = np.linspace(0.0, math.pi, num_points)
     density = np.sin(x) ** (n - 1) * sphere_measure(n - 1)
+    # sin(pi) is 1.2e-16, not 0: its power would underflow in the weighted sums
+    density[-1] = 0.0
     return RadialGrid("sphere_latitude", n, x, density, True, True)
 
 

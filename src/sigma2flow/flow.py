@@ -61,16 +61,13 @@ There the flow runs until sup |v| <= 1e-2, and damped Newton on the same 32
 points, with a forward-difference Jacobian of the one kernel, finishes the
 equilibrium to ``tol_converge`` and polishes it to rounding level.  The
 solve interpolates that equilibrium back, shifts it to the V_eps of u0, and
-finishes on the requested grid to the same ``tol_converge``.  When Newton
-fails, the coarse flow runs on to ``tol_converge`` as it would without
-Newton; a coarse stage that does not converge is dropped, and the solve
-runs from u0 alone.  The fine run then starts next to its equilibrium (on
-the round sphere, at it): an eigen solve takes about 1,000-1,300 kernel
-evaluations from 128 to 512 points, where the coarse flow run to
-``tol_converge`` took 1,900-6,600 and, on S^9 with the bump start at 256
-points, 196,000.  Its r_eps and Y energies agree with a single-grid solve to
-about 1e-14 relative, and its final u with the single-grid one to about
-1e-8 up to a constant.  ``flow_run`` and ``step`` never do this.
+finishes on the requested grid to the same ``tol_converge``.  A coarse
+stage that does not converge, in its flow phase or in Newton, is dropped,
+and the solve runs from u0 alone.  The fine run then starts next to its
+equilibrium (on the round sphere, at it).  Its r_eps and Y energies agree
+with a single-grid solve to about 1e-14 relative, and its final u with the
+single-grid one to about 1e-8 up to a constant.  ``flow_run`` and ``step``
+never do this.
 
 The monitors only a record reads (min sigma_2(g), the gradient bound and the
 dF2/dt formula) are computed only at the states that become records.
@@ -95,6 +92,7 @@ __all__ = [
     "STEP_TOL",
     "EQUILIBRIUM_STEP_TOL",
     "BLOWUP_FLOOR",
+    "MAX_STEPS",
     "MonitorRecord",
     "MONITOR_COLUMNS",
     "FlowResult",
@@ -127,6 +125,8 @@ STEP_TOL = 5e-12
 EQUILIBRIUM_STEP_TOL = 1e-8
 #: a run whose min u falls below this (finite) floor ends as blow_up_suspected
 BLOWUP_FLOOR = -10.0
+#: most accepted steps of one run; a run that takes them ends as max_steps
+MAX_STEPS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class FlowConfig:
     runs that report only an equilibrium may use ``EQUILIBRIUM_STEP_TOL``.
     Steps land exactly on the record times ``i * record_dt`` and on
     ``t_max``, so a run to ``t_max`` takes at least ``t_max / record_dt``
-    steps; that count may not exceed ``max_steps``.  A run ends as
+    steps; that count may not exceed ``MAX_STEPS``.  A run ends as
     ``blow_up_suspected`` below the fixed floor ``BLOWUP_FLOOR`` of min u.
     """
 
@@ -149,7 +149,6 @@ class FlowConfig:
     dt_safety: float = 0.8
     tol_converge: float = 1e-8
     record_dt: float = 0.01
-    max_steps: int = 50_000_000
     timeout: float | None = None
     step_tol: float = STEP_TOL
 
@@ -171,10 +170,10 @@ class FlowConfig:
             raise ValueError(f"step_tol must be positive, got {self.step_tol}")
         if self.record_dt <= 0.0:
             raise ValueError(f"record_dt must be positive, got {self.record_dt}")
-        if self.t_max / self.record_dt > self.max_steps:
+        if self.t_max / self.record_dt > MAX_STEPS:
             raise ValueError(
                 f"t_max / record_dt = {self.t_max / self.record_dt:.6g} record times "
-                f"exceed max_steps = {self.max_steps}")
+                f"exceed MAX_STEPS = {MAX_STEPS}")
 
 
 class MonitorRecord(NamedTuple):
@@ -530,7 +529,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
     """Integrate the normalized flow from ``u0`` until convergence or t_max.
 
     Terminal status is one of ``converged`` (velocity sup-norm under
-    ``tol_converge``), ``t_max``, ``max_steps``, ``timeout``,
+    ``tol_converge``), ``t_max``, ``max_steps`` (``MAX_STEPS`` steps), ``timeout``,
     ``blow_up_suspected`` (min u fell through ``BLOWUP_FLOOR``), or one of
     three failures, which report a NaN ``equilibrium_residual``:
     ``non_finite`` (the velocity or a step's error estimate is NaN or
@@ -600,7 +599,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         if t >= config.t_max:
             status = "t_max"
             break
-        if steps >= config.max_steps:
+        if steps >= MAX_STEPS:
             status = "max_steps"
             break
         if config.timeout is not None and time.monotonic() - t_start > config.timeout:
@@ -784,10 +783,13 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
     float range, counts as a rejected step.  Once
     sup |v| <= tol, full steps go on while they lower sup |v|: they remove
     the roundoff-sized wiggle a stop at tol leaves, which interpolation onto
-    a finer grid would magnify.  Returns ``(u, slots, iterations)``, or None
-    when Newton fails short of tol: a step shorter than
-    ``_NEWTON_MIN_DAMPING``, a difference outside the cone, a singular
-    solve, ``_NEWTON_MAX_ITERATIONS`` or the deadline (``time.monotonic``).
+    a finer grid would magnify.  Returns ``(u, slots, iterations, status)``:
+    the last accepted state and its slots, and a ``flow_run`` status:
+    ``converged`` at sup |v| <= tol, ``timeout`` once the deadline
+    (``time.monotonic``) has passed, and ``stalled`` when Newton ends short
+    of tol otherwise (a step shorter than ``_NEWTON_MIN_DAMPING``, a
+    difference outside the cone, a singular solve or
+    ``_NEWTON_MAX_ITERATIONS``).
     """
     v, s = stepper.velocity(u, _STEP)
     reach = _EXP_MAX / float(np.max(np.abs(stepper.exponents)))
@@ -812,7 +814,13 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
             break
         u, (v, s) = trial, ev
         iterations += 1
-    return (u, s, iterations) if s[_S_SUPV] <= tol else None
+    if s[_S_SUPV] <= tol:
+        status = "converged"
+    elif deadline is not None and time.monotonic() >= deadline:
+        status = "timeout"
+    else:
+        status = "stalled"
+    return u, s, iterations, status
 
 
 def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
@@ -830,20 +838,19 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     V_eps of u0 on ``grid``, so the fine run conserves the quantity a run
     from u0 does.  The fine run then ends on the same ``tol_converge``.
 
-    When Newton fails, the coarse stage is the coarse ``flow_run`` with
-    ``config`` from the interpolated u0, as without Newton.  A coarse run
-    that does not converge is dropped, and the fine run starts from u0.
-    Only a solve that stops on convergence (``tol_converge > 0``) on a grid
-    of at least ``_COARSE_MIN_POINTS`` points starts coarse; any other is
-    plain ``flow_run``.  So is one whose start ``flow_run`` does not step
+    A coarse stage that does not converge, in its flow phase or in Newton,
+    is dropped, and the fine run starts from u0.  Only a solve that stops
+    on convergence (``tol_converge > 0``) on a grid of at least
+    ``_COARSE_MIN_POINTS`` points starts coarse; any other is plain
+    ``flow_run``.  So is one whose start ``flow_run`` does not step
     from on ``grid`` (a u0 that is not finite, lies outside the cone there
     or has converged already): a ``t_max = 0`` run from u0 finds that in one
     evaluation, and its result is the plain run's.
 
     Returns ``(result, coarse)``: the fine run, whose ``evaluations`` count
     every evaluation of the solve and whose ``config`` is ``config``, and
-    the coarse stage or None.  After Newton, the coarse stage's ``u`` and
-    its F2, V_eps, r_eps, s_eps and residual are Newton's, its
+    the coarse stage or None.  After Newton, the coarse stage's status,
+    ``u`` and its F2, V_eps, r_eps, s_eps and residual are Newton's, its
     ``evaluations`` include Newton's and it reports its
     ``newton_iterations``; its ``t``, ``steps`` and ``records`` are the
     flow phase's.  ``config.timeout`` bounds the whole solve: each stage
@@ -852,37 +859,24 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     if config.tol_converge <= 0.0 or grid.num_points < _COARSE_MIN_POINTS:
         return flow_run(background, u0, config, grid=grid), None
     deadline = None if config.timeout is None else time.monotonic() + config.timeout
-
-    def left(cfg: FlowConfig) -> FlowConfig:
-        if deadline is None:
-            return cfg
-        return replace(cfg, timeout=max(0.0, deadline - time.monotonic()))
-
     probe = flow_run(background, u0, replace(config, t_max=0.0), grid=grid)
     if probe.status != "t_max":
         return replace(probe, config=config), None
     coarse_grid = background.make_grid(_COARSE_POINTS)
-    coarse_u0 = np.interp(coarse_grid.x, grid.x, u0)
     switch = max(_NEWTON_SWITCH, config.tol_converge)
-    coarse = flow_run(background, coarse_u0, replace(config, tol_converge=switch),
-                      grid=coarse_grid)
+    coarse = flow_run(background, np.interp(coarse_grid.x, grid.x, u0),
+                      replace(config, tol_converge=switch), grid=coarse_grid)
     coarse = replace(coarse, config=config)
     if coarse.converged:
         stepper = _Stepper(background, coarse_grid, config.eps, config.dt_safety,
                            config.step_tol)
-        newton = _newton_finish(stepper, coarse.u, config.tol_converge, deadline)
-        spent = coarse.evaluations + stepper.evaluations
-        if newton is None:
-            coarse = flow_run(background, coarse_u0, left(config), grid=coarse_grid)
-            coarse = replace(coarse, config=config,
-                             evaluations=coarse.evaluations + spent)
-        else:
-            u, s, iterations = newton
-            coarse = replace(
-                coarse, u=u, F2=s[_S_F2], V_eps=s[_S_VEPS], r_eps=s[_S_REPS],
-                s_eps=s[_S_SEPS], evaluations=spent, newton_iterations=iterations,
-                equilibrium_residual=_equilibrium_residual(
-                    background, coarse_grid, u, config.eps, s[_S_REPS]))
+        u, s, iterations, status = _newton_finish(stepper, coarse.u, config.tol_converge,
+                                                  deadline)
+        coarse = replace(
+            coarse, status=status, u=u, F2=s[_S_F2], V_eps=s[_S_VEPS], r_eps=s[_S_REPS],
+            s_eps=s[_S_SEPS], evaluations=coarse.evaluations + stepper.evaluations,
+            newton_iterations=iterations, equilibrium_residual=_equilibrium_residual(
+                background, coarse_grid, u, config.eps, s[_S_REPS]))
     start = u0
     if coarse.converged:
         start = np.interp(grid.x, coarse_grid.x, coarse.u)
@@ -891,7 +885,10 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
             # V_eps(u + c) = e^{k c} V_eps(u); at k = 0, V_eps is the volume
             start += math.log(functional_V(grid, background, u0, config.eps)
                               / functional_V(grid, background, start, config.eps)) / k
-    res = flow_run(background, start, left(config), grid=grid)
+    fine = config
+    if deadline is not None:
+        fine = replace(config, timeout=max(0.0, deadline - time.monotonic()))
+    res = flow_run(background, start, fine, grid=grid)
     work = probe.evaluations + coarse.evaluations + res.evaluations
     return replace(res, config=config, evaluations=work), coarse
 
@@ -924,9 +921,9 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
 
     A solve that stops on convergence on 64 or more points converges on a
     32-point grid first (``coarse``, None otherwise), by the flow down to
-    sup |v| = 1e-2 and damped Newton from there (``coarse.newton_iterations``,
-    0 when Newton failed and the coarse flow ran on), and finishes on
-    ``grid`` from the interpolated coarse equilibrium.  On S^5 at 512 points
+    sup |v| = 1e-2 and damped Newton from there (``coarse.newton_iterations``),
+    and finishes on ``grid`` from the interpolated coarse equilibrium, or
+    from u0 when the coarse stage does not converge.  On S^5 at 512 points
     that takes about 1,200 evaluations where the flow alone takes 38,000,
     and lambda1 agrees with a single-grid solve to about 1e-14 relative.
     ``flow`` is the fine run, except that its ``evaluations`` count every

@@ -255,7 +255,7 @@ def _branches(tables: SchoutenTables, d):
     return w[0], w[1], var, s1, s2
 
 
-def schouten_pointwise(background, x, u, up, upp):
+def schouten_pointwise(background, x, up, upp):
     """Radial/tangential Schouten branches from analytic derivatives at the
     nodes x (an array, or one node), by ``radial_schouten``.  Returns
     ``(w_r, w_t, var)`` in the shape of x."""
@@ -336,10 +336,9 @@ def scale_invariant_energy(f2: float, volume: float, n: int, eps: float = 0.0) -
     return f2 / scale if 0.0 < scale < math.inf else math.nan
 
 
-def normalized_F2(grid: RadialGrid, background, u, eps: float | None = None) -> float:
-    """``scale_invariant_energy`` of u: F2 / V_eps^{(n-4)/(n-2 eps)}, or
-    without ``eps`` the plain volume normalization F2 / V_0^{(n-4)/n}."""
-    eps = 0.0 if eps is None else eps
+def normalized_F2(grid: RadialGrid, background, u, eps: float = 0.0) -> float:
+    """``scale_invariant_energy`` of u: F2 / V_eps^{(n-4)/(n-2 eps)}, at the
+    default eps = 0 the plain volume normalization F2 / V_0^{(n-4)/n}."""
     f2 = functional_F2(grid, background, u)
     return scale_invariant_energy(f2, functional_V(grid, background, u, eps),
                                   background.n, eps)

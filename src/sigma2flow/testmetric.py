@@ -531,6 +531,8 @@ class _GluingCore:
     """
 
     def __init__(self, n: int, lam: float, beta: float, gamma: float, A: float):
+        if not 1.0 < gamma < 2.0:
+            raise ValueError(f"gamma must lie in (1, 2), got {gamma}")
         self.n, self.lam, self.beta, self.gamma, self.A = n, lam, beta, gamma, A
         self.delta = delta = lam ** beta
         # for lam > 1 (delta > 1) this slope is below 1, so past this check
@@ -644,8 +646,6 @@ def glue_lemma6(bp: BubbleParams, gamma: float) -> GluingProfile:
         energy ~ delta^{4+n(1-gamma)} lam^{-3+2 gamma},
         volume ~ (delta^{(n+4-n gamma)/(2(2-gamma))} / lam)^{2n(2-gamma)/(n-4)}.
     """
-    if not 1.0 < gamma < 2.0:
-        raise ConstructionError("glue", f"gamma must lie in (1, 2), got {gamma}")
     A = PADDING_A
     n, lam = bp.n, bp.lam
     core = _GluingCore(n, lam, bp.beta, gamma, A)
@@ -953,12 +953,10 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
     cone nodes.  Only the background model differs: each of the two models
     costs one sigma_2 evaluation on either node set.
     """
-    if not 1.0 < gamma < 2.0:
-        raise ConstructionError("assemble", f"gamma must lie in (1, 2), got {gamma}")
     radii = tuple(float(v) for v in radii)
     if len(radii) != 6 or not all(a < b for a, b in zip(radii, radii[1:])):
-        raise ConstructionError(
-            "assemble", "radii must be six increasing values (r8, r7, r6, r5, r4, r0)")
+        raise ValueError(f"radii must be six increasing values (r8, r7, r6, r5, r4, r0), "
+                         f"got {radii}")
     n = bp.n
     beta_ok = 0.25 < bp.beta < (n - 4.0) / (2.0 * n)
     sc = sphere_constants(n)
@@ -1047,7 +1045,7 @@ def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
     """
     lams = tuple(float(v) for v in lams)
     if delta_r >= 0.0:
-        raise ConstructionError("sweep", "the sweep needs a strict deficit delta_r < 0")
+        raise ValueError("the sweep needs a strict deficit delta_r < 0")
     fit_exponents = (2.0, (n - 4) / 2)
     if len(set(lams)) != len(lams) or len(lams) < len(fit_exponents):
         raise ValueError(f"the fit needs distinct bubble scales, at least "

@@ -199,8 +199,8 @@ def test_criterion_08_bubble_trace_exactness():
     model = FlatRadialBall(n, 2.5)
     r = np.linspace(0.02, 2.2, 100)
     v = lam + r * r
-    u, up, upp = np.log(v), 2.0 * r / v, 2.0 / v - 4.0 * r * r / (v * v)
-    w_r, w_t, var = schouten_pointwise(model, r, u, up, upp)
+    up, upp = 2.0 * r / v, 2.0 / v - 4.0 * r * r / (v * v)
+    w_r, w_t, var = schouten_pointwise(model, r, up, upp)
     np.testing.assert_allclose(
         w_r + (n - 1) * w_t, 2.0 * n * lam / v ** 2, rtol=1e-10)
     np.testing.assert_allclose(

@@ -235,6 +235,10 @@ def test_usage_errors(capsys, tmp_path):
         ["sweep", "--deltaR", "0.0"],
         ["construct", "--radii", "1,2,3"],
         ["construct", "--beta", "0.6"],
+        # out-of-range construction inputs are the library's ValueErrors
+        ["construct", "--gamma", "3"],
+        ["sweep", "--gamma", "3"],
+        ["construct", "--radii", "6,5,4,3,2,1"],
         ["nonsense"],
         # continuation writes no trace, so it takes no --csv
         ["continuation", "--grid-points", "32", "--t-max", "1", "--csv", str(trace)],

@@ -1,5 +1,6 @@
 """The construction's padding, margin and cutoff, the blow-up floor, the
-Jacobi sweep cap and the Gauss rule are fixed values, not options."""
+step cap, the Jacobi sweep cap and the Gauss rule are fixed values, not
+options."""
 
 import math
 
@@ -22,6 +23,7 @@ _GRID = sphere_latitude(5, 32)
       (("A", 0.01), ("eps_margin", 0.1), ("r_cut", 0.12), ("cut_width", 0.04))),
     (testmetric.glue_lemma6, "A", 0.01),
     (flow.FlowConfig, "blowup_floor", -10.0),
+    (flow.FlowConfig, "max_steps", 50_000_000),
     (flow.flow_state, "t", 0.0),
     (functional_F2, "fields", None),
     (symfun.jacobi_eigenvalues, "max_sweeps", 60),
@@ -60,6 +62,7 @@ def test_fixed_values_pass_the_checks_their_options_had():
     # curvature model a cutoff that is not positive
     assert testmetric.PADDING_A >= 0.0
     assert math.isfinite(flow.BLOWUP_FLOOR)
+    assert isinstance(flow.MAX_STEPS, int) and flow.MAX_STEPS > 0
     assert isinstance(symfun.JACOBI_MAX_SWEEPS, int) and symfun.JACOBI_MAX_SWEEPS > 0
     assert testmetric.CUT_RADIUS > 0.0 and testmetric.CUT_WIDTH > 0.0
     # the derived eps margin keeps the taper's 2 - 5 eps > gamma

@@ -302,7 +302,7 @@ def test_flow_run_from_a_packaged_field(s5_grid):
     {"record_dt": 0.0}, {"record_dt": -0.01}, {"record_dt": math.inf},
     {"eps": math.nan}, {"tol_converge": math.inf}, {"timeout": math.inf},
     {"timeout": math.nan},
-    {"t_max": 1.0, "record_dt": 0.01, "max_steps": 99},
+    {"t_max": 1e6, "record_dt": 0.01},
     {"dt_safety": 1.0}, {"dt_safety": 2.0},
     {"step_tol": 0.0}, {"step_tol": -1e-8}, {"step_tol": math.nan},
 ])
@@ -312,19 +312,33 @@ def test_flow_config_rejects_bad_settings(bad):
 
 
 def test_flow_config_is_checked_on_every_copy():
-    cfg = FlowConfig(eps=2.0, t_max=1.0, record_dt=0.01, max_steps=100)
+    cfg = FlowConfig(eps=2.0, t_max=1.0, record_dt=0.01)
     with pytest.raises(ValueError, match="dt_safety must be positive"):
         replace(cfg, dt_safety=0.0)
     with pytest.raises(AttributeError):
         cfg.dt_safety = 0.0
 
 
-def test_flow_statuses(s5_grid):
+def test_latitude_weights_vanish_at_both_poles():
+    # sin(pi)^19 is 1.2e-304, not 0: as the x = pi weight of S^20 it made
+    # the kernel's weighted sums underflow near the equilibrium
+    sphere = RoundSphere(20)
+    grid = sphere_latitude(20, 32)
+    assert grid.weights[0] == grid.weights[-1] == 0.0
+    with np.errstate(under="raise"):
+        res = flow_run(sphere, initial_field("cosine", grid, 0.1), FlowConfig(eps=2.0),
+                       grid=grid)
+    assert res.status == "converged"
+
+
+def test_flow_statuses(s5_grid, monkeypatch):
     sphere, grid = s5_grid
     u0 = initial_field("cosine", grid, 0.1)
-    # record_dt keeps the t_max / record_dt record times within max_steps
-    res = flow_run(sphere, u0, FlowConfig(eps=2.0, t_max=5.0, max_steps=7,
-                                          record_dt=1.0, tol_converge=0.0), grid=grid)
+    # record_dt keeps the t_max / record_dt record times within MAX_STEPS
+    with monkeypatch.context() as patch:
+        patch.setattr(flow_module, "MAX_STEPS", 7)
+        res = flow_run(sphere, u0, FlowConfig(eps=2.0, t_max=5.0, record_dt=1.0,
+                                              tol_converge=0.0), grid=grid)
     assert res.status == "max_steps" and res.steps == 7
     res = flow_run(sphere, u0, FlowConfig(eps=2.0, t_max=1e9, record_dt=1e3,
                                           tol_converge=0.0, timeout=0.05), grid=grid)
@@ -514,7 +528,7 @@ def _assert_record_is_full_evaluation(sphere, grid, u, eps, rec):
         assert getattr(rec, name) == getattr(full, name), name
 
 
-def test_records_equal_full_evaluations(s5_grid):
+def test_records_equal_full_evaluations(s5_grid, monkeypatch):
     # each record of a run to t = 0.2 is read at the state that a run to the
     # record's own time ends in, since both runs take the same steps up to it
     sphere, grid = s5_grid
@@ -526,12 +540,17 @@ def test_records_equal_full_evaluations(s5_grid):
         part = res if k == 4 else flow_run(sphere, u0, replace(cfg, t_max=rec.t), grid=grid)
         assert part.t == rec.t
         _assert_record_is_full_evaluation(sphere, grid, part.u, 2.0, rec)
-    # runs that end between record times: at t_max, on convergence, at max_steps
-    for cfg in (FlowConfig(eps=2.0, t_max=0.07, record_dt=0.05, tol_converge=0.0),
-                FlowConfig(eps=2.0, t_max=5.0, record_dt=0.05, tol_converge=1e-2),
-                FlowConfig(eps=2.0, t_max=5.0, max_steps=5, record_dt=1.0,
-                           tol_converge=0.0)):
-        res = flow_run(sphere, u0, cfg, grid=grid)
+    # runs that end between record times: at t_max, on convergence, at
+    # MAX_STEPS, here 5
+    for cfg, max_steps in (
+            (FlowConfig(eps=2.0, t_max=0.07, record_dt=0.05, tol_converge=0.0),
+             flow_module.MAX_STEPS),
+            (FlowConfig(eps=2.0, t_max=5.0, record_dt=0.05, tol_converge=1e-2),
+             flow_module.MAX_STEPS),
+            (FlowConfig(eps=2.0, t_max=5.0, record_dt=1.0, tol_converge=0.0), 5)):
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_module, "MAX_STEPS", max_steps)
+            res = flow_run(sphere, u0, cfg, grid=grid)
         assert res.records[-1].t == res.t
         assert res.t != round(res.t / cfg.record_dt) * cfg.record_dt
         _assert_record_is_full_evaluation(sphere, grid, res.u, 2.0, res.records[-1])
@@ -641,13 +660,19 @@ def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
     grid = sphere_latitude(5, 64)
     cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
     # 0.499 cos x is inside the cone on 64 points, outside it on 32; from
-    # 0.1 cos x, neither run converges by t = 0.5
+    # 0.1 cos x, neither run converges by t = 0.5; with no Newton iteration
+    # allowed, the coarse stage stalls where its flow phase ends
     edge, mild = 0.499 * np.cos(grid.x), initial_field("cosine", grid, 0.1)
-    for u0, config, coarse_status in ((edge, cfg, "cone_exit"),
-                                      (mild, replace(cfg, t_max=0.5), "t_max"),
-                                      (mild, replace(cfg, tol_converge=0.0, t_max=0.5), None)):
+    cap = flow_module._NEWTON_MAX_ITERATIONS
+    for u0, config, newton_cap, coarse_status in (
+            (edge, cfg, cap, "cone_exit"),
+            (mild, replace(cfg, t_max=0.5), cap, "t_max"),
+            (mild, replace(cfg, tol_converge=0.0, t_max=0.5), cap, None),
+            (mild, cfg, 0, "stalled")):
         plain = flow_run(sphere, u0, config, grid=grid)
+        monkeypatch.setattr(flow_module, "_NEWTON_MAX_ITERATIONS", newton_cap)
         runs = _counted_flow_runs(monkeypatch)
+        evaluations = _counted_evaluations(monkeypatch)
         res = eigen_solve(sphere, u0, config, grid=grid)
         monkeypatch.undo()
         assert (res.coarse and res.coarse.status) == coarse_status
@@ -655,8 +680,12 @@ def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
         assert res.u.tobytes() == plain.u.tobytes()
         assert res.flow.records == plain.records
         assert (res.flow.t, res.flow.steps, res.flow.F2) == (plain.t, plain.steps, plain.F2)
-        assert res.flow.evaluations == sum(r.evaluations for r in runs)
+        # every kernel evaluation counts, the stalled Newton stage's too
+        assert res.flow.evaluations == len(evaluations)
         assert runs[-1].evaluations == plain.evaluations
+    # the stalled case, last: Newton's one evaluation is outside every run
+    assert res.coarse.newton_iterations == 0
+    assert res.flow.evaluations == sum(r.evaluations for r in runs) + 1
     # a start outside the cone on the requested grid ends there, as plain
     # flow_run does, although the coarse grid would take it
     u0 = initial_field("bump", grid, 0.1)
@@ -685,6 +714,42 @@ def test_newton_finish_reaches_the_round_equilibrium(n, init, amplitude, points)
     assert res.lambda1 == pytest.approx(n * (n - 1) / 8.0, rel=1e-12, abs=0.0)
 
 
+# random four-mode starts from a near-edge sweep, at 0.99 of the largest
+# amplitude inside Gamma_2^+ on both the 128- and the 32-point grid
+@pytest.mark.parametrize("n, modes, eps", [
+    (15, (-0.5538, 0.1685, 0.3801, -0.2878), 2.0),
+    (20, (0.2942, 1.3721, -0.4691, 0.3591), 2.0),
+    (15, (-0.1092, -1.3081, 0.934, -0.0511), 0.25),
+    (20, (0.2605, 1.5924, 0.396, -1.2195), 1.0),
+])
+def test_newton_finishes_starts_near_the_cone_edge(n, modes, eps):
+    sphere = RoundSphere(n)
+    grid = sphere_latitude(n, 128)
+
+    def shape(x):
+        return sum(c * np.cos(k * x) for k, c in enumerate(modes, 1))
+
+    def inside(amplitude):
+        fields = (schouten_fields(g, sphere, amplitude * shape(g.x))
+                  for g in (grid, sphere_latitude(n, 32)))
+        return all(min(f.sigma1.min(), f.sigma2.min()) > 0.0 for f in fields)
+
+    lo, hi = 0.0, 1.0
+    assert inside(lo) and not inside(hi)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    u0 = 0.99 * lo * shape(grid.x)
+    if eps == 2.0:
+        res = eigen_solve(sphere, u0, grid=grid)
+        status, coarse = res.flow.status, res.coarse
+    else:
+        rung = continuation(sphere, u0, (eps,))[0]
+        status, coarse = rung.status, rung.coarse
+    assert status == coarse.status == "converged"
+    assert coarse.newton_iterations > 0
+
+
 def test_coarse_start_costs_less_than_the_single_grid_run_on_s9():
     sphere = RoundSphere(9)
     grid = sphere_latitude(9, 256)
@@ -700,41 +765,6 @@ def test_coarse_start_costs_less_than_the_single_grid_run_on_s9():
     assert res.flow.evaluations < prefix.evaluations
 
 
-def _coarse_flow_solve(sphere, u0, config, grid):
-    """The solve whose coarse stage is the 32-point flow_run to
-    ``tol_converge`` alone: (coarse run, fine run)."""
-    coarse_grid = sphere_latitude(sphere.n, 32)
-    coarse = flow_run(sphere, np.interp(coarse_grid.x, grid.x, u0), config, grid=coarse_grid)
-    start = np.interp(grid.x, coarse_grid.x, coarse.u)
-    start += math.log(functional_V(grid, sphere, u0, config.eps)
-                      / functional_V(grid, sphere, start, config.eps)) / (
-                          2.0 * config.eps - sphere.n)
-    return coarse, flow_run(sphere, start, config, grid=grid)
-
-
-@pytest.mark.parametrize("n, init", [(5, "cosine"), (9, "bump")])
-def test_failed_newton_falls_back_to_the_coarse_flow(n, init, monkeypatch):
-    sphere = RoundSphere(n)
-    grid = sphere_latitude(n, 128)
-    u0 = initial_field(init, grid, 0.1)
-    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
-    coarse, plain = _coarse_flow_solve(sphere, u0, cfg, grid)
-    monkeypatch.setattr(flow_module, "_NEWTON_MAX_ITERATIONS", 0)
-    evaluations = _counted_evaluations(monkeypatch)
-    res = eigen_solve(sphere, u0, cfg, grid=grid)
-    assert res.coarse.status == coarse.status == "converged"
-    assert res.coarse.newton_iterations == 0
-    assert res.coarse.u.tobytes() == coarse.u.tobytes()
-    assert res.coarse.records == coarse.records
-    assert res.flow.status == plain.status == "converged"
-    assert res.u.tobytes() == plain.u.tobytes()
-    assert res.flow.records == plain.records
-    assert res.lambda1 == plain.r_eps
-    # the flow phase and the failed Newton stage count too
-    assert res.flow.evaluations == len(evaluations)
-    assert res.flow.evaluations > 1 + coarse.evaluations + plain.evaluations
-
-
 def test_newton_iterations_raise_no_floating_point_error(monkeypatch):
     # the benchmark's relax starts: eigen solves on S^5 and S^9, and the
     # first rung of the continuation ladder
@@ -747,7 +777,7 @@ def test_newton_iterations_raise_no_floating_point_error(monkeypatch):
     def strict(*args):
         with np.errstate(all="raise"):
             out = real(*args)
-        iterations.append(out and out[2])
+        iterations.append(out[2])
         return out
 
     monkeypatch.setattr(flow_module, "_newton_finish", strict)

@@ -141,8 +141,8 @@ def test_bubble_params_delta_and_model():
 def _bubble_traces(bp, r):
     """(tr A, tr A^2) of the bubble Schouten matrix, as criterion 8 takes them."""
     v = bp.lam + r * r
-    bubble = np.log(v), 2.0 * r / v, 2.0 / v - 4.0 * r * r / (v * v)
-    w_r, w_t, var = schouten_pointwise(bp.model(), r, *bubble)
+    up, upp = 2.0 * r / v, 2.0 / v - 4.0 * r * r / (v * v)
+    w_r, w_t, var = schouten_pointwise(bp.model(), r, up, upp)
     return w_r + (bp.n - 1) * w_t, w_r * w_r + (bp.n - 1) * w_t * w_t + var
 
 
@@ -337,7 +337,7 @@ def test_potential_table_reads_h_without_a_search(monkeypatch):
 
 def test_glue_validation():
     bp = BubbleParams(9, 1e-4)
-    with pytest.raises(ConstructionError, match=r"gamma must lie in \(1, 2\)"):
+    with pytest.raises(ValueError, match=r"gamma must lie in \(1, 2\)"):
         glue_lemma6(bp, 2.5)
 
 
@@ -583,9 +583,9 @@ def test_regions_equal_the_sums_over_their_own_nodes(n):
 
 def test_assemble_validation():
     bp = BubbleParams(9, 1e-4, delta_r=-1.0)
-    with pytest.raises(ConstructionError, match=r"gamma must lie in \(1, 2\)"):
+    with pytest.raises(ValueError, match=r"gamma must lie in \(1, 2\)"):
         assemble_and_compare(bp, 2.5)
-    with pytest.raises(ConstructionError, match="six increasing values"):
+    with pytest.raises(ValueError, match="six increasing values"):
         assemble_and_compare(bp, 1.05, radii=(0.65, 0.85, 1.0))
 
 
@@ -625,7 +625,7 @@ def test_margin_sweep_fits_the_dimension_remainder():
 
 
 def test_margin_sweep_validation():
-    with pytest.raises(ConstructionError, match="strict deficit delta_r < 0"):
+    with pytest.raises(ValueError, match="strict deficit delta_r < 0"):
         margin_sweep(delta_r=0.0)
 
 
