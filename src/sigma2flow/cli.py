@@ -8,16 +8,20 @@ Commands
     construct     build the glued comparison metric and report its margin
     sweep         margin sweep over bubble scales with the lam^2 fit
 
-Exit codes: 0 success (including a run that merely hit t_max or a timeout),
-2 usage error, 3 numeric failure, a FloatingPointError included (a JSON
-summary with the failure status is still emitted), 4 I/O failure.
-
 A command's options are the keys of its defaults table, each a flag
 (``--`` plus the key with dashes) and a config key.  Options may also come
 from a config file (``--config FILE``) of flat ``key = value`` lines with
 ``#`` comments; explicit flags win over the file.  A value parses the same
 way from the file as from its flag.
-All output is deterministic: reruns produce byte-identical CSV and JSON.
+
+A command's handler takes the merged options and returns ``(status, keys,
+records)``: its status, its summary keys and its monitor trace (None but
+for flow and eigen).  ``parse_and_dispatch`` is the one place that writes
+them, the CSV and the JSON summary, and maps a status to an exit code: 0
+success (including a run that merely hit t_max or a timeout), 2 usage
+error, 3 numeric failure, a FloatingPointError included (a JSON summary
+with the failure status is still emitted), 4 I/O failure.  All output is
+deterministic: reruns produce byte-identical CSV and JSON.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .flow import (
     write_monitor_csv,
 )
 from .geometry import (
-    ConeViolation,
     RoundSphere,
     divergence_identity_residual,
     round_schouten_sigma2,
@@ -59,6 +62,7 @@ from .testmetric import (
     BubbleParams,
     ConstructionError,
     assemble_and_compare,
+    check_radii,
     margin_sweep,
     sphere_constants,
 )
@@ -166,14 +170,8 @@ def emit_summary(payload: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _summary(command: str, config: dict, status: str, **scalars) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "status": status,
-        **scalars,
-    }
+def _summary(command: str, status: str, **keys) -> dict:
+    return {"version": __version__, "command": command, "status": status, **keys}
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +212,17 @@ def _flow_pieces(cfg: dict, step_tol: float = STEP_TOL, eps: float | None = None
     return background, grid, u0, fc
 
 
-def _cmd_flow(cfg: dict, args) -> int:
+def _cmd_flow(cfg: dict):
     background, grid, u0, fc = _flow_pieces(cfg)
     res = flow_run(background, u0, fc, grid=grid)
-    if args.csv is not None:
-        write_monitor_csv(res.records, args.csv)
-    payload = _summary(
-        "flow", cfg, res.status,
+    return res.status, dict(
         t=res.t, steps=res.steps,
         evaluations=res.evaluations, step_tol=fc.step_tol,
         F2=res.F2, V_eps=res.V_eps, r_eps=res.r_eps, s_eps=res.s_eps,
         equilibrium_residual=res.equilibrium_residual,
         max_V_drift=res.max_V_drift,
         max_step_F2_increase=res.max_step_F2_increase,
-    )
-    emit_summary(payload, args.json)
-    return _EXIT_NUMERIC if res.status in _FAIL_STATUSES else _EXIT_OK
+    ), res.records
 
 
 def _coarse_work(coarse) -> dict:
@@ -240,24 +233,18 @@ def _coarse_work(coarse) -> dict:
             "coarse_newton_iterations": coarse.newton_iterations}
 
 
-def _cmd_eigen(cfg: dict, args) -> int:
-    cfg = dict(cfg)
+def _cmd_eigen(cfg: dict):
     cfg["eps"] = 2.0
     background, grid, u0, fc = _flow_pieces(cfg, EQUILIBRIUM_STEP_TOL)
     res = eigen_solve(background, u0, fc, grid=grid)
-    if args.csv is not None:
-        write_monitor_csv(res.flow.records, args.csv)
-    payload = _summary(
-        "eigen", cfg, res.flow.status,
+    return res.flow.status, dict(
         lambda1=res.lambda1,
         t=res.flow.t, steps=res.flow.steps,
         evaluations=res.flow.evaluations, **_coarse_work(res.coarse), step_tol=fc.step_tol,
         F2=res.flow.F2, V_eps=res.flow.V_eps,
         equilibrium_residual=res.flow.equilibrium_residual,
         max_V_drift=res.flow.max_V_drift,
-    )
-    emit_summary(payload, args.json)
-    return _EXIT_NUMERIC if res.flow.status in _FAIL_STATUSES else _EXIT_OK
+    ), res.flow.records
 
 
 _CONT_DEFAULTS = dict(_FLOW_DEFAULTS, ladder=[2.0, 1.5, 1.0, 0.5, 0.25],
@@ -265,13 +252,11 @@ _CONT_DEFAULTS = dict(_FLOW_DEFAULTS, ladder=[2.0, 1.5, 1.0, 0.5, 0.25],
 _CONT_DEFAULTS.pop("eps")
 
 
-def _cmd_continuation(cfg: dict, args) -> int:
+def _cmd_continuation(cfg: dict):
     ladder = cfg["ladder"]
     background, grid, u0, fc = _flow_pieces(cfg, EQUILIBRIUM_STEP_TOL, ladder[0])
     rungs = continuation(background, u0, ladder, fc)
-    status = rungs[-1].status
-    payload = _summary(
-        "continuation", cfg, status,
+    return rungs[-1].status, dict(
         step_tol=fc.step_tol, **_coarse_work(rungs[0].coarse),
         rungs=[
             {
@@ -286,9 +271,7 @@ def _cmd_continuation(cfg: dict, args) -> int:
             }
             for r in rungs
         ],
-    )
-    emit_summary(payload, args.json)
-    return _EXIT_NUMERIC if status in _FAIL_STATUSES else _EXIT_OK
+    ), None
 
 
 _VERIFY_DEFAULTS = {
@@ -300,7 +283,7 @@ _VERIFY_DEFAULTS = {
 }
 
 
-def _cmd_verify(cfg: dict, args) -> int:
+def _cmd_verify(cfg: dict):
     n = cfg["n"]
     sc = sphere_constants(n)
     rng = np.random.default_rng(cfg["seed"])
@@ -326,8 +309,7 @@ def _cmd_verify(cfg: dict, args) -> int:
     res_fine = divergence_identity_residual(grid2, background, u2)
 
     ok = worst < 1e-10 and res_coarse < 1e-3
-    payload = _summary(
-        "verify", cfg, "ok" if ok else "error",
+    return "ok" if ok else "error", dict(
         sigma2_consistency=worst,
         divergence_residual=res_coarse,
         divergence_residual_refined=res_fine,
@@ -335,9 +317,7 @@ def _cmd_verify(cfg: dict, args) -> int:
         round_sigma2=round_schouten_sigma2(n),
         B=sc.B,
         Y2_sphere=sc.Y2_sphere,
-    )
-    emit_summary(payload, args.json)
-    return _EXIT_OK if ok else _EXIT_NUMERIC
+    ), None
 
 
 _CONSTRUCT_DEFAULTS = {
@@ -358,13 +338,11 @@ def _finite_energies(reports) -> bool:
                for value in (am.F2, am.volume, am.margin))
 
 
-def _cmd_construct(cfg: dict, args) -> int:
-    radii = cfg["radii"]
+def _cmd_construct(cfg: dict):
+    radii = check_radii(cfg["radii"])
     bp = BubbleParams(cfg["n"], cfg["lam"], radii[-1], cfg["beta"], cfg["delta_r"])
     rep = assemble_and_compare(bp, cfg["gamma"], radii)
-    ok = _finite_energies([rep])
-    payload = _summary(
-        "construct", cfg, "ok" if ok else "error",
+    return "ok" if _finite_energies([rep]) else "error", dict(
         gamma2_ok=rep.gamma2_ok,
         F2_tilde=rep.F2_tilde,
         Y2_sphere=rep.Y2_sphere,
@@ -392,9 +370,7 @@ def _cmd_construct(cfg: dict, args) -> int:
             }
             for r in rep.regions
         ],
-    )
-    emit_summary(payload, args.json)
-    return _EXIT_OK if ok else _EXIT_NUMERIC
+    ), None
 
 
 _SWEEP_DEFAULTS = {
@@ -407,12 +383,10 @@ _SWEEP_DEFAULTS = {
 }
 
 
-def _cmd_sweep(cfg: dict, args) -> int:
+def _cmd_sweep(cfg: dict):
     sw = margin_sweep(cfg["n"], tuple(cfg["lambdas"]), cfg["gamma"], cfg["beta"],
                       tuple(cfg["radii"]), cfg["delta_r"])
-    ok = _finite_energies(sw.reports)
-    payload = _summary(
-        "sweep", cfg, "ok" if ok else "error",
+    return "ok" if _finite_energies(sw.reports) else "error", dict(
         lams=list(sw.lams),
         margins=list(sw.margins),
         flat_margins=list(sw.flat_margins),
@@ -422,9 +396,7 @@ def _cmd_sweep(cfg: dict, args) -> int:
         K2_target=sw.K2_target,
         K2_rel_dev=sw.K2_rel_dev,
         all_margins_positive=all(m > 0 for m in sw.margins),
-    )
-    emit_summary(payload, args.json)
-    return _EXIT_OK if ok else _EXIT_NUMERIC
+    ), None
 
 
 # ---------------------------------------------------------------------------
@@ -497,26 +469,22 @@ def parse_and_dispatch(argv=None) -> int:
     try:
         file_cfg = _read_config(args.config) if args.config else {}
         cfg = _merge(defaults, file_cfg, {key: getattr(args, key) for key in defaults})
-        return handler(cfg, args)
+        status, keys, records = handler(cfg)
+        payload = _summary(args.command, status, config=cfg, **keys)
     except (_UsageError, ValueError) as e:
         print(f"sigma2 {args.command}: {e}", file=sys.stderr)
         return _EXIT_USAGE
-    except (ConstructionError, ConeViolation, FloatingPointError) as e:
-        payload = {
-            "version": __version__,
-            "command": args.command,
-            "status": "error",
-            "error": str(e),
-        }
-        try:
-            emit_summary(payload, args.json)
-        except OSError as io_err:
-            print(f"sigma2 {args.command}: {io_err}", file=sys.stderr)
-            return _EXIT_IO
-        return _EXIT_NUMERIC
+    except (ConstructionError, FloatingPointError) as e:
+        status, records = "error", None
+        payload = _summary(args.command, status, error=str(e))
+    try:
+        if records is not None and args.csv is not None:
+            write_monitor_csv(records, args.csv)
+        emit_summary(payload, args.json)
     except OSError as e:
         print(f"sigma2 {args.command}: {e}", file=sys.stderr)
         return _EXIT_IO
+    return _EXIT_NUMERIC if status in _FAIL_STATUSES else _EXIT_OK
 
 
 def main() -> None:

@@ -54,18 +54,18 @@ and the step error only decides which member a run ends on: V_eps drifts by
 1e-9 to 1e-7 instead of 1e-11 to 1e-9.  r_eps and the Y energies do not see
 the constant, so they agree with a ``STEP_TOL`` run to about 1e-14.
 
-The drivers also converge on a coarse grid first (nested iteration, the
-full multigrid start).  A solve that stops on convergence on 64 or more
-points starts from u0 interpolated onto 32 points of the same background.
-There the flow runs until sup |v| <= 1e-2, and damped Newton on the same 32
-points, with a forward-difference Jacobian of the one kernel, finishes the
-equilibrium to ``tol_converge`` and polishes it to rounding level.  The
+The drivers also converge on a coarse grid first (nested iteration, the full
+multigrid start).  A solve that stops on convergence on 64 or more points
+starts from u0 interpolated onto 32 points of the same background.  There
+the flow runs until sup |v| <= 1e-2, and Newton with full steps on the same
+32 points, with a forward-difference Jacobian of the one kernel, finishes
+the equilibrium to ``tol_converge`` and polishes it to rounding level.  The
 solve interpolates that equilibrium back, shifts it to the V_eps of u0, and
-finishes on the requested grid to the same ``tol_converge``.  A coarse
-stage that does not converge, in its flow phase or in Newton, is dropped,
-and the solve runs from u0 alone.  The fine run then starts next to its
-equilibrium (on the round sphere, at it).  Its r_eps and Y energies agree
-with a single-grid solve to about 1e-14 relative, and its final u with the
+finishes on the requested grid to the same ``tol_converge``.  A coarse stage
+that does not converge, in its flow phase or in Newton, is dropped, and the
+solve runs from u0 alone.  The fine run then starts next to its equilibrium
+(on the round sphere, at it).  Its r_eps and Y energies agree with a
+single-grid solve to about 1e-14 relative, and its final u with the
 single-grid one to about 1e-8 up to a constant.  ``flow_run`` and ``step``
 never do this.
 
@@ -735,8 +735,6 @@ _COARSE_MIN_POINTS = 64
 _NEWTON_SWITCH = 1e-2
 #: most Newton iterations of one coarse stage, the polish included
 _NEWTON_MAX_ITERATIONS = 20
-#: shortest damped Newton step, as a fraction of the full step
-_NEWTON_MIN_DAMPING = 2.0 ** -10
 #: relative increment of the forward-difference Jacobian, sqrt(machine eps)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
@@ -774,21 +772,19 @@ def _newton_direction(stepper: _Stepper, u, v):
 
 
 def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
-    """Damped Newton from u, near an equilibrium, to sup |v| <= tol.
+    """Newton with full steps from u, near an equilibrium, to sup |v| <= tol.
 
-    Each iteration takes the Newton step, halved until sup |v| falls below
-    ``1 - damping / 4`` times its value, where ``damping`` is the fraction
-    of the full step taken (Deuflhard, *Newton Methods for Nonlinear
-    Problems*, 2004, ch. 3); a trial state outside Gamma_2^+, or past e^x's
-    float range, counts as a rejected step.  Once
-    sup |v| <= tol, full steps go on while they lower sup |v|: they remove
-    the roundoff-sized wiggle a stop at tol leaves, which interpolation onto
-    a finer grid would magnify.  Returns ``(u, slots, iterations, status)``:
-    the last accepted state and its slots, and a ``flow_run`` status:
-    ``converged`` at sup |v| <= tol, ``timeout`` once the deadline
-    (``time.monotonic``) has passed, and ``stalled`` when Newton ends short
-    of tol otherwise (a step shorter than ``_NEWTON_MIN_DAMPING``, a
-    difference outside the cone, a singular solve or
+    A step is accepted while it cuts sup |v| to below 3/4 of its value (the
+    sufficient decrease of Deuflhard, *Newton Methods for Nonlinear
+    Problems*, 2004, ch. 3, at the full step).  Once sup |v| <= tol, steps
+    go on while they lower sup |v| at all: they remove the roundoff-sized
+    wiggle a stop at tol leaves, which interpolation onto a finer grid
+    would magnify.  Returns ``(u, slots, iterations, status)``: the last
+    accepted state and its slots, and a ``flow_run`` status: ``converged``
+    at sup |v| <= tol, ``timeout`` once the deadline (``time.monotonic``)
+    has passed, and ``stalled`` when Newton ends short of tol otherwise (a
+    rejected step, a trial state outside Gamma_2^+ or past e^x's float
+    range, a difference outside the cone, a singular solve or
     ``_NEWTON_MAX_ITERATIONS``).
     """
     v, s = stepper.velocity(u, _STEP)
@@ -796,21 +792,13 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
     iterations = 0
     while iterations < _NEWTON_MAX_ITERATIONS and (deadline is None
                                                    or time.monotonic() < deadline):
-        polish = s[_S_SUPV] <= tol
+        bound = s[_S_SUPV] if s[_S_SUPV] <= tol else 0.75 * s[_S_SUPV]
         delta = _newton_direction(stepper, u, v)
-        damping = 1.0
-        while delta is not None:
-            trial = u + damping * delta
-            bound = s[_S_SUPV] if polish else (1.0 - 0.25 * damping) * s[_S_SUPV]
-            ev = None
-            if float(np.max(np.abs(trial))) <= reach:
-                ev = stepper.velocity(trial, _STEP)
-            if ev is not None and ev[1][_S_SUPV] < bound:
-                break
-            damping *= 0.5
-            if polish or damping < _NEWTON_MIN_DAMPING:
-                delta = None
         if delta is None:
+            break
+        trial = u + delta
+        ev = stepper.velocity(trial, _STEP) if np.max(np.abs(trial)) <= reach else None
+        if ev is None or not ev[1][_S_SUPV] < bound:
             break
         u, (v, s) = trial, ev
         iterations += 1
@@ -831,12 +819,14 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     background, and the coarse equilibrium is found there in two phases.
     The flow runs with ``config`` until sup |v| <= max(``_NEWTON_SWITCH``,
     ``tol_converge``): that relaxation globalizes, since Newton from u0
-    alone stalls on some starts, but converges only linearly.  Damped
-    Newton (``_newton_finish``) then takes the coarse field to
-    ``tol_converge`` and a few steps past it.  A ``converged`` coarse field
-    is interpolated back and shifted by the constant that gives it the
-    V_eps of u0 on ``grid``, so the fine run conserves the quantity a run
-    from u0 does.  The fine run then ends on the same ``tol_converge``.
+    alone stalls on some starts, but converges only linearly.  Newton with
+    full steps (``_newton_finish``) then takes the coarse field to
+    ``tol_converge`` and a few steps past it; short of tol, a step that
+    does not cut sup |v| by a quarter ends it ``stalled``.  A
+    ``converged`` coarse field is interpolated back and shifted by the
+    constant that gives it the V_eps of u0 on ``grid``, so the fine run
+    conserves the quantity a run from u0 does.  The fine run then ends on
+    the same ``tol_converge``.
 
     A coarse stage that does not converge, in its flow phase or in Newton,
     is dropped, and the fine run starts from u0.  Only a solve that stops
@@ -921,7 +911,7 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
 
     A solve that stops on convergence on 64 or more points converges on a
     32-point grid first (``coarse``, None otherwise), by the flow down to
-    sup |v| = 1e-2 and damped Newton from there (``coarse.newton_iterations``),
+    sup |v| = 1e-2 and full Newton steps from there (``coarse.newton_iterations``),
     and finishes on ``grid`` from the interpolated coarse equilibrium, or
     from u0 when the coarse stage does not converge.  On S^5 at 512 points
     that takes about 1,200 evaluations where the flow alone takes 38,000,

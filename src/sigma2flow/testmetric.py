@@ -63,6 +63,7 @@ __all__ = [
     "RegionReport",
     "AssembledMetric",
     "assemble_and_compare",
+    "check_radii",
     "MarginSweep",
     "margin_sweep",
     "STANDARD_RADII",
@@ -928,6 +929,19 @@ class AssembledMetric:
     profile: _PatchProfile = field(repr=False)
 
 
+def check_radii(radii) -> tuple:
+    """The layout (r8, r7, r6, r5, r4, r0) as floats, or ValueError.
+
+    A caller that takes r0 from the layout checks it first, so that a short
+    list is reported as a bad layout and not as a bad patch radius.
+    """
+    radii = tuple(float(v) for v in radii)
+    if len(radii) != 6 or not all(a < b for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"radii must be six increasing values (r8, r7, r6, r5, r4, r0), "
+                         f"got {radii}")
+    return radii
+
+
 def assemble_and_compare(bp: BubbleParams, gamma: float,
                          radii=STANDARD_RADII) -> AssembledMetric:
     """Stitch bubble, gluing annulus, transition, and outer cap; compare.
@@ -953,10 +967,7 @@ def assemble_and_compare(bp: BubbleParams, gamma: float,
     cone nodes.  Only the background model differs: each of the two models
     costs one sigma_2 evaluation on either node set.
     """
-    radii = tuple(float(v) for v in radii)
-    if len(radii) != 6 or not all(a < b for a, b in zip(radii, radii[1:])):
-        raise ValueError(f"radii must be six increasing values (r8, r7, r6, r5, r4, r0), "
-                         f"got {radii}")
+    radii = check_radii(radii)
     n = bp.n
     beta_ok = 0.25 < bp.beta < (n - 4.0) / (2.0 * n)
     sc = sphere_constants(n)
@@ -1043,7 +1054,7 @@ def margin_sweep(n: int = 9, lams=(1e-3, 3e-4, 1e-4), gamma: float = 1.05,
     exponent is (n-4)/2.  The target is B^{(4-n)/n} C delta_r.  The scales
     must be distinct and at least two, or the fit is underdetermined.
     """
-    lams = tuple(float(v) for v in lams)
+    lams, radii = tuple(float(v) for v in lams), check_radii(radii)
     if delta_r >= 0.0:
         raise ValueError("the sweep needs a strict deficit delta_r < 0")
     fit_exponents = (2.0, (n - 4) / 2)

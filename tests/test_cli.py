@@ -247,6 +247,10 @@ def test_usage_errors(capsys, tmp_path):
         rc, cap = run_cli(capsys, argv)
         assert rc == 2, argv
     assert not trace.exists()
+    # a short layout is reported as one, not as a patch radius below lam**beta
+    for command in ("construct", "sweep"):
+        rc, cap = run_cli(capsys, [command, "--radii", "0.01"])
+        assert rc == 2 and "radii must be six increasing values" in cap.err, cap.err
 
 
 def test_flow_settings_are_usage_errors(capsys):
@@ -461,6 +465,7 @@ def test_commands_end_with_a_true_status_under_strict_fp(capsys):
         (["flow", "--grid-points", "96", "--t-max", "1.0", "--tol-converge", "0",
           "--record-dt", "0.05"], 0, "t_max"),
         (["eigen", "--n", "9", "--grid-points", "48"], 0, "converged"),
+        (["continuation", "--grid-points", "48", "--ladder", "2,1"], 0, "converged"),
         (["flow", "--amplitude", "3"], 3, "cone_exit"),
         (["construct", "--n", "40"], 3, "error"),
     ]
@@ -468,7 +473,15 @@ def test_commands_end_with_a_true_status_under_strict_fp(capsys):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             rc, cap = run_cli(capsys, argv)
         assert rc == code, (argv, cap.err)
-        assert _strict_json(cap.out)["status"] == status, argv
+        d = _strict_json(cap.out)
+        assert d["status"] == status, argv
+        # one summary shape: a run's carries its config, an error's only
+        # the message
+        if status == "error":
+            assert set(d) == {"command", "error", "status", "version"}, argv
+        else:
+            assert {"command", "config", "status", "version"} <= set(d), argv
+        assert d["command"] == argv[0] and d["version"] == sigma2flow.__version__
 
 
 def test_sweep_and_eigen_reruns_are_byte_identical(tmp_path):

@@ -1,9 +1,10 @@
 """Every name a module exports resolves, and so does every module attribute
 that the benchmark scripts under ``perfbench/`` read; the package itself
-exports only its version."""
+exports only its version; the CLI writes its output in one place."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -49,3 +50,23 @@ def test_package_import_loads_no_module():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_output_has_one_path():
+    # an AST scan of cli.py: only the dispatcher writes a summary or a trace,
+    # and each command's handler takes its options alone, so no command can
+    # grow an output path of its own
+    cli = importlib.import_module("sigma2flow.cli")
+    tree = ast.parse(Path(cli.__file__).read_text(), cli.__file__)
+    writers = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("emit_summary", "write_monitor_csv")):
+                    writers.setdefault(node.func.id, set()).add(func.name)
+    assert writers == {"emit_summary": {"parse_and_dispatch"},
+                       "write_monitor_csv": {"parse_and_dispatch"}}
+    arities = {name: len(inspect.signature(handler).parameters)
+               for name, (_, handler, _) in cli._COMMANDS.items()}
+    assert arities == dict.fromkeys(cli._COMMANDS, 1)

@@ -660,17 +660,25 @@ def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
     grid = sphere_latitude(5, 64)
     cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
     # 0.499 cos x is inside the cone on 64 points, outside it on 32; from
-    # 0.1 cos x, neither run converges by t = 0.5; with no Newton iteration
-    # allowed, the coarse stage stalls where its flow phase ends
+    # 0.1 cos x, neither run converges by t = 0.5; a Newton stage that takes
+    # no step stalls where its flow phase ends, either because no iteration
+    # is allowed (one evaluation, at its start) or because its first full
+    # step, a constant shift that leaves v as it is, is rejected (one more
+    # evaluation, at the trial; no shorter step is tried)
     edge, mild = 0.499 * np.cos(grid.x), initial_field("cosine", grid, 0.1)
-    cap = flow_module._NEWTON_MAX_ITERATIONS
-    for u0, config, newton_cap, coarse_status in (
-            (edge, cfg, cap, "cone_exit"),
-            (mild, replace(cfg, t_max=0.5), cap, "t_max"),
-            (mild, replace(cfg, tol_converge=0.0, t_max=0.5), cap, None),
-            (mild, cfg, 0, "stalled")):
+
+    def shift(stepper, u, v):
+        return np.full(u.size, 0.01)
+
+    for u0, config, patch, coarse_status, newton_evaluations in (
+            (edge, cfg, {}, "cone_exit", 0),
+            (mild, replace(cfg, t_max=0.5), {}, "t_max", 0),
+            (mild, replace(cfg, tol_converge=0.0, t_max=0.5), {}, None, 0),
+            (mild, cfg, {"_NEWTON_MAX_ITERATIONS": 0}, "stalled", 1),
+            (mild, cfg, {"_newton_direction": shift}, "stalled", 2)):
         plain = flow_run(sphere, u0, config, grid=grid)
-        monkeypatch.setattr(flow_module, "_NEWTON_MAX_ITERATIONS", newton_cap)
+        for name, value in patch.items():
+            monkeypatch.setattr(flow_module, name, value)
         runs = _counted_flow_runs(monkeypatch)
         evaluations = _counted_evaluations(monkeypatch)
         res = eigen_solve(sphere, u0, config, grid=grid)
@@ -680,12 +688,13 @@ def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
         assert res.u.tobytes() == plain.u.tobytes()
         assert res.flow.records == plain.records
         assert (res.flow.t, res.flow.steps, res.flow.F2) == (plain.t, plain.steps, plain.F2)
-        # every kernel evaluation counts, the stalled Newton stage's too
+        # every kernel evaluation counts, the stalled Newton stage's too,
+        # which are outside every run
         assert res.flow.evaluations == len(evaluations)
+        assert res.flow.evaluations == sum(r.evaluations for r in runs) + newton_evaluations
         assert runs[-1].evaluations == plain.evaluations
-    # the stalled case, last: Newton's one evaluation is outside every run
-    assert res.coarse.newton_iterations == 0
-    assert res.flow.evaluations == sum(r.evaluations for r in runs) + 1
+        if coarse_status == "stalled":
+            assert res.coarse.newton_iterations == 0
     # a start outside the cone on the requested grid ends there, as plain
     # flow_run does, although the coarse grid would take it
     u0 = initial_field("bump", grid, 0.1)
