@@ -229,7 +229,7 @@ def _coarse_work(coarse) -> dict:
     """Summary keys of an equilibrium solve's coarse-grid stage (0 without one)."""
     if coarse is None:
         return {"coarse_points": 0, "coarse_evaluations": 0, "coarse_newton_iterations": 0}
-    return {"coarse_points": coarse.grid.num_points, "coarse_evaluations": coarse.evaluations,
+    return {"coarse_points": coarse.points, "coarse_evaluations": coarse.evaluations,
             "coarse_newton_iterations": coarse.newton_iterations}
 
 
@@ -284,6 +284,8 @@ _VERIFY_DEFAULTS = {
 
 
 def _cmd_verify(cfg: dict):
+    if cfg["trials"] < 1:
+        raise _UsageError(f"trials must be >= 1, got {cfg['trials']}")
     n = cfg["n"]
     sc = sphere_constants(n)
     rng = np.random.default_rng(cfg["seed"])

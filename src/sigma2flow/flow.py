@@ -55,22 +55,17 @@ and the step error only decides which member a run ends on: V_eps drifts by
 the constant, so they agree with a ``STEP_TOL`` run to about 1e-14.
 
 The drivers also converge on a coarse grid first (nested iteration, the full
-multigrid start).  A solve that stops on convergence on 64 or more points
-starts from u0 interpolated onto 32 points of the same background.  There
-the flow runs until sup |v| <= 1e-2, and Newton with full steps on the same
-32 points, with a forward-difference Jacobian of the one kernel, finishes
-the equilibrium to ``tol_converge`` and polishes it to rounding level.  The
-solve interpolates that equilibrium back, shifts it to the V_eps of u0, and
-finishes on the requested grid to the same ``tol_converge``.  A coarse stage
-that does not converge, in its flow phase or in Newton, is dropped, and the
-solve runs from u0 alone.  The fine run then starts next to its equilibrium
-(on the round sphere, at it).  Its r_eps and Y energies agree with a
-single-grid solve to about 1e-14 relative, and its final u with the
-single-grid one to about 1e-8 up to a constant.  ``flow_run`` and ``step``
-never do this.
+multigrid start): a solve that stops on convergence on more than 32 points
+converges on 32 points of the same background first, by the flow down to
+sup |v| = 1e-2 and Newton with full steps from there, and finishes on the
+requested grid from that equilibrium, shifted to the V_eps of u0
+(``_equilibrium_run``).  Its r_eps and Y energies agree with a single-grid
+solve to about 1e-14 relative, and its final u with the single-grid one to
+about 1e-8 up to a constant.  ``flow_run`` and ``step`` never do this.
 
-The monitors only a record reads (min sigma_2(g), the gradient bound and the
-dF2/dt formula) are computed only at the states that become records.
+The monitors only a record reads (min sigma_2(g), the gradient bound, the
+dF2/dt formula and the equilibrium residual) are computed only at the
+states that become records.
 """
 
 from __future__ import annotations
@@ -85,7 +80,7 @@ import numpy as np
 
 from .discretize import RadialGrid
 from .geometry import (ConeViolation, ConformalField, functional_V, radial_schouten,
-                       scale_invariant_energy, schouten_fields, schouten_inputs)
+                       scale_invariant_energy, schouten_inputs)
 
 __all__ = [
     "FlowConfig",
@@ -105,6 +100,7 @@ __all__ = [
     "EigenResult",
     "continuation",
     "ContinuationRung",
+    "CoarseStage",
     "initial_field",
     "INITIAL_FIELDS",
     "write_monitor_csv",
@@ -158,8 +154,10 @@ class FlowConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.t_max < 0.0:
-            raise ValueError(f"t_max must be >= 0, got {self.t_max}")
+        for name in ("t_max", "tol_converge", "timeout"):
+            value = getattr(self, name)
+            if value is not None and value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.dt_safety <= 0.0:
             raise ValueError(f"dt_safety must be positive, got {self.dt_safety}")
         if self.dt_safety >= 1.0:
@@ -193,6 +191,10 @@ MONITOR_COLUMNS = MonitorRecord._fields
 
 @dataclass
 class FlowResult:
+    """One ``flow_run``.  ``equilibrium_residual`` is the record slot sup
+    |sigma_2(W)^{1/2} - r_eps^{1/2} e^{(eps-2)u}| at the final state; an
+    equilibrium solve's ``evaluations`` include its coarse stage's."""
+
     status: str
     t: float
     steps: int
@@ -208,9 +210,6 @@ class FlowResult:
     max_step_F2_increase: float
     max_V_drift: float
     evaluations: int = 0
-    #: Newton iterations that finished the run; only the coarse stage of an
-    #: equilibrium solve takes any
-    newton_iterations: int = 0
 
     @property
     def converged(self) -> bool:
@@ -236,7 +235,8 @@ _S_MINU = 6
 _S_MIN_S2G = 7
 _S_SUPGRAD = 8
 _S_DF2 = 9
-_NS = 10
+_S_RESID = 10
+_NS = 11
 
 
 def _record(t: float, s, measured: float) -> MonitorRecord:
@@ -435,7 +435,8 @@ class _Stepper:
             grad += d[2] * d[2]
             slots += (float(np.minimum.reduce(np.exp(u * 4.0) * s2)),
                       float(np.maximum.reduce(grad)),
-                      -0.5 * (n - 4.0) * float(np.dot((f2i - e[1] * reps) * self.weights, hd)))
+                      -0.5 * (n - 4.0) * float(np.dot((f2i - e[1] * reps) * self.weights, hd)),
+                      float(np.maximum.reduce(np.abs(ab[0] - ab[1]))))
         return v, slots
 
     def first_dt(self, slots) -> float:
@@ -508,13 +509,6 @@ class _Stepper:
             dt = self.next_dt(h, err)
             if err <= 1.0:
                 return u1, v1, s1, t1, h, dt
-
-
-def _equilibrium_residual(background, grid, u, eps, reps) -> float:
-    """sup |sigma_2(W)^{1/2} - r_eps^{1/2} e^{(eps-2)u}| at u."""
-    f = schouten_fields(grid, background, u)
-    target = math.sqrt(reps) * np.exp((float(eps) - 2.0) * u)
-    return float(np.max(np.abs(np.sqrt(np.maximum(f.sigma2, 0.0)) - target)))
 
 
 class _StepFailed(ValueError):
@@ -626,9 +620,10 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
             s = stepper.velocity(u, _RECORD)[1]
         push_record()
 
+    # the state a reporting status ends on is a record, whose slots hold it
     residual = math.nan
     if status not in ("cone_exit", "non_finite", "stalled"):
-        residual = _equilibrium_residual(background, grid, u, config.eps, s[_S_REPS])
+        residual = s[_S_RESID]
 
     return FlowResult(
         status=status,
@@ -726,10 +721,9 @@ def step(state: FlowState) -> FlowState:
 # ---------------------------------------------------------------------------
 # equilibrium solves: converge on a coarse grid first
 
-#: points of the grid on which an equilibrium solve converges first
+#: points of the grid on which an equilibrium solve converges first; a
+#: solve on a finer grid starts there
 _COARSE_POINTS = 32
-#: smallest requested grid whose solve starts on the coarse grid
-_COARSE_MIN_POINTS = 64
 #: sup |v| at which the coarse flow hands its state to Newton; the relaxation
 #: converges only linearly from here on
 _NEWTON_SWITCH = 1e-2
@@ -779,13 +773,13 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
     Problems*, 2004, ch. 3, at the full step).  Once sup |v| <= tol, steps
     go on while they lower sup |v| at all: they remove the roundoff-sized
     wiggle a stop at tol leaves, which interpolation onto a finer grid
-    would magnify.  Returns ``(u, slots, iterations, status)``: the last
-    accepted state and its slots, and a ``flow_run`` status: ``converged``
-    at sup |v| <= tol, ``timeout`` once the deadline (``time.monotonic``)
-    has passed, and ``stalled`` when Newton ends short of tol otherwise (a
-    rejected step, a trial state outside Gamma_2^+ or past e^x's float
-    range, a difference outside the cone, a singular solve or
-    ``_NEWTON_MAX_ITERATIONS``).
+    would magnify.  Returns ``(u, status, iterations)``: the last accepted
+    state, a ``flow_run`` status and the accepted steps.  The status is
+    ``converged`` at sup |v| <= tol, ``timeout`` once the deadline
+    (``time.monotonic``) has passed, and ``stalled`` when Newton ends short
+    of tol otherwise (a rejected step, a trial state outside Gamma_2^+ or
+    past e^x's float range, a difference outside the cone, a singular solve
+    or ``_NEWTON_MAX_ITERATIONS``).
     """
     v, s = stepper.velocity(u, _STEP)
     reach = _EXP_MAX / float(np.max(np.abs(stepper.exponents)))
@@ -808,45 +802,46 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
         status = "timeout"
     else:
         status = "stalled"
-    return u, s, iterations, status
+    return u, status, iterations
+
+
+class CoarseStage(NamedTuple):
+    """The coarse-grid stage of an equilibrium solve: the status of its flow
+    phase, or of Newton once that phase converged, and the kernel
+    evaluations and Newton steps of both phases."""
+
+    status: str
+    points: int
+    evaluations: int
+    newton_iterations: int
 
 
 def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     """``flow_run`` to an equilibrium, started from the coarse grid's one.
 
-    Nested iteration (Brandt, Math. Comp. 31, 1977, the full multigrid
-    start): u0 is interpolated onto a ``_COARSE_POINTS`` grid of the same
-    background, and the coarse equilibrium is found there in two phases.
-    The flow runs with ``config`` until sup |v| <= max(``_NEWTON_SWITCH``,
-    ``tol_converge``): that relaxation globalizes, since Newton from u0
-    alone stalls on some starts, but converges only linearly.  Newton with
-    full steps (``_newton_finish``) then takes the coarse field to
-    ``tol_converge`` and a few steps past it; short of tol, a step that
-    does not cut sup |v| by a quarter ends it ``stalled``.  A
-    ``converged`` coarse field is interpolated back and shifted by the
-    constant that gives it the V_eps of u0 on ``grid``, so the fine run
-    conserves the quantity a run from u0 does.  The fine run then ends on
-    the same ``tol_converge``.
+    Nested iteration (Brandt, Math. Comp. 31, 1977): u0 is interpolated onto
+    ``_COARSE_POINTS`` points of the same background.  There the flow runs
+    with ``config`` until sup |v| <= max(``_NEWTON_SWITCH``, ``tol_converge``),
+    which globalizes (Newton from u0 alone stalls on some starts), and
+    ``_newton_finish`` takes the field on to ``tol_converge``.  A
+    ``converged`` coarse field is interpolated back and shifted to the V_eps
+    of u0 on ``grid``, so the fine run, to the same ``tol_converge``,
+    conserves what a run from u0 does; any other is dropped, and the fine
+    run starts from u0.
 
-    A coarse stage that does not converge, in its flow phase or in Newton,
-    is dropped, and the fine run starts from u0.  Only a solve that stops
-    on convergence (``tol_converge > 0``) on a grid of at least
-    ``_COARSE_MIN_POINTS`` points starts coarse; any other is plain
-    ``flow_run``.  So is one whose start ``flow_run`` does not step
-    from on ``grid`` (a u0 that is not finite, lies outside the cone there
-    or has converged already): a ``t_max = 0`` run from u0 finds that in one
-    evaluation, and its result is the plain run's.
+    Every solve that stops on convergence (``tol_converge > 0``) on more
+    than ``_COARSE_POINTS`` points starts coarse, unless its u0 is one that
+    ``flow_run`` does not step from on ``grid`` (not finite, outside the
+    cone there, or converged already): a ``t_max = 0`` run finds that in one
+    evaluation, and its result is the plain run's.  Any other solve is plain
+    ``flow_run``.
 
     Returns ``(result, coarse)``: the fine run, whose ``evaluations`` count
     every evaluation of the solve and whose ``config`` is ``config``, and
-    the coarse stage or None.  After Newton, the coarse stage's status,
-    ``u`` and its F2, V_eps, r_eps, s_eps and residual are Newton's, its
-    ``evaluations`` include Newton's and it reports its
-    ``newton_iterations``; its ``t``, ``steps`` and ``records`` are the
-    flow phase's.  ``config.timeout`` bounds the whole solve: each stage
-    gets what the ones before it left.
+    the ``CoarseStage`` or None.  ``config.timeout`` bounds the whole solve:
+    each stage gets what the ones before it left.
     """
-    if config.tol_converge <= 0.0 or grid.num_points < _COARSE_MIN_POINTS:
+    if config.tol_converge <= 0.0 or grid.num_points <= _COARSE_POINTS:
         return flow_run(background, u0, config, grid=grid), None
     deadline = None if config.timeout is None else time.monotonic() + config.timeout
     probe = flow_run(background, u0, replace(config, t_max=0.0), grid=grid)
@@ -854,22 +849,18 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
         return replace(probe, config=config), None
     coarse_grid = background.make_grid(_COARSE_POINTS)
     switch = max(_NEWTON_SWITCH, config.tol_converge)
-    coarse = flow_run(background, np.interp(coarse_grid.x, grid.x, u0),
-                      replace(config, tol_converge=switch), grid=coarse_grid)
-    coarse = replace(coarse, config=config)
-    if coarse.converged:
+    relax = flow_run(background, np.interp(coarse_grid.x, grid.x, u0),
+                     replace(config, tol_converge=switch), grid=coarse_grid)
+    u, status, iterations, evaluations = relax.u, relax.status, 0, relax.evaluations
+    if relax.converged:
         stepper = _Stepper(background, coarse_grid, config.eps, config.dt_safety,
                            config.step_tol)
-        u, s, iterations, status = _newton_finish(stepper, coarse.u, config.tol_converge,
-                                                  deadline)
-        coarse = replace(
-            coarse, status=status, u=u, F2=s[_S_F2], V_eps=s[_S_VEPS], r_eps=s[_S_REPS],
-            s_eps=s[_S_SEPS], evaluations=coarse.evaluations + stepper.evaluations,
-            newton_iterations=iterations, equilibrium_residual=_equilibrium_residual(
-                background, coarse_grid, u, config.eps, s[_S_REPS]))
+        u, status, iterations = _newton_finish(stepper, u, config.tol_converge, deadline)
+        evaluations += stepper.evaluations
+    coarse = CoarseStage(status, _COARSE_POINTS, evaluations, iterations)
     start = u0
-    if coarse.converged:
-        start = np.interp(grid.x, coarse_grid.x, coarse.u)
+    if status == "converged":
+        start = np.interp(grid.x, coarse_grid.x, u)
         k = 2.0 * config.eps - background.n
         if k != 0.0:
             # V_eps(u + c) = e^{k c} V_eps(u); at k = 0, V_eps is the volume
@@ -879,7 +870,7 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     if deadline is not None:
         fine = replace(config, timeout=max(0.0, deadline - time.monotonic()))
     res = flow_run(background, start, fine, grid=grid)
-    work = probe.evaluations + coarse.evaluations + res.evaluations
+    work = probe.evaluations + evaluations + res.evaluations
     return replace(res, config=config, evaluations=work), coarse
 
 
@@ -891,7 +882,7 @@ class EigenResult:
     lambda1: float
     u: np.ndarray
     flow: FlowResult
-    coarse: FlowResult | None = None
+    coarse: CoarseStage | None = None
 
 
 def eigen_solve(background, u0, config: FlowConfig | None = None,
@@ -909,13 +900,14 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
     about 1e-14 while V_2 drifts by 1e-9 to 1e-7 (``flow.max_V_drift``) and
     the solve takes 2-3x fewer kernel evaluations.
 
-    A solve that stops on convergence on 64 or more points converges on a
-    32-point grid first (``coarse``, None otherwise), by the flow down to
-    sup |v| = 1e-2 and full Newton steps from there (``coarse.newton_iterations``),
-    and finishes on ``grid`` from the interpolated coarse equilibrium, or
-    from u0 when the coarse stage does not converge.  On S^5 at 512 points
-    that takes about 1,200 evaluations where the flow alone takes 38,000,
-    and lambda1 agrees with a single-grid solve to about 1e-14 relative.
+    A solve that stops on convergence on more than 32 points converges on
+    a 32-point grid first (``coarse``, a ``CoarseStage``; None otherwise),
+    by the flow down to sup |v| = 1e-2 and full Newton steps from there
+    (``coarse.newton_iterations``), and finishes on ``grid`` from the
+    interpolated coarse equilibrium, or from u0 when the coarse stage does
+    not converge.  On S^5 at 512 points that takes about 1,200 evaluations
+    where the flow alone takes 38,000, and lambda1 agrees with a
+    single-grid solve to about 1e-14 relative.
     ``flow`` is the fine run, except that its ``evaluations`` count every
     kernel evaluation of the solve, Newton's included.
     """
@@ -943,7 +935,7 @@ class ContinuationRung:
     r_eps: float
     u: np.ndarray
     evaluations: int
-    coarse: FlowResult | None = None
+    coarse: CoarseStage | None = None
 
 
 def continuation(background, u0, eps_ladder,
@@ -962,9 +954,10 @@ def continuation(background, u0, eps_ladder,
     them within about 1e-14 of a ``STEP_TOL`` run.
 
     The first rung, which starts cold from u0, converges on a 32-point grid
-    first as ``eigen_solve`` does, flow then Newton (its ``coarse`` stage,
-    and its ``evaluations`` count every evaluation of both grids); the warm
-    rungs run ``flow_run`` on the grid of u0 alone.
+    first as ``eigen_solve`` does when u0 has more than 32 points, flow then
+    Newton (its ``coarse`` stage, a ``CoarseStage``, and its ``evaluations``
+    count every evaluation of both grids); the warm rungs run ``flow_run``
+    on the grid of u0 alone.
     """
     if base_config is None:
         base_config = FlowConfig(eps=0.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)

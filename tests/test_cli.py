@@ -242,6 +242,10 @@ def test_usage_errors(capsys, tmp_path):
         ["nonsense"],
         # continuation writes no trace, so it takes no --csv
         ["continuation", "--grid-points", "32", "--t-max", "1", "--csv", str(trace)],
+        # a negative timeout, and verify with no trial to compare
+        ["flow", "--timeout=-1"],
+        ["verify", "--trials", "0"],
+        ["verify", "--trials=-1"],
     ]
     for argv in cases:
         rc, cap = run_cli(capsys, argv)
@@ -502,14 +506,18 @@ def test_sweep_and_eigen_reruns_are_byte_identical(tmp_path):
 
 
 def test_equilibrium_summaries_report_the_coarse_newton_stage(tmp_path):
-    # on 64 points the coarse stage runs, and Newton finishes it; reruns in
-    # fresh interpreters stay byte-identical
+    # on more than 32 points the coarse stage runs, and Newton finishes it;
+    # reruns in fresh interpreters stay byte-identical.  On 48 points, S^12
+    # ends t_max without the coarse stage, on the flow's pole-pair plateau
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(sigma2flow.__file__).parents[1]) + os.pathsep + env.get(
         "PYTHONPATH", "")
     for name, argv in (("eigen", ["eigen", "--grid-points", "64"]),
                        ("continuation", ["continuation", "--ladder", "2.0,1.5",
-                                         "--grid-points", "64"])):
+                                         "--grid-points", "64"]),
+                       ("eigen12", ["eigen", "--n", "12", "--grid-points", "48"]),
+                       ("continuation12", ["continuation", "--n", "12", "--grid-points", "48",
+                                           "--ladder", "2,1"])):
         blobs = []
         for tag in ("a", "b"):
             path = tmp_path / f"{name}_{tag}.json"
@@ -522,8 +530,8 @@ def test_equilibrium_summaries_report_the_coarse_newton_stage(tmp_path):
         assert d["status"] == "converged"
         assert d["coarse_points"] == 32 and d["coarse_newton_iterations"] > 0
         assert d["coarse_evaluations"] > 32 * d["coarse_newton_iterations"]
-    # below 64 points there is no coarse stage
-    proc = subprocess.run([sys.executable, "-m", "sigma2flow", "eigen", "--grid-points", "48"],
+    # on 32 points there is no coarse stage
+    proc = subprocess.run([sys.executable, "-m", "sigma2flow", "eigen", "--grid-points", "32"],
                           env=env, capture_output=True, text=True, timeout=300)
     d = json.loads(proc.stdout)
     assert (d["coarse_points"], d["coarse_evaluations"], d["coarse_newton_iterations"]) == (

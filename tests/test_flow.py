@@ -301,7 +301,7 @@ def test_flow_run_from_a_packaged_field(s5_grid):
     {"t_max": math.nan}, {"t_max": math.inf}, {"t_max": -1.0},
     {"record_dt": 0.0}, {"record_dt": -0.01}, {"record_dt": math.inf},
     {"eps": math.nan}, {"tol_converge": math.inf}, {"timeout": math.inf},
-    {"timeout": math.nan},
+    {"timeout": math.nan}, {"timeout": -1.0}, {"tol_converge": -1.0},
     {"t_max": 1e6, "record_dt": 0.01},
     {"dt_safety": 1.0}, {"dt_safety": 2.0},
     {"step_tol": 0.0}, {"step_tol": -1e-8}, {"step_tol": math.nan},
@@ -432,6 +432,31 @@ def test_continuation_warm_starts(s5_grid):
     for r in rungs:
         assert r.Y2_estimate == pytest.approx(39.003151786888736, rel=1e-12)
     assert rungs[0].Y_eps == pytest.approx(2.5, rel=1e-12)
+
+
+def _residual_oracle(background, grid, u, eps, reps):
+    """sup |sigma_2(W)^{1/2} - r_eps^{1/2} e^{(eps-2)u}| from schouten_fields."""
+    f = schouten_fields(grid, background, u)
+    target = math.sqrt(reps) * np.exp((eps - 2.0) * u)
+    return float(np.max(np.abs(np.sqrt(np.maximum(f.sigma2, 0.0)) - target)))
+
+
+def test_equilibrium_residual_is_the_schouten_formula():
+    # the residual is a record slot of the one kernel; schouten_fields,
+    # a separate stencil and Schouten pass, is the oracle
+    sphere, ball = RoundSphere(5), FlatRadialBall(9, 1.0)
+    grid = sphere_latitude(5, 96)
+    flow = flow_run(sphere, initial_field("cosine", grid, 0.1),
+                    FlowConfig(eps=2.0, t_max=0.3, tol_converge=0.0), grid=grid)
+    field = _kernel_field(ball, 120)
+    ball_run = flow_run(ball, field.u, FlowConfig(eps=1.0, t_max=1e-4, record_dt=1e-5,
+                                                  tol_converge=0.0), grid=field.grid)
+    grid9 = sphere_latitude(9, 48)
+    eigen = eigen_solve(RoundSphere(9), initial_field("cosine", grid9, 0.1), grid=grid9).flow
+    for background, res in ((sphere, flow), (ball, ball_run), (RoundSphere(9), eigen)):
+        assert res.status in ("t_max", "converged")
+        oracle = _residual_oracle(background, res.grid, res.u, res.config.eps, res.r_eps)
+        assert abs(res.equilibrium_residual - oracle) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +635,8 @@ def _counted_evaluations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n, points, init", [(5, 128, "cosine"), (9, 128, "bump"),
-                                             (5, 512, "cosine")])
+@pytest.mark.parametrize("n, points, init", [(5, 48, "cosine"), (5, 128, "cosine"),
+                                             (9, 128, "bump"), (5, 512, "cosine")])
 def test_eigen_coarse_start_matches_the_single_grid_solve(n, points, init, monkeypatch):
     sphere = RoundSphere(n)
     grid = sphere_latitude(n, points)
@@ -622,7 +647,7 @@ def test_eigen_coarse_start_matches_the_single_grid_solve(n, points, init, monke
     evaluations = _counted_evaluations(monkeypatch)
     res = eigen_solve(sphere, u0, grid=grid)
     assert single.status == res.flow.status == res.coarse.status == "converged"
-    assert res.coarse.grid.num_points == 32 and res.flow.grid is grid
+    assert res.coarse.points == 32 and res.flow.grid is grid
     assert abs(res.lambda1 - single.r_eps) <= 1e-12
     assert np.ptp(res.u - single.u) <= 1e-8
     # every kernel evaluation of the solve is counted once, in its total
