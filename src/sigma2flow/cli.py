@@ -216,7 +216,7 @@ def _cmd_flow(cfg: dict):
     background, grid, u0, fc = _flow_pieces(cfg)
     res = flow_run(background, u0, fc, grid=grid)
     return res.status, dict(
-        t=res.t, steps=res.steps,
+        t=res.t, steps=res.steps, rejected_steps=res.rejected_steps,
         evaluations=res.evaluations, step_tol=fc.step_tol,
         F2=res.F2, V_eps=res.V_eps, r_eps=res.r_eps, s_eps=res.s_eps,
         equilibrium_residual=res.equilibrium_residual,

@@ -57,11 +57,12 @@ the constant, so they agree with a ``STEP_TOL`` run to about 1e-14.
 The drivers also converge on a coarse grid first (nested iteration, the full
 multigrid start): a solve that stops on convergence on more than 32 points
 converges on 32 points of the same background first, by the flow down to
-sup |v| = 1e-2 and Newton with full steps from there, and finishes on the
-requested grid from that equilibrium, shifted to the V_eps of u0
-(``_equilibrium_run``).  Its r_eps and Y energies agree with a single-grid
-solve to about 1e-14 relative, and its final u with the single-grid one to
-about 1e-8 up to a constant.  ``flow_run`` and ``step`` never do this.
+sup |v| = 1e-2 (at a loose fixed step tolerance, with no records) and Newton
+with full steps from there, and finishes on the requested grid from that
+equilibrium, shifted to the V_eps of u0 (``_equilibrium_run``).  Its r_eps
+and Y energies agree with a single-grid solve to about 1e-14 relative, and
+its final u with the single-grid one to about 1e-8 up to a constant.
+``flow_run`` and ``step`` never do this.
 
 The monitors only a record reads (min sigma_2(g), the gradient bound, the
 dF2/dt formula and the equilibrium residual) are computed only at the
@@ -138,6 +139,8 @@ class FlowConfig:
     ``t_max``, so a run to ``t_max`` takes at least ``t_max / record_dt``
     steps; that count may not exceed ``MAX_STEPS``.  A run ends as
     ``blow_up_suspected`` below the fixed floor ``BLOWUP_FLOOR`` of min u.
+    An equilibrium solve's coarse flow phase takes neither ``step_tol`` nor
+    ``record_dt`` from its config (``_equilibrium_run``).
     """
 
     eps: float
@@ -192,8 +195,10 @@ MONITOR_COLUMNS = MonitorRecord._fields
 @dataclass
 class FlowResult:
     """One ``flow_run``.  ``equilibrium_residual`` is the record slot sup
-    |sigma_2(W)^{1/2} - r_eps^{1/2} e^{(eps-2)u}| at the final state; an
-    equilibrium solve's ``evaluations`` include its coarse stage's."""
+    |sigma_2(W)^{1/2} - r_eps^{1/2} e^{(eps-2)u}| at the final state;
+    ``rejected_steps`` counts the step attempts whose error estimate
+    exceeded ``step_tol``.  An equilibrium solve's ``evaluations`` include
+    its coarse stage's."""
 
     status: str
     t: float
@@ -210,6 +215,7 @@ class FlowResult:
     max_step_F2_increase: float
     max_V_drift: float
     evaluations: int = 0
+    rejected_steps: int = 0
 
     @property
     def converged(self) -> bool:
@@ -383,6 +389,7 @@ class _Stepper:
         self.dt_safety = dt_safety
         self.step_tol = step_tol
         self.evaluations = 0
+        self.rejected = 0
         # exponents of e^{(4-n)u} (F2), e^{(2 eps-n)u} (V_eps), e^{(2 eps-4)u} (b^2)
         self.exponents = np.array([[4.0 - n], [2.0 * eps - n], [2.0 * eps - 4.0]])
 
@@ -484,15 +491,17 @@ class _Stepper:
         The step lands exactly on ``stop`` when a step of ``1.1 dt`` would
         reach it, which avoids a sliver step after ``stop``; only a landing
         step fills the record slots, any other fills ``level``.  A rejected
-        step is retaken at the shorter length the controller proposes.
-        Returns ``(u1, v1, s1, t1, h, dt_next)``: the state after a step of
-        length h, and the next proposed length.  Raises ConeViolation if a
-        stage leaves Gamma_2^+, and _StepFailed (a ValueError) if the error
-        estimate is not finite or the step no longer advances t, so every
-        retry loop ends.
+        step is retaken at the shorter length the controller proposes, never
+        stretched onto ``stop``, so each retry is shorter than the last by at
+        least the factor ``dt_safety``; ``rejected`` counts them.  Returns
+        ``(u1, v1, s1, t1, h, dt_next)``: the state after a step of length
+        h, and the next proposed length.  Raises ConeViolation if a stage
+        leaves Gamma_2^+, and _StepFailed (a ValueError) if the error
+        estimate is not finite or the step no longer advances t.
         """
+        land = t + 1.1 * dt >= stop
         while True:
-            if t + 1.1 * dt >= stop:
+            if land:
                 h, t1, lvl = stop - t, stop, _RECORD
             else:
                 h, t1, lvl = dt, t + dt, level
@@ -509,6 +518,8 @@ class _Stepper:
             dt = self.next_dt(h, err)
             if err <= 1.0:
                 return u1, v1, s1, t1, h, dt
+            self.rejected += 1
+            land = False
 
 
 class _StepFailed(ValueError):
@@ -641,6 +652,7 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         max_step_F2_increase=(0.0 if max_f2_inc == -np.inf else max_f2_inc),
         max_V_drift=max_drift,
         evaluations=stepper.evaluations,
+        rejected_steps=stepper.rejected,
     )
 
 
@@ -727,6 +739,13 @@ _COARSE_POINTS = 32
 #: sup |v| at which the coarse flow hands its state to Newton; the relaxation
 #: converges only linearly from here on
 _NEWTON_SWITCH = 1e-2
+#: step tolerance of the coarse flow phase, whatever the caller's: that phase
+#: only globalizes Newton, so its path need not be accurate, but at a looser
+#: one its steps grow until it plateaus short of the switch to Newton.  Of
+#: 48 starts at n = 9-20 on 128 points, 27 did not converge within 5 s at 1e-2
+#: and 12 at 3e-3 (11 at n = 20, largest step there 0.166); at 1e-5 all did
+#: (largest step at n = 20 0.075), and so did 408 more starts at n = 5-60
+_COARSE_STEP_TOL = 1e-5
 #: most Newton iterations of one coarse stage, the polish included
 _NEWTON_MAX_ITERATIONS = 20
 #: relative increment of the forward-difference Jacobian, sqrt(machine eps)
@@ -808,7 +827,8 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
 class CoarseStage(NamedTuple):
     """The coarse-grid stage of an equilibrium solve: the status of its flow
     phase, or of Newton once that phase converged, and the kernel
-    evaluations and Newton steps of both phases."""
+    evaluations and Newton steps of both phases, which do not depend on the
+    caller's ``step_tol`` or ``record_dt``."""
 
     status: str
     points: int
@@ -821,13 +841,15 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
 
     Nested iteration (Brandt, Math. Comp. 31, 1977): u0 is interpolated onto
     ``_COARSE_POINTS`` points of the same background.  There the flow runs
-    with ``config`` until sup |v| <= max(``_NEWTON_SWITCH``, ``tol_converge``),
-    which globalizes (Newton from u0 alone stalls on some starts), and
-    ``_newton_finish`` takes the field on to ``tol_converge``.  A
-    ``converged`` coarse field is interpolated back and shifted to the V_eps
-    of u0 on ``grid``, so the fine run, to the same ``tol_converge``,
-    conserves what a run from u0 does; any other is dropped, and the fine
-    run starts from u0.
+    until sup |v| <= max(``_NEWTON_SWITCH``, ``tol_converge``), which
+    globalizes (Newton from u0 alone stalls on some starts), and
+    ``_newton_finish`` takes the field on to ``tol_converge``.  Only that
+    flow's end state is read, so it steps at ``_COARSE_STEP_TOL`` and lands
+    on no record time (``record_dt`` >= ``t_max``), whatever ``config``
+    says; its other settings are ``config``'s.  A ``converged`` coarse field
+    is interpolated back and shifted to the V_eps of u0 on ``grid``, so the
+    fine run, to the same ``tol_converge``, conserves what a run from u0
+    does; any other is dropped, and the fine run starts from u0.
 
     Every solve that stops on convergence (``tol_converge > 0``) on more
     than ``_COARSE_POINTS`` points starts coarse, unless its u0 is one that
@@ -850,11 +872,12 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     coarse_grid = background.make_grid(_COARSE_POINTS)
     switch = max(_NEWTON_SWITCH, config.tol_converge)
     relax = flow_run(background, np.interp(coarse_grid.x, grid.x, u0),
-                     replace(config, tol_converge=switch), grid=coarse_grid)
+                     replace(config, tol_converge=switch, step_tol=_COARSE_STEP_TOL,
+                             record_dt=max(config.record_dt, config.t_max)),
+                     grid=coarse_grid)
     u, status, iterations, evaluations = relax.u, relax.status, 0, relax.evaluations
     if relax.converged:
-        stepper = _Stepper(background, coarse_grid, config.eps, config.dt_safety,
-                           config.step_tol)
+        stepper = _Stepper(background, coarse_grid, config.eps, config.dt_safety)
         u, status, iterations = _newton_finish(stepper, u, config.tol_converge, deadline)
         evaluations += stepper.evaluations
     coarse = CoarseStage(status, _COARSE_POINTS, evaluations, iterations)
@@ -902,12 +925,12 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
 
     A solve that stops on convergence on more than 32 points converges on
     a 32-point grid first (``coarse``, a ``CoarseStage``; None otherwise),
-    by the flow down to sup |v| = 1e-2 and full Newton steps from there
-    (``coarse.newton_iterations``), and finishes on ``grid`` from the
-    interpolated coarse equilibrium, or from u0 when the coarse stage does
-    not converge.  On S^5 at 512 points that takes about 1,200 evaluations
-    where the flow alone takes 38,000, and lambda1 agrees with a
-    single-grid solve to about 1e-14 relative.
+    by the flow down to sup |v| = 1e-2 (at ``_COARSE_STEP_TOL``, with no
+    records) and full Newton steps from there (``coarse.newton_iterations``),
+    and finishes on ``grid`` from the interpolated coarse equilibrium, or
+    from u0 when the coarse stage does not converge.  On S^5 at 512 points
+    that takes about 420 evaluations where the flow alone takes 38,000, and
+    lambda1 agrees with a single-grid solve to about 1e-14 relative.
     ``flow`` is the fine run, except that its ``evaluations`` count every
     kernel evaluation of the solve, Newton's included.
     """
@@ -954,10 +977,11 @@ def continuation(background, u0, eps_ladder,
     them within about 1e-14 of a ``STEP_TOL`` run.
 
     The first rung, which starts cold from u0, converges on a 32-point grid
-    first as ``eigen_solve`` does when u0 has more than 32 points, flow then
-    Newton (its ``coarse`` stage, a ``CoarseStage``, and its ``evaluations``
-    count every evaluation of both grids); the warm rungs run ``flow_run``
-    on the grid of u0 alone.
+    first as ``eigen_solve`` does when u0 has more than 32 points, flow at
+    ``_COARSE_STEP_TOL`` with no records, then Newton (its ``coarse``
+    stage, a ``CoarseStage``, and its ``evaluations`` count every
+    evaluation of both grids); the warm rungs run ``flow_run`` on the grid
+    of u0 alone, at ``base_config``'s settings.
     """
     if base_config is None:
         base_config = FlowConfig(eps=0.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)

@@ -112,7 +112,8 @@ def test_runs_report_their_work_and_step_tolerance(capsys):
     assert rc == 0
     d = json.loads(cap.out)
     assert d["step_tol"] == 5e-12
-    assert d["evaluations"] >= 2 * d["steps"] + 1
+    # every step attempt, accepted or rejected, takes at least two stages
+    assert d["evaluations"] >= 2 * (d["steps"] + d["rejected_steps"]) + 1
     rc, cap = run_cli(capsys, ["continuation", "--ladder", "2.0,1.5",
                                "--grid-points", "48"])
     assert rc == 0
@@ -536,6 +537,18 @@ def test_equilibrium_summaries_report_the_coarse_newton_stage(tmp_path):
     d = json.loads(proc.stdout)
     assert (d["coarse_points"], d["coarse_evaluations"], d["coarse_newton_iterations"]) == (
         0, 0, 0)
+
+
+def test_eigen_coarse_stage_lands_on_no_record_time(capsys):
+    # with every record time a step, the coarse flow phase crawled: this
+    # solve ended `timeout` at 10 s, with lambda1 9.09 after 187,205
+    # evaluations
+    rc, cap = run_cli(capsys, ["eigen", "--n", "9", "--grid-points", "64", "--record-dt", "1e-6",
+                               "--timeout", "10"])
+    assert rc == 0, cap.err
+    d = json.loads(cap.out)
+    assert d["status"] == "converged" and d["coarse_points"] == 32
+    assert d["evaluations"] <= 1000
 
 
 def test_bump_start_runs_at_its_default_amplitude(capsys):

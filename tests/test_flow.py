@@ -200,6 +200,54 @@ def test_step_stops_when_a_retry_cannot_succeed(s5_grid, monkeypatch):
             step(good)
 
 
+def test_a_rejected_landing_step_is_retaken_shorter(s5_grid, monkeypatch):
+    # at dt_safety 0.95 the controller's retry after an error of 1.03 is
+    # 0.94 of the rejected length, and 1.1 times that still reaches stop: a
+    # retry stretched back onto stop repeats the rejected step, with the same
+    # error, without end
+    sphere, grid = s5_grid
+    state = flow_state(sphere, ConformalField(grid, initial_field("cosine", grid, 0.1)), 2.0,
+                       dt_safety=0.95)
+    lengths = []
+    real = flow_module._Stepper.advance
+
+    def reject_first(self, u, v, s, dt, level):
+        lengths.append(dt)
+        u1, v1, s1, err = real(self, u, v, s, dt, level)
+        return u1, v1, s1, (1.03 if len(lengths) == 1 else err)
+
+    monkeypatch.setattr(flow_module._Stepper, "advance", reject_first)
+    stop = state.dt
+    with _alarm(20):
+        *_, t1, h, _ = state.stepper.take(state.field.u, state.velocity, state.slots,
+                                          0.0, state.dt, stop)
+    assert lengths[0] == stop
+    assert lengths[1] == pytest.approx(0.95 * 1.03 ** (-1.0 / 3.0) * stop, rel=1e-15)
+    assert t1 == h == lengths[-1] < stop
+    assert state.stepper.rejected == len(lengths) - 1 >= 1
+
+
+def test_flow_run_counts_its_rejected_steps(monkeypatch):
+    # every step attempt that take does not accept is a rejected step
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    u0 = initial_field("cosine", grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=0.05, tol_converge=0.0)
+    plain = flow_run(sphere, u0, cfg, grid=grid)
+    real = flow_module._Stepper.advance
+    calls = []
+
+    def reject_every_third(self, *args):
+        calls.append(1)
+        u1, v1, s1, err = real(self, *args)
+        return u1, v1, s1, (2.0 if len(calls) % 3 == 0 else err)
+
+    monkeypatch.setattr(flow_module._Stepper, "advance", reject_every_third)
+    res = flow_run(sphere, u0, cfg, grid=grid)
+    assert res.status == "t_max"
+    assert res.rejected_steps == len(calls) - res.steps > plain.rejected_steps
+
+
 def test_flow_run_ends_when_a_retry_cannot_succeed(monkeypatch):
     # each of these retried without end, or took a NaN error as accepted
     sphere = RoundSphere(5)
@@ -249,24 +297,37 @@ def test_drivers_take_a_config_or_no_settings(s5_grid):
 
 def test_equilibrium_drivers_step_at_the_looser_tolerance():
     # an RKC step maps an equilibrium to itself, and the step error moves u
-    # only by a constant, so r_2 and Y2 are those of a STEP_TOL run
+    # only by a constant, so r_2 and Y2 are those of a STEP_TOL run; on 32
+    # points there is no coarse stage, and the caller's step_tol sets every
+    # step, while on 128 the coarse flow phase steps at its own tolerance
     sphere = RoundSphere(5)
-    grid = sphere_latitude(5, 128)
-    u0 = initial_field("cosine", grid, 0.1)
-    loose = eigen_solve(sphere, u0, grid=grid)
-    tight = eigen_solve(sphere, u0, FlowConfig(eps=2.0, t_max=200.0), grid=grid)
-    assert loose.flow.config.step_tol == flow_module.EQUILIBRIUM_STEP_TOL
-    assert loose.flow.status == tight.flow.status == "converged"
-    assert abs(loose.lambda1 - tight.lambda1) <= 1e-12
-    assert 2 * loose.flow.evaluations <= tight.flow.evaluations
-    assert loose.flow.max_step_F2_increase <= 1e-12 * abs(loose.flow.F2)
+    for points in (32, 128):
+        grid = sphere_latitude(5, points)
+        u0 = initial_field("cosine", grid, 0.1)
+        loose = eigen_solve(sphere, u0, grid=grid)
+        tight = eigen_solve(sphere, u0, FlowConfig(eps=2.0, t_max=200.0), grid=grid)
+        assert loose.flow.config.step_tol == flow_module.EQUILIBRIUM_STEP_TOL
+        assert loose.flow.status == tight.flow.status == "converged"
+        assert abs(loose.lambda1 - tight.lambda1) <= 1e-12
+        assert loose.flow.max_step_F2_increase <= 1e-12 * abs(loose.flow.F2)
 
-    loose = continuation(sphere, u0, (2.0, 1.5))
-    tight = continuation(sphere, u0, (2.0, 1.5), FlowConfig(eps=0.0, t_max=200.0))
-    assert [r.status for r in loose] == [r.status for r in tight] == ["converged"] * 2
-    for a, b in zip(loose, tight):
-        assert a.Y2_estimate == pytest.approx(b.Y2_estimate, rel=1e-12, abs=0.0)
-    assert 2 * sum(r.evaluations for r in loose) <= sum(r.evaluations for r in tight)
+        loose_rungs = continuation(sphere, u0, (2.0, 1.5))
+        tight_rungs = continuation(sphere, u0, (2.0, 1.5), FlowConfig(eps=0.0, t_max=200.0))
+        assert ([r.status for r in loose_rungs] == [r.status for r in tight_rungs]
+                == ["converged"] * 2)
+        for a, b in zip(loose_rungs, tight_rungs):
+            assert a.Y2_estimate == pytest.approx(b.Y2_estimate, rel=1e-12, abs=0.0)
+        if points == 32:
+            assert loose.coarse is None and loose_rungs[0].coarse is None
+            assert 2 * loose.flow.evaluations <= tight.flow.evaluations
+            assert (2 * sum(r.evaluations for r in loose_rungs)
+                    <= sum(r.evaluations for r in tight_rungs))
+        else:
+            # nor does record_dt move the coarse stage, which lands on no record
+            sparse = eigen_solve(sphere, u0, replace(loose.flow.config, record_dt=1.0),
+                                 grid=grid)
+            assert loose.coarse == tight.coarse == sparse.coarse
+            assert loose_rungs[0].coarse == tight_rungs[0].coarse
 
 
 def test_flow_run_decays_to_round(s5_grid):
@@ -732,18 +793,29 @@ def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
 
 
 @pytest.mark.parametrize("points", [128, 256, 512])
-@pytest.mark.parametrize("n, init, amplitude", [(5, "cosine", 0.1), (5, "bump", 0.05),
-                                                (9, "cosine", 0.1), (9, "bump", 0.1)])
-def test_newton_finish_reaches_the_round_equilibrium(n, init, amplitude, points):
+@pytest.mark.parametrize("n, init, amplitude, dt_safety", [
+    (5, "cosine", 0.1, 0.8), (5, "bump", 0.05, 0.8), (9, "cosine", 0.1, 0.8),
+    (9, "bump", 0.1, 0.8), (40, "cosine", 0.1, 0.8), (9, "bump", 0.1, 0.95),
+], ids=["5-cosine-0.1", "5-bump-0.05", "9-cosine-0.1", "9-bump-0.1", "40-cosine-0.1",
+        "9-bump-0.1-safety-0.95"])
+def test_newton_finish_reaches_the_round_equilibrium(n, init, amplitude, dt_safety, points):
     # the discrete equilibrium on the round sphere is a constant, whose
     # eigenvalue is sigma_2 of the round Schouten tensor, n (n - 1) / 8, up
     # to the stencil's rounding on that constant (1.4e-13 relative on S^9
-    # at 512 points); a bump of 0.1 leaves the cone of S^5 on these grids
+    # at 512 points); a bump of 0.1 leaves the cone of S^5 on these grids.
+    # The coarse flow phase steps at its own loose tolerance and lands on no
+    # record time, so a solve takes a few hundred evaluations (S^40 took
+    # over 1,100 when it stepped at the caller's tolerance, and at dt_safety
+    # 0.95 a rejected landing step was retried unchanged without end)
     sphere = RoundSphere(n)
     grid = sphere_latitude(n, points)
-    res = eigen_solve(sphere, initial_field(init, grid, amplitude), grid=grid)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, dt_safety=dt_safety,
+                     step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    with _alarm(60):
+        res = eigen_solve(sphere, initial_field(init, grid, amplitude), cfg, grid=grid)
     assert res.flow.status == res.coarse.status == "converged"
     assert res.coarse.newton_iterations > 0
+    assert res.flow.evaluations <= 600
     assert np.ptp(res.u) <= 1e-12
     assert res.lambda1 == pytest.approx(n * (n - 1) / 8.0, rel=1e-12, abs=0.0)
 
