@@ -37,9 +37,7 @@ import numpy as np
 from . import __version__
 from .discretize import sphere_latitude
 from .flow import (
-    EQUILIBRIUM_STEP_TOL,
     INITIAL_FIELDS,
-    STEP_TOL,
     FlowConfig,
     continuation,
     eigen_solve,
@@ -192,7 +190,7 @@ _FLOW_DEFAULTS = {
 }
 
 
-def _flow_pieces(cfg: dict, step_tol: float = STEP_TOL, eps: float | None = None):
+def _flow_pieces(cfg: dict, eps: float | None = None):
     """Background, grid, start and FlowConfig of a flow command; a default
     amplitude in ``cfg`` becomes the start's own."""
     background = RoundSphere(cfg["n"])
@@ -207,7 +205,6 @@ def _flow_pieces(cfg: dict, step_tol: float = STEP_TOL, eps: float | None = None
         tol_converge=cfg["tol_converge"],
         record_dt=cfg["record_dt"],
         timeout=cfg["timeout"],
-        step_tol=step_tol,
     )
     return background, grid, u0, fc
 
@@ -235,7 +232,7 @@ def _coarse_work(coarse) -> dict:
 
 def _cmd_eigen(cfg: dict):
     cfg["eps"] = 2.0
-    background, grid, u0, fc = _flow_pieces(cfg, EQUILIBRIUM_STEP_TOL)
+    background, grid, u0, fc = _flow_pieces(cfg)
     res = eigen_solve(background, u0, fc, grid=grid)
     return res.flow.status, dict(
         lambda1=res.lambda1,
@@ -254,7 +251,7 @@ _CONT_DEFAULTS.pop("eps")
 
 def _cmd_continuation(cfg: dict):
     ladder = cfg["ladder"]
-    background, grid, u0, fc = _flow_pieces(cfg, EQUILIBRIUM_STEP_TOL, ladder[0])
+    background, grid, u0, fc = _flow_pieces(cfg, ladder[0])
     rungs = continuation(background, u0, ladder, fc)
     return rungs[-1].status, dict(
         step_tol=fc.step_tol, **_coarse_work(rungs[0].coarse),

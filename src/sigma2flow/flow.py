@@ -40,29 +40,22 @@ length comes from the embedded local-error estimate: each step is
 config's ``step_tol``, so halving ``dt_safety`` halves the steps.  The first
 step is the explicit parabolic step ``dt_safety * dx^2 / max_i lambda_i``.
 V_eps is never projected back onto its start value; its drift measures the
-time-stepping error.  A time-accurate run keeps the default ``STEP_TOL``.
+time-stepping error.  Every run steps at the default ``STEP_TOL``, which keeps
+a trajectory accurate, unless its config says otherwise.
 One routine, ``_Stepper.take``, takes every accepted step and retakes a
 rejected one shorter: ``flow_run`` loops over it and ``step`` calls it
 once.  A step that cannot be accepted ends its retries with an error
 (``flow_run`` status ``non_finite`` or ``stalled``) instead of running on.
 
-The eigen and continuation drivers report only fixed-point quantities, so
-they step at the looser ``EQUILIBRIUM_STEP_TOL``.  An RKC step maps an
-equilibrium to itself, and convergence is judged on the velocity at the
-accepted state.  The equilibria on a round sphere come in families u + c,
-and the step error only decides which member a run ends on: V_eps drifts by
-1e-9 to 1e-7 instead of 1e-11 to 1e-9.  r_eps and the Y energies do not see
-the constant, so they agree with a ``STEP_TOL`` run to about 1e-14.
-
-The drivers also converge on a coarse grid first (nested iteration, the full
-multigrid start): a solve that stops on convergence on more than 32 points
-converges on 32 points of the same background first, by the flow down to
-sup |v| = 1e-2 (at a loose fixed step tolerance, with no records) and Newton
-with full steps from there, and finishes on the requested grid from that
-equilibrium, shifted to the V_eps of u0 (``_equilibrium_run``).  Its r_eps
-and Y energies agree with a single-grid solve to about 1e-14 relative, and
-its final u with the single-grid one to about 1e-8 up to a constant.
-``flow_run`` and ``step`` never do this.
+The eigen and continuation drivers converge on a coarse grid first (nested
+iteration, the full multigrid start): a solve that stops on convergence
+converges on min(N, 32) points of the same background first, by the flow
+down to sup |v| = 1e-2 (at a loose fixed step tolerance, with no records)
+and Newton with full steps from there, and finishes on the requested grid
+from that equilibrium, shifted to the V_eps of u0 (``_equilibrium_run``).
+Its r_eps and Y energies agree with a single-grid solve to about 1e-14
+relative, and its final u with the single-grid one to about 1e-8 up to a
+constant.  ``flow_run`` and ``step`` never do this.
 
 The monitors only a record reads (min sigma_2(g), the gradient bound, the
 dF2/dt formula and the equilibrium residual) are computed only at the
@@ -86,7 +79,6 @@ from .geometry import (ConeViolation, ConformalField, functional_V, radial_schou
 __all__ = [
     "FlowConfig",
     "STEP_TOL",
-    "EQUILIBRIUM_STEP_TOL",
     "BLOWUP_FLOOR",
     "MAX_STEPS",
     "MonitorRecord",
@@ -115,11 +107,6 @@ __all__ = [
 #: time-accurate trajectory; the tightest V_eps bound in the tests (1e-10 by
 #: t = 0.2 at 96 points) sees 5.4e-11 with it
 STEP_TOL = 5e-12
-#: step tolerance of the eigen and continuation drivers, which read only the
-#: equilibrium: r_2 and the Y energies agree with a STEP_TOL run to about
-#: 1e-14, V_2 drifts by up to about 1e-7, and a solve takes 2-3x fewer
-#: evaluations
-EQUILIBRIUM_STEP_TOL = 1e-8
 #: a run whose min u falls below this (finite) floor ends as blow_up_suspected
 BLOWUP_FLOOR = -10.0
 #: most accepted steps of one run; a run that takes them ends as max_steps
@@ -133,8 +120,7 @@ class FlowConfig:
     ``dt_safety`` (in (0, 1)) scales every step: the RKC controller takes
     ``dt_safety`` times the step whose local-error estimate meets ``step_tol``
     (sup norm of u), and the first step is ``dt_safety * dx^2 / max lambda``.
-    ``step_tol`` defaults to ``STEP_TOL``, which keeps a trajectory accurate;
-    runs that report only an equilibrium may use ``EQUILIBRIUM_STEP_TOL``.
+    ``step_tol`` defaults to ``STEP_TOL``, which keeps a trajectory accurate.
     Steps land exactly on the record times ``i * record_dt`` and on
     ``t_max``, so a run to ``t_max`` takes at least ``t_max / record_dt``
     steps; that count may not exceed ``MAX_STEPS``.  A run ends as
@@ -734,7 +720,7 @@ def step(state: FlowState) -> FlowState:
 # equilibrium solves: converge on a coarse grid first
 
 #: points of the grid on which an equilibrium solve converges first; a
-#: solve on a finer grid starts there
+#: solve on fewer points converges on its own grid first
 _COARSE_POINTS = 32
 #: sup |v| at which the coarse flow hands its state to Newton; the relaxation
 #: converges only linearly from here on
@@ -826,7 +812,8 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
 
 class CoarseStage(NamedTuple):
     """The coarse-grid stage of an equilibrium solve: the status of its flow
-    phase, or of Newton once that phase converged, and the kernel
+    phase, or of Newton once that phase converged, its grid's points
+    (min(N, ``_COARSE_POINTS``) for a solve on N), and the kernel
     evaluations and Newton steps of both phases, which do not depend on the
     caller's ``step_tol`` or ``record_dt``."""
 
@@ -840,7 +827,9 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     """``flow_run`` to an equilibrium, started from the coarse grid's one.
 
     Nested iteration (Brandt, Math. Comp. 31, 1977): u0 is interpolated onto
-    ``_COARSE_POINTS`` points of the same background.  There the flow runs
+    ``_COARSE_POINTS`` points of the same background, or stays on ``grid``
+    when that has no more points (the interpolation is then the identity,
+    and the coarse stage converges on ``grid`` itself).  There the flow runs
     until sup |v| <= max(``_NEWTON_SWITCH``, ``tol_converge``), which
     globalizes (Newton from u0 alone stalls on some starts), and
     ``_newton_finish`` takes the field on to ``tol_converge``.  Only that
@@ -851,25 +840,26 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     fine run, to the same ``tol_converge``, conserves what a run from u0
     does; any other is dropped, and the fine run starts from u0.
 
-    Every solve that stops on convergence (``tol_converge > 0``) on more
-    than ``_COARSE_POINTS`` points starts coarse, unless its u0 is one that
-    ``flow_run`` does not step from on ``grid`` (not finite, outside the
-    cone there, or converged already): a ``t_max = 0`` run finds that in one
-    evaluation, and its result is the plain run's.  Any other solve is plain
-    ``flow_run``.
+    Every solve that stops on convergence (``tol_converge > 0``) starts
+    coarse, unless its u0 is one that ``flow_run`` does not step from on
+    ``grid`` (not finite, outside the cone there, or converged already): a
+    ``t_max = 0`` run finds that in one evaluation, and its result is the
+    plain run's.  A solve with ``tol_converge = 0`` is a plain ``flow_run``.
 
     Returns ``(result, coarse)``: the fine run, whose ``evaluations`` count
     every evaluation of the solve and whose ``config`` is ``config``, and
     the ``CoarseStage`` or None.  ``config.timeout`` bounds the whole solve:
     each stage gets what the ones before it left.
     """
-    if config.tol_converge <= 0.0 or grid.num_points <= _COARSE_POINTS:
+    if config.tol_converge <= 0.0:
         return flow_run(background, u0, config, grid=grid), None
     deadline = None if config.timeout is None else time.monotonic() + config.timeout
     probe = flow_run(background, u0, replace(config, t_max=0.0), grid=grid)
     if probe.status != "t_max":
         return replace(probe, config=config), None
-    coarse_grid = background.make_grid(_COARSE_POINTS)
+    coarse_grid = grid
+    if grid.num_points > _COARSE_POINTS:
+        coarse_grid = background.make_grid(_COARSE_POINTS)
     switch = max(_NEWTON_SWITCH, config.tol_converge)
     relax = flow_run(background, np.interp(coarse_grid.x, grid.x, u0),
                      replace(config, tol_converge=switch, step_tol=_COARSE_STEP_TOL,
@@ -880,7 +870,7 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
         stepper = _Stepper(background, coarse_grid, config.eps, config.dt_safety)
         u, status, iterations = _newton_finish(stepper, u, config.tol_converge, deadline)
         evaluations += stepper.evaluations
-    coarse = CoarseStage(status, _COARSE_POINTS, evaluations, iterations)
+    coarse = CoarseStage(status, coarse_grid.num_points, evaluations, iterations)
     start = u0
     if status == "converged":
         start = np.interp(grid.x, coarse_grid.x, u)
@@ -917,25 +907,21 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
     the eigenvalue.  Different admissible starts converge to conformal
     factors agreeing up to an additive constant.
 
-    Without a ``config`` the run steps at ``EQUILIBRIUM_STEP_TOL``.  r_2 =
-    F2 / V_2 is unchanged when u shifts by a constant, and the step error
-    moves only that constant, so lambda1 agrees with a ``STEP_TOL`` run to
-    about 1e-14 while V_2 drifts by 1e-9 to 1e-7 (``flow.max_V_drift``) and
-    the solve takes 2-3x fewer kernel evaluations.
-
-    A solve that stops on convergence on more than 32 points converges on
-    a 32-point grid first (``coarse``, a ``CoarseStage``; None otherwise),
-    by the flow down to sup |v| = 1e-2 (at ``_COARSE_STEP_TOL``, with no
-    records) and full Newton steps from there (``coarse.newton_iterations``),
-    and finishes on ``grid`` from the interpolated coarse equilibrium, or
-    from u0 when the coarse stage does not converge.  On S^5 at 512 points
-    that takes about 420 evaluations where the flow alone takes 38,000, and
-    lambda1 agrees with a single-grid solve to about 1e-14 relative.
+    A solve that stops on convergence converges on min(N, 32) points first
+    (``coarse``, a ``CoarseStage``; None when ``tol_converge`` is 0 or u0
+    is not steppable), by the flow down to sup |v| = 1e-2 (at
+    ``_COARSE_STEP_TOL``, with no records) and full Newton steps from there
+    (``coarse.newton_iterations``), and finishes on ``grid`` from the
+    interpolated coarse equilibrium, or from u0 when the coarse stage does
+    not converge.  On S^5 at 512 points that takes about 420 evaluations
+    where the flow alone takes 38,000, and lambda1 agrees with a single-grid
+    solve to about 1e-14 relative.  The fine run steps at the config's
+    ``step_tol`` (``STEP_TOL`` without a ``config``).
     ``flow`` is the fine run, except that its ``evaluations`` count every
     kernel evaluation of the solve, Newton's included.
     """
     if config is None:
-        config = FlowConfig(eps=2.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)
+        config = FlowConfig(eps=2.0, t_max=200.0)
     if config.eps != 2.0:
         raise ValueError("the eigenvalue mode runs the eps = 2 flow")
     if grid is None:
@@ -971,20 +957,15 @@ def continuation(background, u0, eps_ladder,
     ``scale_invariant_energy``, so ``Y_eps`` is NaN at 2 eps = n.  The ladder
     stops early if a rung fails to converge or leaves the cone.
 
-    Without a ``base_config`` every rung steps at ``EQUILIBRIUM_STEP_TOL``:
-    both energies are scale-invariant, so the step error, which moves u
-    only by an additive constant (V_eps drifts by up to about 1e-7), leaves
-    them within about 1e-14 of a ``STEP_TOL`` run.
-
-    The first rung, which starts cold from u0, converges on a 32-point grid
-    first as ``eigen_solve`` does when u0 has more than 32 points, flow at
-    ``_COARSE_STEP_TOL`` with no records, then Newton (its ``coarse``
-    stage, a ``CoarseStage``, and its ``evaluations`` count every
-    evaluation of both grids); the warm rungs run ``flow_run`` on the grid
-    of u0 alone, at ``base_config``'s settings.
+    The first rung, which starts cold from u0, converges on min(N, 32)
+    points first as ``eigen_solve`` does, flow at ``_COARSE_STEP_TOL`` with
+    no records, then Newton (its ``coarse`` stage, a ``CoarseStage``, and
+    its ``evaluations`` count every evaluation of both grids); the warm
+    rungs run ``flow_run`` on the grid of u0 alone, at ``base_config``'s
+    settings (``STEP_TOL`` without a ``base_config``).
     """
     if base_config is None:
-        base_config = FlowConfig(eps=0.0, t_max=200.0, step_tol=EQUILIBRIUM_STEP_TOL)
+        base_config = FlowConfig(eps=0.0, t_max=200.0)
     n = background.n
     rungs: list[ContinuationRung] = []
     u = np.array(u0, dtype=float)

@@ -100,11 +100,12 @@ def test_eigen(capsys):
 
 
 def test_runs_report_their_work_and_step_tolerance(capsys):
-    # eigen steps at the equilibrium tolerance, flow at the trajectory one
+    # every run steps at the trajectory tolerance; only the coarse stage of
+    # an equilibrium solve, which the summary does not report, has its own
     rc, cap = run_cli(capsys, ["eigen", "--grid-points", "48"])
     assert rc == 0
     d = json.loads(cap.out)
-    assert d["step_tol"] == 1e-8
+    assert d["step_tol"] == 5e-12
     assert d["evaluations"] >= 2 * d["steps"] + 1
     assert 0.0 <= d["max_V_drift"] < 1e-6
     rc, cap = run_cli(capsys, ["flow", "--grid-points", "48", "--t-max", "0.1",
@@ -118,7 +119,7 @@ def test_runs_report_their_work_and_step_tolerance(capsys):
                                "--grid-points", "48"])
     assert rc == 0
     d = json.loads(cap.out)
-    assert d["step_tol"] == 1e-8
+    assert d["step_tol"] == 5e-12
     assert all(r["evaluations"] > 0 for r in d["rungs"])
 
 
@@ -507,8 +508,8 @@ def test_sweep_and_eigen_reruns_are_byte_identical(tmp_path):
 
 
 def test_equilibrium_summaries_report_the_coarse_newton_stage(tmp_path):
-    # on more than 32 points the coarse stage runs, and Newton finishes it;
-    # reruns in fresh interpreters stay byte-identical.  On 48 points, S^12
+    # on more than 32 points the coarse stage runs on 32, and Newton
+    # finishes it; reruns in fresh interpreters stay byte-identical.  On 48 points, S^12
     # ends t_max without the coarse stage, on the flow's pole-pair plateau
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(sigma2flow.__file__).parents[1]) + os.pathsep + env.get(
@@ -531,10 +532,19 @@ def test_equilibrium_summaries_report_the_coarse_newton_stage(tmp_path):
         assert d["status"] == "converged"
         assert d["coarse_points"] == 32 and d["coarse_newton_iterations"] > 0
         assert d["coarse_evaluations"] > 32 * d["coarse_newton_iterations"]
-    # on 32 points there is no coarse stage
+    # on 32 points the coarse stage runs on the requested grid itself
     proc = subprocess.run([sys.executable, "-m", "sigma2flow", "eigen", "--grid-points", "32"],
                           env=env, capture_output=True, text=True, timeout=300)
     d = json.loads(proc.stdout)
+    assert d["status"] == "converged"
+    assert d["coarse_points"] == 32 and d["coarse_newton_iterations"] > 0
+    assert d["equilibrium_residual"] <= 1e-12
+    # a run that does not stop on convergence has no coarse stage
+    proc = subprocess.run([sys.executable, "-m", "sigma2flow", "eigen", "--grid-points", "32",
+                           "--tol-converge", "0", "--t-max", "0.1"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    d = json.loads(proc.stdout)
+    assert d["status"] == "t_max"
     assert (d["coarse_points"], d["coarse_evaluations"], d["coarse_newton_iterations"]) == (
         0, 0, 0)
 

@@ -30,6 +30,16 @@ def test_sphere_latitude_grid_shape():
     assert np.all(np.diff(g.x) > 0)
 
 
+@pytest.mark.parametrize("n", [30, 40, 60])
+def test_sphere_latitude_density_does_not_underflow(n):
+    # sin(pi) is 1.2e-16, whose power underflows from n = 30 on; the pole's
+    # density is exactly 0
+    with np.errstate(all="raise"):
+        g = sphere_latitude(n, 128)
+    assert g.density[0] == g.density[-1] == 0.0
+    assert np.all(g.density[1:-1] > 0.0)
+
+
 def test_sphere_volume_is_exact():
     """The latitude rule integrates sin^{n-1} against smooth data to roundoff."""
     for n, vol in ((5, math.pi**3), (9, 32 * math.pi**4 / 105 * 105 / 384 * math.pi)):

@@ -295,39 +295,34 @@ def test_drivers_take_a_config_or_no_settings(s5_grid):
         continuation(sphere, u0, (2.0,), FlowConfig(eps=0.0, t_max=200.0), t_max=0.05)
 
 
-def test_equilibrium_drivers_step_at_the_looser_tolerance():
+def test_coarse_stage_ignores_the_step_tolerance_and_record_dt():
+    # the coarse flow phase steps at its own tolerance and lands on no record
+    # time, on 32 points or fewer too, where it runs on the requested grid;
     # an RKC step maps an equilibrium to itself, and the step error moves u
-    # only by a constant, so r_2 and Y2 are those of a STEP_TOL run; on 32
-    # points there is no coarse stage, and the caller's step_tol sets every
-    # step, while on 128 the coarse flow phase steps at its own tolerance
+    # only by a constant, so r_2 and Y2 do not see the caller's step_tol
     sphere = RoundSphere(5)
-    for points in (32, 128):
+    for points in (24, 32, 128):
         grid = sphere_latitude(5, points)
         u0 = initial_field("cosine", grid, 0.1)
-        loose = eigen_solve(sphere, u0, grid=grid)
-        tight = eigen_solve(sphere, u0, FlowConfig(eps=2.0, t_max=200.0), grid=grid)
-        assert loose.flow.config.step_tol == flow_module.EQUILIBRIUM_STEP_TOL
+        tight = eigen_solve(sphere, u0, grid=grid)
+        loose = eigen_solve(sphere, u0, FlowConfig(eps=2.0, t_max=200.0, step_tol=1e-8),
+                            grid=grid)
+        sparse = eigen_solve(sphere, u0, replace(tight.flow.config, record_dt=1.0), grid=grid)
+        assert tight.flow.config.step_tol == flow_module.STEP_TOL
         assert loose.flow.status == tight.flow.status == "converged"
+        assert tight.coarse == loose.coarse == sparse.coarse
+        assert tight.coarse.points == min(points, 32)
         assert abs(loose.lambda1 - tight.lambda1) <= 1e-12
         assert loose.flow.max_step_F2_increase <= 1e-12 * abs(loose.flow.F2)
 
-        loose_rungs = continuation(sphere, u0, (2.0, 1.5))
-        tight_rungs = continuation(sphere, u0, (2.0, 1.5), FlowConfig(eps=0.0, t_max=200.0))
+        tight_rungs = continuation(sphere, u0, (2.0, 1.5))
+        loose_rungs = continuation(sphere, u0, (2.0, 1.5),
+                                   FlowConfig(eps=0.0, t_max=200.0, step_tol=1e-8))
         assert ([r.status for r in loose_rungs] == [r.status for r in tight_rungs]
                 == ["converged"] * 2)
+        assert loose_rungs[0].coarse == tight_rungs[0].coarse
         for a, b in zip(loose_rungs, tight_rungs):
             assert a.Y2_estimate == pytest.approx(b.Y2_estimate, rel=1e-12, abs=0.0)
-        if points == 32:
-            assert loose.coarse is None and loose_rungs[0].coarse is None
-            assert 2 * loose.flow.evaluations <= tight.flow.evaluations
-            assert (2 * sum(r.evaluations for r in loose_rungs)
-                    <= sum(r.evaluations for r in tight_rungs))
-        else:
-            # nor does record_dt move the coarse stage, which lands on no record
-            sparse = eigen_solve(sphere, u0, replace(loose.flow.config, record_dt=1.0),
-                                 grid=grid)
-            assert loose.coarse == tight.coarse == sparse.coarse
-            assert loose_rungs[0].coarse == tight_rungs[0].coarse
 
 
 def test_flow_run_decays_to_round(s5_grid):
@@ -486,8 +481,7 @@ def test_eigen_solver_rejects_other_eps(s5_grid):
 def test_continuation_warm_starts(s5_grid):
     sphere, grid = s5_grid
     rungs = continuation(sphere, initial_field("cosine", grid, 0.1), (2.0, 1.5),
-                         FlowConfig(eps=0.0, t_max=100.0,
-                                    step_tol=flow_module.EQUILIBRIUM_STEP_TOL))
+                         FlowConfig(eps=0.0, t_max=100.0))
     assert [r.eps for r in rungs] == [2.0, 1.5]
     assert all(r.status == "converged" for r in rungs)
     for r in rungs:
@@ -660,9 +654,13 @@ def test_stencil_tables_built_once_per_grid(monkeypatch):
     assert sorted(calls) == [(64, 1), (64, 2)]
     calls.clear()
     # the first rung runs on the 32-point coarse grid too: one build per grid
-    continuation(sphere, u0, (2.0, 1.5, 1.0),
-                 FlowConfig(eps=0.0, t_max=0.05, step_tol=flow_module.EQUILIBRIUM_STEP_TOL))
+    continuation(sphere, u0, (2.0, 1.5, 1.0), FlowConfig(eps=0.0, t_max=0.05))
     assert sorted(calls) == [(32, 1), (32, 2), (64, 1), (64, 2)]
+    calls.clear()
+    # on 32 points the coarse stage runs on the requested grid, built once
+    small = sphere_latitude(5, 32)
+    assert eigen_solve(sphere, initial_field("cosine", small, 0.1), grid=small).coarse.points == 32
+    assert sorted(calls) == [(32, 1), (32, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +700,7 @@ def test_eigen_coarse_start_matches_the_single_grid_solve(n, points, init, monke
     sphere = RoundSphere(n)
     grid = sphere_latitude(n, points)
     u0 = initial_field(init, grid, 0.1)
-    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=1e-8)
     single = flow_run(sphere, u0, cfg, grid=grid)
     runs = _counted_flow_runs(monkeypatch)
     evaluations = _counted_evaluations(monkeypatch)
@@ -724,7 +722,7 @@ def test_continuation_coarse_start_matches_the_single_grid_ladder():
     grid = sphere_latitude(5, 128)
     u0 = initial_field("cosine", grid, 0.1)
     ladder = (2.0, 1.5, 1.0)
-    base = FlowConfig(eps=0.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    base = FlowConfig(eps=0.0, t_max=200.0, step_tol=1e-8)
     rungs = continuation(sphere, u0, ladder)
     assert [r.eps for r in rungs] == list(ladder)
     assert rungs[0].coarse.status == "converged"
@@ -744,7 +742,7 @@ def test_continuation_coarse_start_matches_the_single_grid_ladder():
 def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
     sphere = RoundSphere(5)
     grid = sphere_latitude(5, 64)
-    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    cfg = FlowConfig(eps=2.0, t_max=200.0)
     # 0.499 cos x is inside the cone on 64 points, outside it on 32; from
     # 0.1 cos x, neither run converges by t = 0.5; a Newton stage that takes
     # no step stalls where its flow phase ends, either because no iteration
@@ -809,8 +807,7 @@ def test_newton_finish_reaches_the_round_equilibrium(n, init, amplitude, dt_safe
     # 0.95 a rejected landing step was retried unchanged without end)
     sphere = RoundSphere(n)
     grid = sphere_latitude(n, points)
-    cfg = FlowConfig(eps=2.0, t_max=200.0, dt_safety=dt_safety,
-                     step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, dt_safety=dt_safety)
     with _alarm(60):
         res = eigen_solve(sphere, initial_field(init, grid, amplitude), cfg, grid=grid)
     assert res.flow.status == res.coarse.status == "converged"
@@ -818,6 +815,35 @@ def test_newton_finish_reaches_the_round_equilibrium(n, init, amplitude, dt_safe
     assert res.flow.evaluations <= 600
     assert np.ptp(res.u) <= 1e-12
     assert res.lambda1 == pytest.approx(n * (n - 1) / 8.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("points", [16, 24, 32])
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_small_grids_converge_on_their_own_grid_first(n, points):
+    # on 32 points or fewer the coarse stage runs on the requested grid, so
+    # a solve takes a few hundred evaluations; the flow alone from u0 takes
+    # 1,655-3,093 on these grids
+    sphere = RoundSphere(n)
+    grid = sphere_latitude(n, points)
+    res = eigen_solve(sphere, initial_field("cosine", grid, 0.1), grid=grid)
+    assert res.flow.status == res.coarse.status == "converged"
+    assert res.coarse.points == points and res.flow.grid is grid
+    assert res.flow.evaluations <= 600
+    assert res.lambda1 == pytest.approx(n * (n - 1) / 8.0, rel=1e-12, abs=0.0)
+
+
+def test_fallback_to_u0_converges_on_s12(monkeypatch):
+    # without Newton the solve falls back to the flow from u0 on 128 points,
+    # which converges at the default step_tol; at step_tol 1e-8 it plateaus
+    # for about 270,000 evaluations
+    monkeypatch.setattr(flow_module, "_newton_direction", lambda stepper, u, v: None)
+    sphere = RoundSphere(12)
+    grid = sphere_latitude(12, 128)
+    with _alarm(60):
+        res = eigen_solve(sphere, initial_field("cosine", grid, 0.1), grid=grid)
+    assert res.coarse.status == "stalled" and res.coarse.newton_iterations == 0
+    assert res.flow.status == "converged"
+    assert res.flow.evaluations <= 50_000
 
 
 # random four-mode starts from a near-edge sweep, at 0.99 of the largest
@@ -860,7 +886,7 @@ def test_coarse_start_costs_less_than_the_single_grid_run_on_s9():
     sphere = RoundSphere(9)
     grid = sphere_latitude(9, 256)
     u0 = initial_field("bump", grid, 0.1)
-    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, step_tol=1e-8)
     res = eigen_solve(sphere, u0, cfg, grid=grid)
     assert res.flow.status == "converged"
     # the single-grid flow_run converges at t = 16.9 after about 153,000
@@ -900,8 +926,7 @@ def test_timeout_bounds_the_whole_equilibrium_solve():
     sphere = RoundSphere(5)
     grid = sphere_latitude(5, 512)
     u0 = initial_field("cosine", grid, 0.1)
-    cfg = FlowConfig(eps=2.0, t_max=200.0, timeout=1e-3,
-                     step_tol=flow_module.EQUILIBRIUM_STEP_TOL)
+    cfg = FlowConfig(eps=2.0, t_max=200.0, timeout=1e-3)
     with _alarm(20):
         res = eigen_solve(sphere, u0, cfg, grid=grid)
         rungs = continuation(sphere, u0, (2.0, 1.5), replace(cfg, eps=0.0))
