@@ -6,12 +6,12 @@ dimensional factor (``sin^{n-1}`` resp. ``r^{n-1}`` times the measure of the
 unit ``S^{n-1}``).  Grids are uniform and node-centered with the endpoints
 included.
 
-Derivatives use 4th-order centered 5-point stencils.  At an axis endpoint (a
-pole of the sphere, or the origin of the ball) smooth radial fields extend
-evenly, so the field is padded with mirrored ghost nodes there.  At a genuine
-boundary (the outer radius of a ball) one-sided closures of the same formal
-order take over on the two nodes nearest it.  Both derivatives of a grid are
-kept in this banded form (``Stencils``), built once per grid, and one
+Derivatives use 4th-order centered 5-point stencils.  The left end of every
+grid is an axis (a pole, or the ball's origin), and so is a sphere's right
+end: smooth radial fields extend evenly there, so the field is padded with
+mirrored ghost nodes.  At a ball's rim one-sided closures of the same order
+take over on the two nodes nearest it.  Both derivatives of a grid are kept
+in this banded form (``Stencils``), built once per grid, and one
 strided-window product applies them to a field.
 
 ``integrate`` is the trapezoid rule against the radial volume density with an
@@ -67,8 +67,7 @@ class RadialGrid:
     n: int
     x: np.ndarray
     density: np.ndarray
-    left_even: bool
-    right_even: bool
+    right_even: bool  # the right end is an axis, not a rim; the left one always is
 
     @property
     def num_points(self) -> int:
@@ -102,8 +101,9 @@ class RadialGrid:
             self._ops["stencils"] = st
         return st
 
-    # per-grid caches: the stencils, the weights, and per background the inputs
-    # of the one Schouten routine, for the flow kernel and ``schouten_fields``
+    # per-grid caches: the stencils, the weights, and per background the grid
+    # check, the one Schouten routine's inputs (for the flow kernel and
+    # ``schouten_fields``) and an equilibrium solve's coarse grid
     _ops: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -115,24 +115,24 @@ def _validate(n: int, num_points: int) -> None:
 
 
 def sphere_latitude(n: int, num_points: int) -> RadialGrid:
-    """Latitude grid on [0, pi] for the round S^n; both poles are even ends."""
+    """Latitude grid on [0, pi] for the round S^n; both poles are axes."""
     _validate(n, num_points)
     x = np.linspace(0.0, math.pi, num_points)
     sine = np.sin(x)
     # sin(pi) is 1.2e-16, not 0: its power would underflow from n = 30 on
     sine[-1] = 0.0
     density = sine ** (n - 1) * sphere_measure(n - 1)
-    return RadialGrid("sphere_latitude", n, x, density, True, True)
+    return RadialGrid("sphere_latitude", n, x, density, True)
 
 
 def ball_radius(n: int, num_points: int, r0: float) -> RadialGrid:
-    """Radius grid on [0, r0] for a flat n-ball; the origin is an even end."""
+    """Radius grid on [0, r0] for a flat n-ball; the rim is a genuine boundary."""
     _validate(n, num_points)
     if r0 <= 0.0:
         raise ValueError(f"need r0 > 0, got {r0}")
     x = np.linspace(0.0, float(r0), num_points)
     density = x ** (n - 1) * sphere_measure(n - 1)
-    return RadialGrid("ball_radius", n, x, density, True, False)
+    return RadialGrid("ball_radius", n, x, density, False)
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +155,13 @@ class Stencils(NamedTuple):
 
     Every node gets the centered row of ``band`` applied to the five samples
     of ``u[pad]`` around it; ``pad`` is u with two ghost nodes at each end,
-    mirrored at an even end.  At a genuine boundary the two nodes nearest it
-    take one-sided closures on six nodes instead.
+    mirrored at an axis.  At a genuine boundary (only ever the right end) the
+    two nodes nearest it take one-sided closures on six nodes instead.
     """
 
     pad: np.ndarray            # (N + 4,) node index of each padded sample
     band: np.ndarray           # (k, 5) centered rows
-    closure_rows: np.ndarray   # nodes next to a genuine boundary (0, 2 or 4)
+    closure_rows: np.ndarray   # nodes next to a genuine boundary (0 or 2)
     closure_nodes: np.ndarray  # (len(closure_rows), 6) the nodes each closure reads
     closure_coef: np.ndarray   # (k, len(closure_rows), 6) the closure rows
 
@@ -189,22 +189,16 @@ def stencil_tables(grid: RadialGrid, order: int) -> Stencils:
     N = grid.num_points
     last = N - 1
     pad = np.clip(np.arange(-2, N + 2), 0, last)
-    if grid.left_even:
-        pad[:2] = (2, 1)
-    if grid.right_even:
-        pad[-2:] = (last - 1, last - 2)
+    pad[:2] = (2, 1)
     scale = grid.h if order == 1 else grid.h * grid.h
     center, edge = (_C1_CENTER, _C1_EDGE) if order == 1 else (_C2_CENTER, _C2_EDGE)
     rows, nodes, coef = [], [], []
-    if not grid.left_even:
-        rows += [0, 1]
-        nodes += [np.arange(6)] * 2
-        coef += list(edge)
-    if not grid.right_even:
+    if grid.right_even:
+        pad[-2:] = (last - 1, last - 2)
+    else:
         # counted from the right end, so an odd derivative changes sign
-        rows += [last, last - 1]
-        nodes += [last - np.arange(6)] * 2
-        coef += list(edge if order == 2 else -edge)
+        rows, nodes = [last, last - 1], [last - np.arange(6)] * 2
+        coef = edge if order == 2 else -edge
     return Stencils(
         pad=pad,
         band=(center / scale)[None],

@@ -47,15 +47,15 @@ rejected one shorter: ``flow_run`` loops over it and ``step`` calls it
 once.  A step that cannot be accepted ends its retries with an error
 (``flow_run`` status ``non_finite`` or ``stalled``) instead of running on.
 
-The eigen and continuation drivers converge on a coarse grid first (nested
-iteration, the full multigrid start): a solve that stops on convergence
-converges on min(N, 32) points of the same background first, by the flow
-down to sup |v| = 1e-2 (at a loose fixed step tolerance, with no records)
-and Newton with full steps from there, and finishes on the requested grid
-from that equilibrium, shifted to the V_eps of u0 (``_equilibrium_run``).
-Its r_eps and Y energies agree with a single-grid solve to about 1e-14
-relative, and its final u with the single-grid one to about 1e-8 up to a
-constant.  ``flow_run`` and ``step`` never do this.
+The eigen solve and every continuation rung are one equilibrium solve
+(``_equilibrium_run``): one that stops on convergence converges on min(N, 32)
+points of the same background first (nested iteration, the full multigrid
+start), by the flow down to sup |v| = 1e-2 (at a loose fixed step tolerance,
+with no records) and Newton with full steps from there, and finishes on the
+requested grid from that equilibrium, shifted to the V_eps of u0.  Its r_eps
+and Y energies agree with a single-grid solve to about 1e-14 relative, and
+its final u with the single-grid one to about 1e-8 up to a constant.
+``flow_run`` and ``step`` never do this.
 
 The monitors only a record reads (min sigma_2(g), the gradient bound, the
 dF2/dt formula and the equilibrium residual) are computed only at the
@@ -378,6 +378,9 @@ class _Stepper:
         self.rejected = 0
         # exponents of e^{(4-n)u} (F2), e^{(2 eps-n)u} (V_eps), e^{(2 eps-4)u} (b^2)
         self.exponents = np.array([[4.0 - n], [2.0 * eps - n], [2.0 * eps - 4.0]])
+        # largest sup |u| at which e^{cu} is finite for c = 4 (the record
+        # slot sigma_2(g)) and for each kernel exponent c
+        self.reach = _EXP_MAX / max(4.0, float(np.max(np.abs(self.exponents))))
 
     def velocity(self, u, level, out=None):
         """(v, slots) at u, or None outside the cone.
@@ -562,12 +565,11 @@ def flow_run(background, u0, config: FlowConfig, grid: RadialGrid | None = None)
         prev_rec_f2 = s[_S_F2]
         n_rec += 1
 
-    # a u0 that is not finite, or overflows e^{c u} for c = 4 or a kernel
-    # exponent c, ends the run before the first evaluation
-    reach = float(np.max(np.abs(u))) * max(4.0, float(np.max(np.abs(stepper.exponents))))
+    # a u0 that is not finite, or past the stepper's reach, ends the run
+    # before the first evaluation
     ev = None
     s = [math.nan] * _NS
-    if not reach <= _EXP_MAX:
+    if not np.max(np.abs(u)) <= stepper.reach:
         status = "non_finite"
     elif (ev := stepper.velocity(u, _RECORD)) is None:
         status = "cone_exit"
@@ -787,7 +789,6 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
     or ``_NEWTON_MAX_ITERATIONS``).
     """
     v, s = stepper.velocity(u, _STEP)
-    reach = _EXP_MAX / float(np.max(np.abs(stepper.exponents)))
     iterations = 0
     while iterations < _NEWTON_MAX_ITERATIONS and (deadline is None
                                                    or time.monotonic() < deadline):
@@ -796,7 +797,7 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
         if delta is None:
             break
         trial = u + delta
-        ev = stepper.velocity(trial, _STEP) if np.max(np.abs(trial)) <= reach else None
+        ev = stepper.velocity(trial, _STEP) if np.max(np.abs(trial)) <= stepper.reach else None
         if ev is None or not ev[1][_S_SUPV] < bound:
             break
         u, (v, s) = trial, ev
@@ -827,18 +828,18 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     """``flow_run`` to an equilibrium, started from the coarse grid's one.
 
     Nested iteration (Brandt, Math. Comp. 31, 1977): u0 is interpolated onto
-    ``_COARSE_POINTS`` points of the same background, or stays on ``grid``
-    when that has no more points (the interpolation is then the identity,
-    and the coarse stage converges on ``grid`` itself).  There the flow runs
-    until sup |v| <= max(``_NEWTON_SWITCH``, ``tol_converge``), which
-    globalizes (Newton from u0 alone stalls on some starts), and
-    ``_newton_finish`` takes the field on to ``tol_converge``.  Only that
-    flow's end state is read, so it steps at ``_COARSE_STEP_TOL`` and lands
-    on no record time (``record_dt`` >= ``t_max``), whatever ``config``
-    says; its other settings are ``config``'s.  A ``converged`` coarse field
-    is interpolated back and shifted to the V_eps of u0 on ``grid``, so the
-    fine run, to the same ``tol_converge``, conserves what a run from u0
-    does; any other is dropped, and the fine run starts from u0.
+    ``_COARSE_POINTS`` points of the same background (kept in ``grid._ops``),
+    or stays on ``grid`` when that has no more points (the interpolation is
+    then the identity, and the coarse stage converges on ``grid`` itself).
+    There the flow runs until sup |v| <= max(``_NEWTON_SWITCH``,
+    ``tol_converge``), which globalizes (Newton from u0 alone stalls on some
+    starts), and ``_newton_finish`` takes the field on to ``tol_converge``.
+    Only that flow's end state is read, so it steps at ``_COARSE_STEP_TOL``
+    and lands on no record time (``record_dt`` >= ``t_max``), whatever
+    ``config`` says; its other settings are ``config``'s.  A ``converged``
+    coarse field is interpolated back and shifted to the V_eps of u0 on
+    ``grid``, so the fine run, to the same ``tol_converge``, conserves what a
+    run from u0 does; any other is dropped, and the fine run starts from u0.
 
     Every solve that stops on convergence (``tol_converge > 0``) starts
     coarse, unless its u0 is one that ``flow_run`` does not step from on
@@ -857,9 +858,10 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     probe = flow_run(background, u0, replace(config, t_max=0.0), grid=grid)
     if probe.status != "t_max":
         return replace(probe, config=config), None
-    coarse_grid = grid
-    if grid.num_points > _COARSE_POINTS:
-        coarse_grid = background.make_grid(_COARSE_POINTS)
+    key = ("coarse", background)
+    if grid.num_points > _COARSE_POINTS and key not in grid._ops:
+        grid._ops[key] = background.make_grid(_COARSE_POINTS)
+    coarse_grid = grid._ops.get(key, grid)
     switch = max(_NEWTON_SWITCH, config.tol_converge)
     relax = flow_run(background, np.interp(coarse_grid.x, grid.x, u0),
                      replace(config, tol_converge=switch, step_tol=_COARSE_STEP_TOL,
@@ -957,12 +959,11 @@ def continuation(background, u0, eps_ladder,
     ``scale_invariant_energy``, so ``Y_eps`` is NaN at 2 eps = n.  The ladder
     stops early if a rung fails to converge or leaves the cone.
 
-    The first rung, which starts cold from u0, converges on min(N, 32)
-    points first as ``eigen_solve`` does, flow at ``_COARSE_STEP_TOL`` with
-    no records, then Newton (its ``coarse`` stage, a ``CoarseStage``, and
-    its ``evaluations`` count every evaluation of both grids); the warm
-    rungs run ``flow_run`` on the grid of u0 alone, at ``base_config``'s
-    settings (``STEP_TOL`` without a ``base_config``).
+    Every rung is an equilibrium solve, as ``eigen_solve`` is: its ``coarse``
+    stage (a ``CoarseStage``) and its ``evaluations`` count both grids, and
+    it finishes on the grid of u0 at ``base_config``'s settings (``STEP_TOL``
+    without a ``base_config``).  A warm rung that starts at its equilibrium
+    (on a round sphere) ends at its first evaluation, with no coarse stage.
     """
     if base_config is None:
         base_config = FlowConfig(eps=0.0, t_max=200.0)
@@ -972,16 +973,10 @@ def continuation(background, u0, eps_ladder,
     grid = background.make_grid(u.size)
     for eps in eps_ladder:
         eps = float(eps)
-        config = replace(base_config, eps=eps)
-        if rungs:
-            res, coarse = flow_run(background, u, config, grid=grid), None
-        else:
-            res, coarse = _equilibrium_run(background, u, config, grid)
+        res, coarse = _equilibrium_run(background, u, replace(base_config, eps=eps), grid)
         if res.status == "cone_exit":
-            rungs.append(ContinuationRung(eps, res.status, math.nan, math.nan,
-                                          math.nan, math.nan, math.nan, res.u,
-                                          res.evaluations, coarse))
-            break
+            # the velocity, and with it the rung's energy, is undefined there
+            res = replace(res, F2=math.nan, V_eps=math.nan, r_eps=math.nan)
         vol = functional_V(res.grid, background, res.u, 0.0)
         rungs.append(ContinuationRung(
             eps, res.status, scale_invariant_energy(res.F2, res.V_eps, n, eps),

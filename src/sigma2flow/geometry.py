@@ -203,12 +203,24 @@ def schouten_tables(background, x) -> SchoutenTables:
     )
 
 
+def _check_grid(grid: RadialGrid, background) -> None:
+    """ValueError unless the grid has the nodes and density of
+    ``background.make_grid`` at its size; checked once per grid and background."""
+    if ("grid_of", background) not in grid._ops:
+        own = background.make_grid(grid.num_points)
+        if not (np.array_equal(grid.x, own.x) and np.array_equal(grid.density, own.density)):
+            raise ValueError(f"the grid ({grid.kind}, n = {grid.n}, on [0, {grid.x[-1]:g}]) "
+                             f"is not a grid of {background!r}")
+        grid._ops[("grid_of", background)] = True
+
+
 def schouten_inputs(grid: RadialGrid, background):
-    """The grid's stencils with band rows u'', u', u' (the rows
-    ``radial_schouten`` reads) and the background's tables at its nodes."""
+    """The grid's stencils with band rows u'', u', u' (the rows ``radial_schouten``
+    reads) and the background's tables at its nodes; ValueError on another grid."""
     key = ("schouten", background)
     inputs = grid._ops.get(key)
     if inputs is None:
+        _check_grid(grid, background)
         st, rows = grid.stencils, [1, 0, 0]
         inputs = (st._replace(band=st.band[rows], closure_coef=st.closure_coef[rows]),
                   schouten_tables(background, grid.x))
@@ -314,6 +326,8 @@ def functional_F2(grid: RadialGrid, background, u) -> float:
 
 
 def functional_V(grid: RadialGrid, background, u, eps: float) -> float:
+    """V_eps of e^{-2u} g0 by the trapezoid rule; ValueError on another grid."""
+    _check_grid(grid, background)
     u = np.asarray(u, dtype=float)
     n = background.n
     return integrate(grid, np.exp((2.0 * eps - n) * u))
@@ -361,9 +375,9 @@ def divergence_identity_residual(grid: RadialGrid, background, u) -> float:
     no boundary terms, so a grid with a genuine boundary (a ball's rim) is
     rejected with ValueError.
     """
-    if not (grid.left_even and grid.right_even):
+    if not grid.right_even:
         raise ValueError("the divergence identity needs a grid without a boundary; "
-                         "both ends must be even")
+                         "its right end must be an axis")
     n = background.n
     f = schouten_fields(grid, background, u)
     ew = np.exp((4.0 - n) * f.u)

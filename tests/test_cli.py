@@ -41,8 +41,8 @@ def test_verify_ok(capsys, tmp_path):
 
 
 def test_verify_runs_the_eigen_route_once_per_trial(capsys, monkeypatch):
-    # the eigen route is compared with the minors and the trace formula
-    import sigma2flow.cli as cli_module
+    # the eigen route (symfun.sigma_k) is compared with the minors and the
+    # trace formula
     import sigma2flow.symfun as symfun_module
 
     calls = []
@@ -52,7 +52,6 @@ def test_verify_runs_the_eigen_route_once_per_trial(capsys, monkeypatch):
         calls.append(a.shape)
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(cli_module, "jacobi_eigenvalues", counting)
     monkeypatch.setattr(symfun_module, "jacobi_eigenvalues", counting)
     rc, cap = run_cli(capsys, ["verify", "--trials", "50"])
     assert rc == 0

@@ -26,7 +26,7 @@ def test_sphere_latitude_grid_shape():
     assert g.n == 5
     assert g.x[0] == 0.0
     assert g.x[-1] == pytest.approx(math.pi)
-    assert g.left_even and g.right_even
+    assert g.right_even
     assert np.all(np.diff(g.x) > 0)
 
 
@@ -62,7 +62,7 @@ def test_ball_grid_shape_and_convergence():
     b = ball_radius(9, 256, 0.5)
     assert b.kind == "ball_radius"
     assert b.x[0] == 0.0 and b.x[-1] == pytest.approx(0.5)
-    assert b.left_even and not b.right_even
+    assert not b.right_even
     exact = sphere_measure(8) * 0.5**11 / 11
     errs = []
     for num in (128, 256, 512):

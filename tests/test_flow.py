@@ -9,10 +9,11 @@ import pytest
 
 import sigma2flow.discretize as discretize_module
 import sigma2flow.flow as flow_module
-from sigma2flow.discretize import sphere_latitude
+from sigma2flow.discretize import ball_radius, sphere_latitude
 from sigma2flow.flow import (
     INITIAL_FIELDS,
     MONITOR_COLUMNS,
+    CoarseStage,
     FlowConfig,
     continuation,
     eigen_solve,
@@ -717,6 +718,27 @@ def test_eigen_coarse_start_matches_the_single_grid_solve(n, points, init, monke
         assert 3 * res.flow.evaluations <= single.evaluations
 
 
+def test_every_continuation_rung_is_an_equilibrium_solve():
+    # no rung converges by t = 0.05, so each warm rung, too, tries the coarse
+    # stage; that ends t_max and is dropped, and the fine run is the plain
+    # run from the previous rung's u
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    base = FlowConfig(eps=0.0, t_max=0.05)
+    ladder = (2.0, 1.5, 1.0)
+    rungs = continuation(sphere, initial_field("cosine", grid, 0.1), ladder, base)
+    assert [r.eps for r in rungs] == list(ladder)
+    u = initial_field("cosine", grid, 0.1)
+    for eps, rung in zip(ladder, rungs):
+        plain = flow_run(sphere, u, replace(base, eps=eps), grid=grid)
+        assert rung.status == plain.status == "t_max"
+        assert isinstance(rung.coarse, CoarseStage)
+        assert (rung.coarse.status, rung.coarse.points) == ("t_max", 32)
+        assert rung.u.tobytes() == plain.u.tobytes()
+        assert rung.evaluations == 1 + rung.coarse.evaluations + plain.evaluations
+        u = plain.u
+
+
 def test_continuation_coarse_start_matches_the_single_grid_ladder():
     sphere = RoundSphere(5)
     grid = sphere_latitude(5, 128)
@@ -933,3 +955,206 @@ def test_timeout_bounds_the_whole_equilibrium_solve():
     assert res.flow.status == "timeout" and res.flow.config.timeout == 1e-3
     assert res.coarse.status == "timeout"
     assert [(r.eps, r.status) for r in rungs] == [(2.0, "timeout")]
+
+
+# ---------------------------------------------------------------------------
+# a grid meets its background: the pair is checked once
+
+@pytest.mark.parametrize("background, grid", [
+    (RoundSphere(5), sphere_latitude(9, 64)),
+    (RoundSphere(5), ball_radius(5, 64, math.pi)),
+    (FlatRadialBall(5, 1.0), ball_radius(5, 64, 2.0)),
+], ids=["dimension", "coordinate", "ball_radius"])
+def test_a_grid_of_another_background_is_rejected(background, grid):
+    # S^5's solve on S^9's grid used to converge with S^9's density and
+    # S^5's Schouten tables
+    u0 = 0.1 * np.cos(grid.x)
+    with pytest.raises(ValueError, match="is not a grid of"):
+        flow_run(background, u0, FlowConfig(eps=2.0, t_max=0.05), grid=grid)
+    with pytest.raises(ValueError, match="is not a grid of"):
+        eigen_solve(background, u0, FlowConfig(eps=2.0, t_max=200.0), grid=grid)
+    with pytest.raises(ValueError, match="is not a grid of"):
+        schouten_fields(grid, background, u0)
+    with pytest.raises(ValueError, match="is not a grid of"):
+        functional_V(grid, background, u0, 2.0)
+
+
+def test_the_grid_check_runs_once_per_grid_and_background(monkeypatch):
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    calls = []
+    real = RoundSphere.make_grid
+
+    def counting(self, num_points):
+        calls.append(num_points)
+        return real(self, num_points)
+
+    monkeypatch.setattr(RoundSphere, "make_grid", counting)
+    u0 = initial_field("cosine", grid, 0.1)
+    functional_V(grid, sphere, u0, 2.0)
+    schouten_fields(grid, sphere, u0)
+    flow_run(sphere, u0, FlowConfig(eps=2.0, t_max=0.05), grid=grid)
+    assert calls == [64]
+    # the coarse grid is made once, and checked once
+    eigen_solve(sphere, u0, grid=grid)
+    eigen_solve(sphere, u0, grid=grid)
+    assert calls == [64, 32, 32]
+
+
+# ---------------------------------------------------------------------------
+# failure paths, driven through the kernel's outcome
+
+def _accepted_steps(monkeypatch):
+    """Record (t, u) after every step _Stepper.take accepts."""
+    accepted = []
+    real = flow_module._Stepper.take
+
+    def recording(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        accepted.append((out[3], out[0]))
+        return out
+
+    monkeypatch.setattr(flow_module._Stepper, "take", recording)
+    return accepted
+
+
+def _cone_exit_at_call(monkeypatch, k):
+    """Make the k-th kernel evaluation from now on report a cone exit."""
+    calls = []
+    real = flow_module._Stepper.velocity
+
+    def velocity(self, *args, **kwargs):
+        calls.append(1)
+        ev = real(self, *args, **kwargs)
+        return None if len(calls) == k else ev
+
+    monkeypatch.setattr(flow_module._Stepper, "velocity", velocity)
+
+
+def test_a_stage_outside_the_cone_ends_the_run_at_the_last_accepted_step(monkeypatch):
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    u0 = initial_field("cosine", grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=1.0)
+    accepted = _accepted_steps(monkeypatch)
+    _cone_exit_at_call(monkeypatch, 12)
+    res = flow_run(sphere, u0, cfg, grid=grid)
+    assert res.status == "cone_exit" and res.steps == len(accepted) > 0
+    t, u = accepted[-1]
+    assert res.t == t > 0.0 and res.u.tobytes() == u.tobytes()
+    assert math.isnan(res.equilibrium_residual)
+    assert math.isfinite(res.F2) and res.records[-1].t < res.t
+
+
+def test_a_rung_that_leaves_the_cone_ends_the_ladder(monkeypatch):
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    u0 = initial_field("cosine", grid, 0.1)
+    base = FlowConfig(eps=0.0, t_max=0.05, tol_converge=0.0)
+    first = continuation(sphere, u0, (2.0,), base)[0]
+    accepted = _accepted_steps(monkeypatch)
+    _cone_exit_at_call(monkeypatch, first.evaluations + 12)
+    rungs = continuation(sphere, u0, (2.0, 1.5, 1.0), base)
+    assert [(r.eps, r.status) for r in rungs] == [(2.0, "t_max"), (1.5, "cone_exit")]
+    assert rungs[0].u.tobytes() == first.u.tobytes()
+    last = rungs[1]
+    assert last.u.tobytes() == accepted[-1][1].tobytes()
+    assert last.u.tobytes() != first.u.tobytes()
+    assert all(math.isnan(getattr(last, name))
+               for name in ("Y_eps", "Y2_estimate", "F2", "V_eps", "r_eps"))
+    assert last.coarse is None and last.evaluations == 12
+
+
+def test_blow_up_ends_the_run_at_the_last_accepted_step(monkeypatch):
+    # the floor is read between steps: raising it above every u after the
+    # third accepted step ends the run there
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    u0 = initial_field("cosine", grid, 0.1)
+    accepted = _accepted_steps(monkeypatch)
+    real = flow_module._Stepper.take
+
+    def take(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        if len(accepted) == 3:
+            monkeypatch.setattr(flow_module, "BLOWUP_FLOOR", 1.0)
+        return out
+
+    monkeypatch.setattr(flow_module._Stepper, "take", take)
+    res = flow_run(sphere, u0, FlowConfig(eps=2.0, t_max=1.0), grid=grid)
+    assert res.status == "blow_up_suspected" and res.steps == 3
+    t, u = accepted[-1]
+    assert res.t == t > 0.0 and res.u.tobytes() == u.tobytes()
+    assert res.records[-1].t == res.t
+    assert math.isfinite(res.equilibrium_residual)
+
+
+def _coarse_newton_start():
+    """A 32-point stepper on S^5 and the coarse flow phase's end state."""
+    sphere = RoundSphere(5)
+    small = sphere_latitude(5, 32)
+    u = flow_run(sphere, initial_field("cosine", small, 0.1),
+                 FlowConfig(eps=2.0, t_max=200.0, tol_converge=1e-2, step_tol=1e-5,
+                            record_dt=200.0), grid=small).u
+    return flow_module._Stepper(sphere, small, 2.0, 0.8), u
+
+
+def _break_difference(monkeypatch):
+    # Newton's differences are the only evaluations at _STAGE level without
+    # an output buffer: RKC stages pass one
+    real = flow_module._Stepper.velocity
+
+    def velocity(self, u, level, out=None):
+        if level == flow_module._STAGE and out is None:
+            return None
+        return real(self, u, level, out)
+
+    monkeypatch.setattr(flow_module._Stepper, "velocity", velocity)
+
+
+def _singular(monkeypatch):
+    def solve(a, b):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+
+
+@pytest.mark.parametrize("breaks", [_break_difference, _singular],
+                         ids=["difference_outside_the_cone", "singular_solve"])
+def test_newton_without_a_direction_falls_back_to_u0(breaks, monkeypatch):
+    stepper, u = _coarse_newton_start()
+    v, _ = stepper.velocity(u, flow_module._STEP)
+    sphere = RoundSphere(5)
+    grid = sphere_latitude(5, 64)
+    u0 = initial_field("cosine", grid, 0.1)
+    cfg = FlowConfig(eps=2.0, t_max=200.0)
+    plain = flow_run(sphere, u0, cfg, grid=grid)
+    with monkeypatch.context() as patch:
+        breaks(patch)
+        direction = flow_module._newton_direction(stepper, u, v)
+    assert direction is None
+    with monkeypatch.context() as patch:
+        breaks(patch)
+        fresh = flow_module._Stepper(sphere, sphere_latitude(5, 32), 2.0, 0.8)
+        assert flow_module._newton_finish(fresh, u, 1e-8, None)[1:] == ("stalled", 0)
+    with monkeypatch.context() as patch:
+        breaks(patch)
+        res = eigen_solve(sphere, u0, cfg, grid=grid)
+    assert (res.coarse.status, res.coarse.newton_iterations) == ("stalled", 0)
+    assert res.flow.status == plain.status == "converged"
+    assert res.u.tobytes() == plain.u.tobytes()
+
+
+def test_newton_past_its_deadline_times_out_at_the_last_accepted_step(monkeypatch):
+    # a fake clock that ticks once per reading: the loop reads 0 (< 0.5, one
+    # iteration), then 1 (past the deadline), and the status check 2
+    stepper, u = _coarse_newton_start()
+    v, _ = stepper.velocity(u, flow_module._STEP)
+    one_step = u + flow_module._newton_direction(stepper, u, v)
+    ticks = iter(range(100))
+    monkeypatch.setattr(flow_module, "time", type("Clock", (), {
+        "monotonic": staticmethod(lambda: float(next(ticks)))}))
+    u1, status, iterations = flow_module._newton_finish(stepper, u, 1e-8, 0.5)
+    assert (status, iterations) == ("timeout", 1)
+    assert u1.tobytes() == one_step.tobytes()
+    assert stepper.velocity(u1, flow_module._STEP)[1][flow_module._S_SUPV] > 1e-8
