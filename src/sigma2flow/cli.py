@@ -20,7 +20,8 @@ for flow and eigen).  ``parse_and_dispatch`` is the one place that writes
 them, the CSV and the JSON summary, and maps a status to an exit code: 0
 success (including a run that merely hit t_max or a timeout), 2 usage
 error, 3 numeric failure, a FloatingPointError included (a JSON summary
-with the failure status is still emitted), 4 I/O failure.  All output is
+with the failure status, and for construct and sweep their energy keys as
+nulls, is still emitted), 4 I/O failure.  All output is
 deterministic: reruns produce byte-identical CSV and JSON.
 """
 
@@ -261,6 +262,7 @@ def _cmd_continuation(cfg: dict):
                 "V_eps": r.V_eps,
                 "r_eps": r.r_eps,
                 "evaluations": r.evaluations,
+                **_coarse_work(r.coarse),
             }
             for r in rungs
         ],
@@ -378,6 +380,20 @@ _SWEEP_DEFAULTS = {
 }
 
 
+def _null_energies(command: str, cfg: dict) -> dict:
+    """The energy keys of a ``construct`` or ``sweep`` summary as a run whose
+    sums are not finite reports them (null, and no margin positive), for the
+    error path: a FloatingPointError under strict modes, or a
+    ConstructionError, leaves no energies."""
+    if command == "construct":
+        return dict(F2_tilde=None, margin=None, margin_positive=False, lambda2_slope=None)
+    if command == "sweep":
+        nulls = [None] * len(cfg["lambdas"])
+        return dict(F2_tilde=nulls, F2_tilde_flat=nulls, margins=nulls, flat_margins=nulls,
+                    K2_fit=None, K2_rel_dev=None, all_margins_positive=False)
+    return {}
+
+
 def _cmd_sweep(cfg: dict):
     sw = margin_sweep(cfg["n"], tuple(cfg["lambdas"]), cfg["gamma"], cfg["beta"],
                       tuple(cfg["radii"]), cfg["delta_r"])
@@ -471,7 +487,8 @@ def parse_and_dispatch(argv=None) -> int:
         return _EXIT_USAGE
     except (ConstructionError, FloatingPointError) as e:
         status, records = "error", None
-        payload = _summary(args.command, status, error=str(e))
+        payload = _summary(args.command, status, error=str(e),
+                           **_null_energies(args.command, cfg))
     try:
         if records is not None and args.csv is not None:
             write_monitor_csv(records, args.csv)

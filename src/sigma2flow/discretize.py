@@ -181,6 +181,20 @@ class Stencils(NamedTuple):
                 "krj,rj->kr", self.closure_coef, u[self.closure_nodes])
         return d
 
+    def footprint(self) -> tuple[np.ndarray, int]:
+        """``(reads, width)``: entry (i, j) of the (N, N) bool ``reads`` says
+        the derivatives at node i read u_j, and ``width`` is the widest span
+        of nodes one node reads (5, or 6 next to a rim)."""
+        size = self.pad.size - 4
+        nodes = np.arange(size)[:, None]
+        reads = np.zeros((size, size), dtype=bool)
+        reads[nodes, self.pad[nodes + np.arange(5)]] = True
+        reads[self.closure_rows] = False
+        reads[self.closure_rows[:, None], self.closure_nodes] = True
+        first = np.argmax(reads, axis=1)
+        last = size - np.argmax(reads[:, ::-1], axis=1)
+        return reads, int(np.max(last - first))
+
 
 def stencil_tables(grid: RadialGrid, order: int) -> Stencils:
     """The banded stencil of d^order/dx^order on the grid (one band row)."""

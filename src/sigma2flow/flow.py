@@ -52,7 +52,10 @@ The eigen solve and every continuation rung are one equilibrium solve
 points of the same background first (nested iteration, the full multigrid
 start), by the flow down to sup |v| = 1e-2 (at a loose fixed step tolerance,
 with no records) and Newton with full steps from there, and finishes on the
-requested grid from that equilibrium, shifted to the V_eps of u0.  Its r_eps
+requested grid from that equilibrium, shifted to the V_eps of u0.  Newton's
+Jacobian costs 6 kernel evaluations on a sphere grid, whatever its size: a
+colored band of differences plus exact algebra for the global sums
+(``_colored_jacobian``).  Its r_eps
 and Y energies agree with a single-grid solve to about 1e-14 relative, and
 its final u with the single-grid one to about 1e-8 up to a constant.
 ``flow_run`` and ``step`` never do this.
@@ -67,7 +70,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -212,7 +215,10 @@ class FlowResult:
 # them.  A _STAGE evaluation (an RKC inner stage) fills what the velocity
 # needs; _STEP adds what the step loop reads (the stage count, convergence
 # and blow-up checks); _RECORD adds what a monitor record reads.  The slot
-# list of a lower level is shorter, so reading a slot it lacks raises.
+# list of a lower level is shorter, so reading a slot it lacks raises.  A
+# _JACOBIAN evaluation (one of Newton's differences) fills no slot: it
+# stops at the per-node sigma_2 row, before the reductions.
+_JACOBIAN = -1
 _STAGE = 0
 _STEP = 1
 _RECORD = 2
@@ -386,7 +392,8 @@ class _Stepper:
         """(v, slots) at u, or None outside the cone.
 
         ``u`` is a float array; ``level`` says which slots to fill, and the
-        velocity goes to ``out`` when it is given.
+        velocity goes to ``out`` when it is given.  At ``_JACOBIAN`` the
+        result is the sigma_2 row alone.
         """
         self.evaluations += 1
         n = self.n
@@ -398,6 +405,8 @@ class _Stepper:
         s1, s2 = q[0], q[1]
         if np.minimum.reduce(q[:2], axis=None) <= 0.0:
             return None
+        if level == _JACOBIAN:
+            return s2
         e = self.exponents * u
         np.exp(e, out=e)
         f2i = e[0] * s2
@@ -434,6 +443,12 @@ class _Stepper:
                       -0.5 * (n - 4.0) * float(np.dot((f2i - e[1] * reps) * self.weights, hd)),
                       float(np.maximum.reduce(np.abs(ab[0] - ab[1]))))
         return v, slots
+
+    @cached_property
+    def coloring(self) -> tuple[np.ndarray, int]:
+        """The stencils' ``(reads, width)`` (``Stencils.footprint``): with
+        node j colored j mod width, no node reads two nodes of one color."""
+        return self.stencils.footprint()
 
     def first_dt(self, slots) -> float:
         """The explicit parabolic step, which starts the controller."""
@@ -740,27 +755,69 @@ _NEWTON_MAX_ITERATIONS = 20
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
+def _colored_jacobian(stepper: _Stepper, u):
+    """dv/du at u up to a term ``1 (x) q``, or None when an evaluation at u
+    or one of its differences leaves the cone.
+
+    In v = (h(a) - h(b) - s_eps) / 2 only a_i depends on neighbours: the
+    nodes that node i's stencils read, so dsigma_2/du is a band.  It comes
+    from one ``_JACOBIAN`` evaluation at u and one forward difference per
+    color (Curtis, Powell & Reid, *J. Inst. Math. Appl.* 13, 1974), each
+    moving every node of one color (``_Stepper.coloring``).  The rest is
+    exact: b_i = r_eps^{1/2} e^{(eps-2) u_i} gives a diagonal and, through
+    r_eps = F2 / V_eps, the rank-one term ``(h'(b) b / 2 r_eps) (x) grad
+    r_eps``.  The s_eps term ``1 (x) grad s_eps`` is left out: the Newton
+    matrix's border of ones absorbs it, moving only the multiplier.
+    """
+    s2 = stepper.velocity(u, _JACOBIAN)
+    if s2 is None:
+        return None
+    reads, colors = stepper.coloring
+    color = np.arange(u.size) % colors
+    du = _FD_STEP * np.maximum(1.0, np.abs(u))
+    diff = np.empty((colors, u.size))
+    for c in range(colors):
+        row = stepper.velocity(np.where(color == c, u + du, u), _JACOBIAN)
+        if row is None:
+            return None
+        np.subtract(row, s2, out=diff[c])
+    # d sigma_2_i / d u_j is the difference of j's color at node i
+    ds2 = np.where(reads, diff[color].T / du, 0.0)
+    c_f2, c_v, c_b = stepper.exponents[:, 0]
+    e = np.exp(stepper.exponents * u)
+    wf = stepper.weights * e[0]
+    wv = stepper.weights * e[1]
+    veps = float(np.add.reduce(wv))
+    reps = float(np.dot(wf, s2)) / veps
+    # h'(s) s = 1 + max(s, 1), so h'(a) da = (1 + max(a, 1)) dsigma_2 / (2 sigma_2)
+    hb = 1.0 + np.maximum(np.sqrt(reps * e[2]), 1.0)
+    jac = ((1.0 + np.maximum(np.sqrt(s2), 1.0)) / (2.0 * s2))[:, None] * ds2
+    jac[np.diag_indices(u.size)] -= 0.5 * c_b * hb
+    # grad r_eps = (grad F2 - r_eps grad V_eps) / V_eps
+    grad_r = (wf @ ds2 + c_f2 * wf * s2 - reps * c_v * wv) / veps
+    jac -= np.outer(hb / (2.0 * reps), grad_r)
+    jac *= 0.5
+    return jac
+
+
 def _newton_direction(stepper: _Stepper, u, v):
     """The Newton step at u, whose velocity is v, or None.
 
-    The Jacobian is taken by forward differences of ``stepper.velocity``, one
-    evaluation per node.  It is singular twice over: v(u + c) = v(u), and
-    ``sum(w e^{(2 eps - n) u} v) = 0`` for every u, since s_eps is that
-    weighted mean.  So it is bordered by a column of ones (a multiplier that
-    takes up the part of -v outside its range) and by the V_eps weights as
-    last row (the step keeps V_eps to first order).  None when a difference
+    The Jacobian is ``_colored_jacobian``'s: colors + 1 kernel evaluations
+    (6 on a sphere grid), not one per node.  It is singular twice over:
+    v(u + c) = v(u), and ``sum(w e^{(2 eps - n) u} v) = 0`` for every u,
+    since s_eps is that weighted mean.  So it is bordered by a column of
+    ones (a multiplier that takes up the part of -v outside its range, and
+    the s_eps term the Jacobian leaves out) and by the V_eps weights as last
+    row (the step keeps V_eps to first order).  None when an evaluation
     leaves the cone or the bordered matrix is singular.
     """
+    jac = _colored_jacobian(stepper, u)
+    if jac is None:
+        return None
     size = u.size
     a = np.zeros((size + 1, size + 1))
-    for j in range(size):
-        du = _FD_STEP * max(1.0, abs(u[j]))
-        shifted = u.copy()
-        shifted[j] += du
-        ev = stepper.velocity(shifted, _STAGE)
-        if ev is None:
-            return None
-        a[:size, j] = (ev[0] - v) / du
+    a[:size, :size] = jac
     a[:size, size] = 1.0
     a[size, :size] = stepper.weights * np.exp(stepper.exponents[1] * u)
     rhs = np.zeros(size + 1)
@@ -833,7 +890,8 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     then the identity, and the coarse stage converges on ``grid`` itself).
     There the flow runs until sup |v| <= max(``_NEWTON_SWITCH``,
     ``tol_converge``), which globalizes (Newton from u0 alone stalls on some
-    starts), and ``_newton_finish`` takes the field on to ``tol_converge``.
+    starts), and ``_newton_finish`` takes the field on to ``tol_converge``,
+    at colors + 2 evaluations per iteration (7 on a sphere grid).
     Only that flow's end state is read, so it steps at ``_COARSE_STEP_TOL``
     and lands on no record time (``record_dt`` >= ``t_max``), whatever
     ``config`` says; its other settings are ``config``'s.  A ``converged``
@@ -915,7 +973,7 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
     ``_COARSE_STEP_TOL``, with no records) and full Newton steps from there
     (``coarse.newton_iterations``), and finishes on ``grid`` from the
     interpolated coarse equilibrium, or from u0 when the coarse stage does
-    not converge.  On S^5 at 512 points that takes about 420 evaluations
+    not converge.  On S^5 at 512 points that takes about 260 evaluations
     where the flow alone takes 38,000, and lambda1 agrees with a single-grid
     solve to about 1e-14 relative.  The fine run steps at the config's
     ``step_tol`` (``STEP_TOL`` without a ``config``).

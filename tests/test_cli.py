@@ -133,6 +133,25 @@ def test_continuation(capsys):
         assert rung["status"] == "converged"
         assert rung["Y2_estimate"] == pytest.approx(39.003151786888736, rel=1e-3)
     assert d["rungs"][0]["Y_eps"] == pytest.approx(2.5, abs=1e-7)
+    # a warm rung starts at its equilibrium, a constant: no coarse stage
+    assert [(r["coarse_points"], r["coarse_evaluations"], r["coarse_newton_iterations"])
+            for r in d["rungs"][1:]] == [(0, 0, 0)]
+
+
+def test_continuation_reports_each_rungs_coarse_stage(capsys):
+    # no rung converges by t = 0.05, so each warm rung runs its own coarse
+    # stage, which ends t_max with no Newton step; the top-level keys stay
+    # the first rung's
+    rc, cap = run_cli(capsys, ["continuation", "--grid-points", "64", "--t-max", "0.05",
+                               "--ladder", "2,1.5,1"])
+    assert rc == 0, cap.err
+    d = json.loads(cap.out)
+    keys = ("coarse_points", "coarse_evaluations", "coarse_newton_iterations")
+    assert [r["status"] for r in d["rungs"]] == ["t_max"] * 3
+    assert tuple(d[k] for k in keys) == tuple(d["rungs"][0][k] for k in keys)
+    for rung in d["rungs"]:
+        assert rung["coarse_points"] == 32 and rung["coarse_newton_iterations"] == 0
+        assert 0 < rung["coarse_evaluations"] < rung["evaluations"]
 
 
 def test_continuation_at_half_the_dimension_reports_a_null_y_eps(capsys):
@@ -480,10 +499,12 @@ def test_commands_end_with_a_true_status_under_strict_fp(capsys):
         assert rc == code, (argv, cap.err)
         d = _strict_json(cap.out)
         assert d["status"] == status, argv
-        # one summary shape: a run's carries its config, an error's only
-        # the message
+        # one summary shape: a run's carries its config, an error's the
+        # message and the energy keys a non-finite sum reports, null
         if status == "error":
-            assert set(d) == {"command", "error", "status", "version"}, argv
+            assert set(d) == {"command", "error", "status", "version", "F2_tilde", "margin",
+                              "margin_positive", "lambda2_slope"}, argv
+            assert d["margin"] is None and d["margin_positive"] is False
         else:
             assert {"command", "config", "status", "version"} <= set(d), argv
         assert d["command"] == argv[0] and d["version"] == sigma2flow.__version__

@@ -96,6 +96,19 @@ def test_derivative_exact_on_low_degree_even_polynomials():
     np.testing.assert_allclose(upp, ddu, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("grid, width", [(sphere_latitude(5, 16), 5),
+                                         (ball_radius(5, 16, 1.0), 6)])
+def test_stencil_footprint_is_what_the_stencils_apply(grid, width):
+    # the stencils applied to each unit vector read node j exactly where
+    # the footprint says they do; a rim closure spans 6 nodes
+    st = grid.stencils
+    reads, span = st.footprint()
+    applied = np.stack([np.any(st.apply(e) != 0.0, axis=0) for e in np.eye(grid.num_points)],
+                       axis=1)
+    assert np.array_equal(reads, applied)
+    assert span == width
+
+
 def test_gauss_panels_polynomial_and_panelled():
     assert gauss_panels(lambda x: x**3, np.array([0.0, 1.0])) == pytest.approx(0.25, rel=1e-14)
     edges = log_edges(1.0, math.e**2, 7)

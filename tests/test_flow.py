@@ -958,6 +958,71 @@ def test_timeout_bounds_the_whole_equilibrium_solve():
 
 
 # ---------------------------------------------------------------------------
+# Newton's colored Jacobian against the dense forward-difference one
+
+def _dense_jacobian(stepper, u, v):
+    """dv/du by forward differences of the kernel, one evaluation per node."""
+    jac = np.empty((u.size, u.size))
+    for j in range(u.size):
+        du = flow_module._FD_STEP * max(1.0, abs(u[j]))
+        shifted = u.copy()
+        shifted[j] += du
+        jac[:, j] = (stepper.velocity(shifted, flow_module._STAGE)[0] - v) / du
+    return jac
+
+
+def _off_equilibrium_states(grid):
+    x = grid.x
+    if grid.right_even:
+        return (0.1 * np.cos(x) + 0.03 * np.cos(3.0 * x), initial_field("bump", grid),
+                -0.2 * np.cos(x))
+    return (0.5 * x * x + 0.005 * np.cos(2.0 * np.pi * x / x[-1]), 0.3 * x * x,
+            0.5 * x * x - 0.02 * x ** 4)
+
+
+@pytest.mark.parametrize("eps", [2.0, 0.5])
+@pytest.mark.parametrize("background, points, colors", [
+    (RoundSphere(5), 32, 5), (RoundSphere(9), 24, 5), (RoundSphere(12), 16, 5),
+    (FlatRadialBall(9, 1.0), 24, 6),
+], ids=["S5", "S9", "S12", "flat_ball"])
+def test_colored_jacobian_is_the_dense_one_up_to_a_constant_row(background, points,
+                                                                colors, eps, monkeypatch):
+    # the colored Jacobian leaves out the s_eps term 1 (x) grad s_eps, which
+    # the Newton matrix's border absorbs: the dense one minus it has equal rows.
+    # A rim closure reads 6 nodes, so the ball's grid takes 6 colors
+    grid = background.make_grid(points)
+    stepper = flow_module._Stepper(background, grid, eps, 0.8)
+    assert stepper.coloring[1] == colors
+    evaluations = _counted_evaluations(monkeypatch)
+    for u in _off_equilibrium_states(grid):
+        v, slots = stepper.velocity(u, flow_module._STEP)
+        assert slots[flow_module._S_SUPV] > 1e-2
+        dense = _dense_jacobian(stepper, u, v)
+        del evaluations[:]
+        colored = flow_module._colored_jacobian(stepper, u)
+        assert len(evaluations) == colors + 1
+        gap = dense - colored
+        assert np.abs(gap - gap[0]).max() <= 1e-4 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_newton_takes_colors_plus_two_evaluations_per_iteration(n, monkeypatch):
+    # per iteration: the Jacobian (colors + 1) and the trial; one more
+    # evaluation starts the stage, and its last Jacobian's trial is rejected.
+    # The dense Jacobian took 32 evaluations on these 32 points
+    sphere = RoundSphere(n)
+    grid = sphere_latitude(n, 128)
+    runs = _counted_flow_runs(monkeypatch)
+    res = eigen_solve(sphere, initial_field("cosine", grid, 0.1), grid=grid)
+    coarse = res.coarse
+    assert coarse.status == "converged" and coarse.newton_iterations > 0
+    colors = runs[1].grid.stencils.footprint()[1]
+    assert colors == 5
+    newton = coarse.evaluations - runs[1].evaluations
+    assert newton <= 1 + (colors + 2) * (coarse.newton_iterations + 1)
+
+
+# ---------------------------------------------------------------------------
 # a grid meets its background: the pair is checked once
 
 @pytest.mark.parametrize("background, grid", [
@@ -1100,12 +1165,16 @@ def _coarse_newton_start():
 
 
 def _break_difference(monkeypatch):
-    # Newton's differences are the only evaluations at _STAGE level without
-    # an output buffer: RKC stages pass one
+    # Newton's Jacobian is the only user of the _JACOBIAN level: its first
+    # evaluation is at u itself, and every _JACOBIAN evaluation right after
+    # another one is a colored difference
     real = flow_module._Stepper.velocity
+    levels = [None]
 
     def velocity(self, u, level, out=None):
-        if level == flow_module._STAGE and out is None:
+        previous = levels[-1]
+        levels.append(level)
+        if level == previous == flow_module._JACOBIAN:
             return None
         return real(self, u, level, out)
 
