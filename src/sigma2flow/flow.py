@@ -50,12 +50,12 @@ once.  A step that cannot be accepted ends its retries with an error
 The eigen solve and every continuation rung are one equilibrium solve
 (``_equilibrium_run``): one that stops on convergence converges on min(N, 32)
 points of the same background first (nested iteration, the full multigrid
-start), by the flow down to sup |v| = 1e-2 (at a loose fixed step tolerance,
-with no records) and Newton with full steps from there, and finishes on the
+start), by the flow down to sup |v| = 1e-1 (at a loose fixed step tolerance,
+with no records) and pseudo-transient Newton from there, and finishes on the
 requested grid from that equilibrium, shifted to the V_eps of u0.  Newton's
-Jacobian costs 6 kernel evaluations on a sphere grid, whatever its size: a
-colored band of differences plus exact algebra for the global sums
-(``_colored_jacobian``).  Its r_eps
+Jacobian costs 5 kernel evaluations on a sphere grid, whatever its size: a
+colored band of differences against the state's own evaluation, plus exact
+algebra for the global sums (``_colored_jacobian``).  Its r_eps
 and Y energies agree with a single-grid solve to about 1e-14 relative, and
 its final u with the single-grid one to about 1e-8 up to a constant.
 ``flow_run`` and ``step`` never do this.
@@ -382,6 +382,8 @@ class _Stepper:
         self.step_tol = step_tol
         self.evaluations = 0
         self.rejected = 0
+        # the sigma_2 row of the last evaluation inside the cone
+        self.sigma2 = None
         # exponents of e^{(4-n)u} (F2), e^{(2 eps-n)u} (V_eps), e^{(2 eps-4)u} (b^2)
         self.exponents = np.array([[4.0 - n], [2.0 * eps - n], [2.0 * eps - 4.0]])
         # largest sup |u| at which e^{cu} is finite for c = 4 (the record
@@ -393,7 +395,8 @@ class _Stepper:
 
         ``u`` is a float array; ``level`` says which slots to fill, and the
         velocity goes to ``out`` when it is given.  At ``_JACOBIAN`` the
-        result is the sigma_2 row alone.
+        result is the sigma_2 row alone.  Every evaluation inside the cone
+        leaves its sigma_2 row in ``sigma2``, where Newton's Jacobian reads it.
         """
         self.evaluations += 1
         n = self.n
@@ -405,6 +408,7 @@ class _Stepper:
         s1, s2 = q[0], q[1]
         if np.minimum.reduce(q[:2], axis=None) <= 0.0:
             return None
+        self.sigma2 = s2
         if level == _JACOBIAN:
             return s2
         e = self.exponents * u
@@ -739,9 +743,11 @@ def step(state: FlowState) -> FlowState:
 #: points of the grid on which an equilibrium solve converges first; a
 #: solve on fewer points converges on its own grid first
 _COARSE_POINTS = 32
-#: sup |v| at which the coarse flow hands its state to Newton; the relaxation
-#: converges only linearly from here on
-_NEWTON_SWITCH = 1e-2
+#: sup |v| at which the coarse flow hands its state to pseudo-transient
+#: Newton; the relaxation converges only linearly from here on.  The traced
+#: probe start (S^5, cosine 0.1, 128 points) begins at sup |v| = 0.268, so
+#: its coarse flow still takes steps
+_NEWTON_SWITCH = 1e-1
 #: step tolerance of the coarse flow phase, whatever the caller's: that phase
 #: only globalizes Newton, so its path need not be accurate, but at a looser
 #: one its steps grow until it plateaus short of the switch to Newton.  Of
@@ -749,29 +755,33 @@ _NEWTON_SWITCH = 1e-2
 #: and 12 at 3e-3 (11 at n = 20, largest step there 0.166); at 1e-5 all did
 #: (largest step at n = 20 0.075), and so did 408 more starts at n = 5-60
 _COARSE_STEP_TOL = 1e-5
-#: most Newton iterations of one coarse stage, the polish included
+#: most accepted Newton iterations of one coarse stage, the polish included
 _NEWTON_MAX_ITERATIONS = 20
+#: first pseudo time step of pseudo-transient Newton; every value from 1 to
+#: 1e12 converged on 288 starts at n = 5-20 on 16-128 points
+_PTC_DELTA0 = 10.0
+#: factor by which a rejected pseudo-step shortens the pseudo time step
+_PTC_SHRINK = 0.25
+#: most rejected pseudo-steps of one coarse stage
+_PTC_MAX_REJECTIONS = 10
 #: relative increment of the forward-difference Jacobian, sqrt(machine eps)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
-def _colored_jacobian(stepper: _Stepper, u):
-    """dv/du at u up to a term ``1 (x) q``, or None when an evaluation at u
-    or one of its differences leaves the cone.
+def _colored_jacobian(stepper: _Stepper, u, s2):
+    """dv/du at u, whose sigma_2 row is s2, up to a term ``1 (x) q``, or None
+    when one of its differences leaves the cone.
 
     In v = (h(a) - h(b) - s_eps) / 2 only a_i depends on neighbours: the
     nodes that node i's stencils read, so dsigma_2/du is a band.  It comes
-    from one ``_JACOBIAN`` evaluation at u and one forward difference per
-    color (Curtis, Powell & Reid, *J. Inst. Math. Appl.* 13, 1974), each
-    moving every node of one color (``_Stepper.coloring``).  The rest is
-    exact: b_i = r_eps^{1/2} e^{(eps-2) u_i} gives a diagonal and, through
-    r_eps = F2 / V_eps, the rank-one term ``(h'(b) b / 2 r_eps) (x) grad
-    r_eps``.  The s_eps term ``1 (x) grad s_eps`` is left out: the Newton
-    matrix's border of ones absorbs it, moving only the multiplier.
+    from one forward difference of the sigma_2 row per color (Curtis, Powell
+    & Reid, *J. Inst. Math. Appl.* 13, 1974), each a ``_JACOBIAN``
+    evaluation that moves every node of one color (``_Stepper.coloring``).
+    The rest is exact: b_i = r_eps^{1/2} e^{(eps-2) u_i} gives a diagonal
+    and, through r_eps = F2 / V_eps, the rank-one term ``(h'(b) b / 2 r_eps)
+    (x) grad r_eps``.  The s_eps term ``1 (x) grad s_eps`` is left out: the
+    Newton matrix's border of ones absorbs it, moving only the multiplier.
     """
-    s2 = stepper.velocity(u, _JACOBIAN)
-    if s2 is None:
-        return None
     reads, colors = stepper.coloring
     color = np.arange(u.size) % colors
     du = _FD_STEP * np.maximum(1.0, np.abs(u))
@@ -800,64 +810,87 @@ def _colored_jacobian(stepper: _Stepper, u):
     return jac
 
 
-def _newton_direction(stepper: _Stepper, u, v):
-    """The Newton step at u, whose velocity is v, or None.
+def _newton_direction(stepper: _Stepper, u, v, jac, shift: float):
+    """The step du that solves ``(jac - shift I) du = -v`` at u, whose
+    velocity is v, or None.
 
-    The Jacobian is ``_colored_jacobian``'s: colors + 1 kernel evaluations
-    (6 on a sphere grid), not one per node.  It is singular twice over:
-    v(u + c) = v(u), and ``sum(w e^{(2 eps - n) u} v) = 0`` for every u,
-    since s_eps is that weighted mean.  So it is bordered by a column of
-    ones (a multiplier that takes up the part of -v outside its range, and
-    the s_eps term the Jacobian leaves out) and by the V_eps weights as last
-    row (the step keeps V_eps to first order).  None when an evaluation
-    leaves the cone or the bordered matrix is singular.
+    ``jac`` is ``_colored_jacobian``'s; ``shift`` is 1/delta for a
+    pseudo-transient step of pseudo time delta, and 0 for a full Newton
+    step.  The Jacobian is singular twice over: v(u + c) = v(u), and
+    ``sum(w e^{(2 eps - n) u} v) = 0`` for every u, since s_eps is that
+    weighted mean.  So the matrix is bordered by a column of ones (a
+    multiplier that takes up the part of -v outside its range, and the s_eps
+    term the Jacobian leaves out) and by the V_eps weights as last row (the
+    step keeps V_eps to first order).  None when the bordered matrix is
+    singular or the step is not finite.
     """
-    jac = _colored_jacobian(stepper, u)
-    if jac is None:
-        return None
     size = u.size
     a = np.zeros((size + 1, size + 1))
     a[:size, :size] = jac
+    a[np.diag_indices(size)] -= shift
     a[:size, size] = 1.0
     a[size, :size] = stepper.weights * np.exp(stepper.exponents[1] * u)
     rhs = np.zeros(size + 1)
     rhs[:size] = -v
     try:
-        delta = np.linalg.solve(a, rhs)[:size]
+        du = np.linalg.solve(a, rhs)[:size]
     except np.linalg.LinAlgError:
         return None
-    return delta if np.isfinite(delta).all() else None
+    return du if np.isfinite(du).all() else None
 
 
 def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
-    """Newton with full steps from u, near an equilibrium, to sup |v| <= tol.
+    """Pseudo-transient Newton from u to sup |v| <= tol.
 
-    A step is accepted while it cuts sup |v| to below 3/4 of its value (the
-    sufficient decrease of Deuflhard, *Newton Methods for Nonlinear
-    Problems*, 2004, ch. 3, at the full step).  Once sup |v| <= tol, steps
-    go on while they lower sup |v| at all: they remove the roundoff-sized
-    wiggle a stop at tol leaves, which interpolation onto a finer grid
-    would magnify.  Returns ``(u, status, iterations)``: the last accepted
-    state, a ``flow_run`` status and the accepted steps.  The status is
-    ``converged`` at sup |v| <= tol, ``timeout`` once the deadline
-    (``time.monotonic``) has passed, and ``stalled`` when Newton ends short
-    of tol otherwise (a rejected step, a trial state outside Gamma_2^+ or
-    past e^x's float range, a difference outside the cone, a singular solve
-    or ``_NEWTON_MAX_ITERATIONS``).
+    Pseudo-transient continuation (Kelley & Keyes, *SIAM J. Numer. Anal.*
+    35, 1998) globalizes Newton: while sup |v| > tol each step solves
+    ``(J - I/delta) du = -v``, a backward Euler step of pseudo time delta
+    (from ``_PTC_DELTA0``), and is accepted when it lowers sup |v|.  An
+    accepted step grows delta by the ratio of the old sup |v| to the new
+    (switched evolution relaxation; Mulder & van Leer, *J. Comput. Phys.*
+    59, 1985), so the steps become Newton's near the equilibrium; a rejected
+    one shrinks delta by ``_PTC_SHRINK`` and is solved again with the same
+    Jacobian, at the cost of one trial evaluation.  Once sup |v| <= tol the
+    steps are full Newton steps, taken while they lower sup |v| at all: they
+    remove the roundoff-sized wiggle a stop at tol leaves, which
+    interpolation onto a finer grid would magnify.  The Jacobian at u reads
+    the sigma_2 row of u's own evaluation, so an accepted step costs colors
+    + 1 evaluations (6 on a sphere grid).
+
+    Returns ``(u, status, iterations)``: the last accepted state, a
+    ``flow_run`` status and the accepted steps.  The status is ``converged``
+    at sup |v| <= tol, ``timeout`` once the deadline (``time.monotonic``)
+    has passed, and ``stalled`` when the loop ends short of tol otherwise:
+    after ``_NEWTON_MAX_ITERATIONS`` accepted or ``_PTC_MAX_REJECTIONS``
+    rejected steps (a trial that does not lower sup |v|, or lies outside
+    Gamma_2^+ or past e^x's float range), at a difference outside the cone
+    or at a singular solve.
     """
     v, s = stepper.velocity(u, _STEP)
-    iterations = 0
-    while iterations < _NEWTON_MAX_ITERATIONS and (deadline is None
-                                                   or time.monotonic() < deadline):
-        bound = s[_S_SUPV] if s[_S_SUPV] <= tol else 0.75 * s[_S_SUPV]
-        delta = _newton_direction(stepper, u, v)
-        if delta is None:
+    s2 = stepper.sigma2
+    jac = None
+    delta = _PTC_DELTA0
+    iterations = rejections = 0
+    while (iterations < _NEWTON_MAX_ITERATIONS and rejections < _PTC_MAX_REJECTIONS
+           and (deadline is None or time.monotonic() < deadline)):
+        polish = s[_S_SUPV] <= tol
+        if jac is None and (jac := _colored_jacobian(stepper, u, s2)) is None:
             break
-        trial = u + delta
+        du = _newton_direction(stepper, u, v, jac, 0.0 if polish else 1.0 / delta)
+        if du is None:
+            break
+        trial = u + du
         ev = stepper.velocity(trial, _STEP) if np.max(np.abs(trial)) <= stepper.reach else None
-        if ev is None or not ev[1][_S_SUPV] < bound:
-            break
-        u, (v, s) = trial, ev
+        if ev is None or not ev[1][_S_SUPV] < s[_S_SUPV]:
+            if polish:
+                break
+            delta *= _PTC_SHRINK
+            rejections += 1
+            continue
+        supv = ev[1][_S_SUPV]
+        # an exact equilibrium ends the pseudo time: the next step is Newton's
+        delta = delta * s[_S_SUPV] / supv if supv > 0.0 else math.inf
+        u, (v, s), s2, jac = trial, ev, stepper.sigma2, None
         iterations += 1
     if s[_S_SUPV] <= tol:
         status = "converged"
@@ -871,9 +904,10 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
 class CoarseStage(NamedTuple):
     """The coarse-grid stage of an equilibrium solve: the status of its flow
     phase, or of Newton once that phase converged, its grid's points
-    (min(N, ``_COARSE_POINTS``) for a solve on N), and the kernel
-    evaluations and Newton steps of both phases, which do not depend on the
-    caller's ``step_tol`` or ``record_dt``."""
+    (min(N, ``_COARSE_POINTS``) for a solve on N), the kernel evaluations of
+    both phases, and Newton's accepted steps, pseudo-transient and full
+    (``newton_iterations``); none of them depends on the caller's
+    ``step_tol`` or ``record_dt``."""
 
     status: str
     points: int
@@ -889,9 +923,9 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     or stays on ``grid`` when that has no more points (the interpolation is
     then the identity, and the coarse stage converges on ``grid`` itself).
     There the flow runs until sup |v| <= max(``_NEWTON_SWITCH``,
-    ``tol_converge``), which globalizes (Newton from u0 alone stalls on some
-    starts), and ``_newton_finish`` takes the field on to ``tol_converge``,
-    at colors + 2 evaluations per iteration (7 on a sphere grid).
+    ``tol_converge``), and ``_newton_finish``, pseudo-transient Newton,
+    takes the field on to ``tol_converge``, at colors + 1 evaluations per
+    accepted step (6 on a sphere grid) and 1 per rejected one.
     Only that flow's end state is read, so it steps at ``_COARSE_STEP_TOL``
     and lands on no record time (``record_dt`` >= ``t_max``), whatever
     ``config`` says; its other settings are ``config``'s.  A ``converged``
@@ -969,14 +1003,14 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
 
     A solve that stops on convergence converges on min(N, 32) points first
     (``coarse``, a ``CoarseStage``; None when ``tol_converge`` is 0 or u0
-    is not steppable), by the flow down to sup |v| = 1e-2 (at
-    ``_COARSE_STEP_TOL``, with no records) and full Newton steps from there
-    (``coarse.newton_iterations``), and finishes on ``grid`` from the
-    interpolated coarse equilibrium, or from u0 when the coarse stage does
-    not converge.  On S^5 at 512 points that takes about 260 evaluations
-    where the flow alone takes 38,000, and lambda1 agrees with a single-grid
-    solve to about 1e-14 relative.  The fine run steps at the config's
-    ``step_tol`` (``STEP_TOL`` without a ``config``).
+    is not steppable), by the flow down to sup |v| = 1e-1 (at
+    ``_COARSE_STEP_TOL``, with no records) and pseudo-transient Newton from
+    there (``coarse.newton_iterations`` accepted steps), and finishes on
+    ``grid`` from the interpolated coarse equilibrium, or from u0 when the
+    coarse stage does not converge.  On S^5 at 512 points that takes about
+    130 evaluations where the flow alone takes 38,000, and lambda1 agrees
+    with a single-grid solve to about 1e-14 relative.  The fine run steps
+    at the config's ``step_tol`` (``STEP_TOL`` without a ``config``).
     ``flow`` is the fine run, except that its ``evaluations`` count every
     kernel evaluation of the solve, Newton's included.
     """

@@ -551,7 +551,8 @@ def test_equilibrium_summaries_report_the_coarse_newton_stage(tmp_path):
         d = json.loads(blobs[0])
         assert d["status"] == "converged"
         assert d["coarse_points"] == 32 and d["coarse_newton_iterations"] > 0
-        assert d["coarse_evaluations"] > 32 * d["coarse_newton_iterations"]
+        # each accepted Newton step costs the colored Jacobian and a trial
+        assert d["coarse_evaluations"] > 6 * d["coarse_newton_iterations"]
     # on 32 points the coarse stage runs on the requested grid itself
     proc = subprocess.run([sys.executable, "-m", "sigma2flow", "eigen", "--grid-points", "32"],
                           env=env, capture_output=True, text=True, timeout=300)
