@@ -51,7 +51,7 @@ The eigen solve and every continuation rung are one equilibrium solve
 (``_equilibrium_run``): one that stops on convergence converges on min(N, 32)
 points of the same background first (nested iteration, the full multigrid
 start), by the flow down to sup |v| = 1e-1 (at a loose fixed step tolerance,
-with no records) and pseudo-transient Newton from there, and finishes on the
+with no records) and Newton with full steps from there, and finishes on the
 requested grid from that equilibrium, shifted to the V_eps of u0.  Newton's
 Jacobian costs 5 kernel evaluations on a sphere grid, whatever its size: a
 colored band of differences against the state's own evaluation, plus exact
@@ -743,10 +743,10 @@ def step(state: FlowState) -> FlowState:
 #: points of the grid on which an equilibrium solve converges first; a
 #: solve on fewer points converges on its own grid first
 _COARSE_POINTS = 32
-#: sup |v| at which the coarse flow hands its state to pseudo-transient
-#: Newton; the relaxation converges only linearly from here on.  The traced
-#: probe start (S^5, cosine 0.1, 128 points) begins at sup |v| = 0.268, so
-#: its coarse flow still takes steps
+#: sup |v| at which the coarse flow hands its state to Newton; the
+#: relaxation converges only linearly from here on.  The traced probe start
+#: (S^5, cosine 0.1, 128 points) begins at sup |v| = 0.268, so its coarse
+#: flow still takes steps
 _NEWTON_SWITCH = 1e-1
 #: step tolerance of the coarse flow phase, whatever the caller's: that phase
 #: only globalizes Newton, so its path need not be accurate, but at a looser
@@ -755,15 +755,8 @@ _NEWTON_SWITCH = 1e-1
 #: and 12 at 3e-3 (11 at n = 20, largest step there 0.166); at 1e-5 all did
 #: (largest step at n = 20 0.075), and so did 408 more starts at n = 5-60
 _COARSE_STEP_TOL = 1e-5
-#: most accepted Newton iterations of one coarse stage, the polish included
+#: most Newton iterations of one coarse stage, the polish included
 _NEWTON_MAX_ITERATIONS = 20
-#: first pseudo time step of pseudo-transient Newton; every value from 1 to
-#: 1e12 converged on 288 starts at n = 5-20 on 16-128 points
-_PTC_DELTA0 = 10.0
-#: factor by which a rejected pseudo-step shortens the pseudo time step
-_PTC_SHRINK = 0.25
-#: most rejected pseudo-steps of one coarse stage
-_PTC_MAX_REJECTIONS = 10
 #: relative increment of the forward-difference Jacobian, sqrt(machine eps)
 _FD_STEP = math.sqrt(np.finfo(float).eps)
 
@@ -810,87 +803,69 @@ def _colored_jacobian(stepper: _Stepper, u, s2):
     return jac
 
 
-def _newton_direction(stepper: _Stepper, u, v, jac, shift: float):
-    """The step du that solves ``(jac - shift I) du = -v`` at u, whose
-    velocity is v, or None.
+def _newton_direction(stepper: _Stepper, u, v, s2):
+    """The Newton step at u, whose velocity is v and sigma_2 row s2, or None.
 
-    ``jac`` is ``_colored_jacobian``'s; ``shift`` is 1/delta for a
-    pseudo-transient step of pseudo time delta, and 0 for a full Newton
-    step.  The Jacobian is singular twice over: v(u + c) = v(u), and
-    ``sum(w e^{(2 eps - n) u} v) = 0`` for every u, since s_eps is that
-    weighted mean.  So the matrix is bordered by a column of ones (a
-    multiplier that takes up the part of -v outside its range, and the s_eps
-    term the Jacobian leaves out) and by the V_eps weights as last row (the
-    step keeps V_eps to first order).  None when the bordered matrix is
-    singular or the step is not finite.
+    The Jacobian is ``_colored_jacobian``'s: colors kernel evaluations (5 on
+    a sphere grid), not one per node.  It is singular twice over:
+    v(u + c) = v(u), and ``sum(w e^{(2 eps - n) u} v) = 0`` for every u,
+    since s_eps is that weighted mean.  So it is bordered by a column of
+    ones (a multiplier that takes up the part of -v outside its range, and
+    the s_eps term the Jacobian leaves out) and by the V_eps weights as last
+    row (the step keeps V_eps to first order).  None when a difference
+    leaves the cone or the bordered matrix is singular.
     """
+    jac = _colored_jacobian(stepper, u, s2)
+    if jac is None:
+        return None
     size = u.size
     a = np.zeros((size + 1, size + 1))
     a[:size, :size] = jac
-    a[np.diag_indices(size)] -= shift
     a[:size, size] = 1.0
     a[size, :size] = stepper.weights * np.exp(stepper.exponents[1] * u)
     rhs = np.zeros(size + 1)
     rhs[:size] = -v
     try:
-        du = np.linalg.solve(a, rhs)[:size]
+        delta = np.linalg.solve(a, rhs)[:size]
     except np.linalg.LinAlgError:
         return None
-    return du if np.isfinite(du).all() else None
+    return delta if np.isfinite(delta).all() else None
 
 
 def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
-    """Pseudo-transient Newton from u to sup |v| <= tol.
+    """Newton with full steps from u, near an equilibrium, to sup |v| <= tol.
 
-    Pseudo-transient continuation (Kelley & Keyes, *SIAM J. Numer. Anal.*
-    35, 1998) globalizes Newton: while sup |v| > tol each step solves
-    ``(J - I/delta) du = -v``, a backward Euler step of pseudo time delta
-    (from ``_PTC_DELTA0``), and is accepted when it lowers sup |v|.  An
-    accepted step grows delta by the ratio of the old sup |v| to the new
-    (switched evolution relaxation; Mulder & van Leer, *J. Comput. Phys.*
-    59, 1985), so the steps become Newton's near the equilibrium; a rejected
-    one shrinks delta by ``_PTC_SHRINK`` and is solved again with the same
-    Jacobian, at the cost of one trial evaluation.  Once sup |v| <= tol the
-    steps are full Newton steps, taken while they lower sup |v| at all: they
-    remove the roundoff-sized wiggle a stop at tol leaves, which
-    interpolation onto a finer grid would magnify.  The Jacobian at u reads
-    the sigma_2 row of u's own evaluation, so an accepted step costs colors
-    + 1 evaluations (6 on a sphere grid).
+    A step is accepted while it lowers sup |v| at all: from the hand-over at
+    sup |v| = 1e-1, a bound of 3/4 of the old value (the sufficient decrease
+    of Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch. 3, at
+    the full step) rejects the first step on some starts that full steps
+    take to tol.  Past tol, the steps remove the roundoff-sized wiggle a
+    stop at tol leaves, which interpolation onto a finer grid would
+    magnify.  The Jacobian at u reads the sigma_2 row of u's own
+    evaluation, so an iteration costs colors + 1 evaluations (6 on a sphere
+    grid).
 
     Returns ``(u, status, iterations)``: the last accepted state, a
     ``flow_run`` status and the accepted steps.  The status is ``converged``
     at sup |v| <= tol, ``timeout`` once the deadline (``time.monotonic``)
-    has passed, and ``stalled`` when the loop ends short of tol otherwise:
-    after ``_NEWTON_MAX_ITERATIONS`` accepted or ``_PTC_MAX_REJECTIONS``
-    rejected steps (a trial that does not lower sup |v|, or lies outside
-    Gamma_2^+ or past e^x's float range), at a difference outside the cone
-    or at a singular solve.
+    has passed, and ``stalled`` when Newton ends short of tol otherwise (a
+    rejected step, a trial state outside Gamma_2^+ or past e^x's float
+    range, a difference outside the cone, a singular solve or
+    ``_NEWTON_MAX_ITERATIONS``).
     """
     v, s = stepper.velocity(u, _STEP)
     s2 = stepper.sigma2
-    jac = None
-    delta = _PTC_DELTA0
-    iterations = rejections = 0
-    while (iterations < _NEWTON_MAX_ITERATIONS and rejections < _PTC_MAX_REJECTIONS
-           and (deadline is None or time.monotonic() < deadline)):
-        polish = s[_S_SUPV] <= tol
-        if jac is None and (jac := _colored_jacobian(stepper, u, s2)) is None:
+    iterations = 0
+    while iterations < _NEWTON_MAX_ITERATIONS and (deadline is None
+                                                   or time.monotonic() < deadline):
+        delta = _newton_direction(stepper, u, v, s2)
+        if delta is None:
             break
-        du = _newton_direction(stepper, u, v, jac, 0.0 if polish else 1.0 / delta)
-        if du is None:
-            break
-        trial = u + du
+        trial = u + delta
         ev = stepper.velocity(trial, _STEP) if np.max(np.abs(trial)) <= stepper.reach else None
         if ev is None or not ev[1][_S_SUPV] < s[_S_SUPV]:
-            if polish:
-                break
-            delta *= _PTC_SHRINK
-            rejections += 1
-            continue
-        supv = ev[1][_S_SUPV]
-        # an exact equilibrium ends the pseudo time: the next step is Newton's
-        delta = delta * s[_S_SUPV] / supv if supv > 0.0 else math.inf
-        u, (v, s), s2, jac = trial, ev, stepper.sigma2, None
+            break
+        u, (v, s), s2 = trial, ev, stepper.sigma2
         iterations += 1
     if s[_S_SUPV] <= tol:
         status = "converged"
@@ -904,10 +879,9 @@ def _newton_finish(stepper: _Stepper, u, tol: float, deadline: float | None):
 class CoarseStage(NamedTuple):
     """The coarse-grid stage of an equilibrium solve: the status of its flow
     phase, or of Newton once that phase converged, its grid's points
-    (min(N, ``_COARSE_POINTS``) for a solve on N), the kernel evaluations of
-    both phases, and Newton's accepted steps, pseudo-transient and full
-    (``newton_iterations``); none of them depends on the caller's
-    ``step_tol`` or ``record_dt``."""
+    (min(N, ``_COARSE_POINTS``) for a solve on N), and the kernel
+    evaluations and Newton steps of both phases, which do not depend on the
+    caller's ``step_tol`` or ``record_dt``."""
 
     status: str
     points: int
@@ -923,9 +897,9 @@ def _equilibrium_run(background, u0, config: FlowConfig, grid: RadialGrid):
     or stays on ``grid`` when that has no more points (the interpolation is
     then the identity, and the coarse stage converges on ``grid`` itself).
     There the flow runs until sup |v| <= max(``_NEWTON_SWITCH``,
-    ``tol_converge``), and ``_newton_finish``, pseudo-transient Newton,
-    takes the field on to ``tol_converge``, at colors + 1 evaluations per
-    accepted step (6 on a sphere grid) and 1 per rejected one.
+    ``tol_converge``), which globalizes (Newton from u0 alone stalls on some
+    starts), and ``_newton_finish`` takes the field on to ``tol_converge``,
+    at colors + 1 evaluations per iteration (6 on a sphere grid).
     Only that flow's end state is read, so it steps at ``_COARSE_STEP_TOL``
     and lands on no record time (``record_dt`` >= ``t_max``), whatever
     ``config`` says; its other settings are ``config``'s.  A ``converged``
@@ -1004,13 +978,13 @@ def eigen_solve(background, u0, config: FlowConfig | None = None,
     A solve that stops on convergence converges on min(N, 32) points first
     (``coarse``, a ``CoarseStage``; None when ``tol_converge`` is 0 or u0
     is not steppable), by the flow down to sup |v| = 1e-1 (at
-    ``_COARSE_STEP_TOL``, with no records) and pseudo-transient Newton from
-    there (``coarse.newton_iterations`` accepted steps), and finishes on
-    ``grid`` from the interpolated coarse equilibrium, or from u0 when the
-    coarse stage does not converge.  On S^5 at 512 points that takes about
-    130 evaluations where the flow alone takes 38,000, and lambda1 agrees
-    with a single-grid solve to about 1e-14 relative.  The fine run steps
-    at the config's ``step_tol`` (``STEP_TOL`` without a ``config``).
+    ``_COARSE_STEP_TOL``, with no records) and full Newton steps from there
+    (``coarse.newton_iterations``), and finishes on ``grid`` from the
+    interpolated coarse equilibrium, or from u0 when the coarse stage does
+    not converge.  On S^5 at 512 points that takes about 120 evaluations
+    where the flow alone takes 38,000, and lambda1 agrees with a single-grid
+    solve to about 1e-14 relative.  The fine run steps at the config's
+    ``step_tol`` (``STEP_TOL`` without a ``config``).
     ``flow`` is the fine run, except that its ``evaluations`` count every
     kernel evaluation of the solve, Newton's included.
     """

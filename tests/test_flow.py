@@ -761,7 +761,7 @@ def test_continuation_coarse_start_matches_the_single_grid_ladder():
         assert np.ptp(rung.u - single.u) <= 1e-8
 
 
-def _zigzag(stepper, u, v, jac, shift):
+def _zigzag(stepper, u, v, s2):
     """A Newton step whose trial leaves Gamma_2^+: u'' of order 1e2 in
     alternating signs."""
     return np.where(np.arange(u.size) % 2 == 0, 0.5, -0.5)
@@ -775,9 +775,8 @@ def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
     # 0.1 cos x, neither run converges by t = 0.2, and the coarse flow phase
     # reaches sup |v| = 1e-1 only at t = 0.39; a Newton stage that takes no
     # step stalls where its flow phase ends, either because no iteration is
-    # allowed (one evaluation, at its start) or because every pseudo-step
-    # leaves the cone: the stage's work is bounded by the Jacobian's 5
-    # differences and one trial per rejection, all on the one Jacobian
+    # allowed (one evaluation, at its start) or because its first step leaves
+    # the cone (one more evaluation, at the trial; no shorter step is tried)
     edge, mild = 0.499 * np.cos(grid.x), initial_field("cosine", grid, 0.1)
 
     for u0, config, patch, coarse_status, newton_evaluations in (
@@ -785,8 +784,7 @@ def test_coarse_start_falls_back_to_the_plain_run(monkeypatch):
             (mild, replace(cfg, t_max=0.2), {}, "t_max", 0),
             (mild, replace(cfg, tol_converge=0.0, t_max=0.2), {}, None, 0),
             (mild, cfg, {"_NEWTON_MAX_ITERATIONS": 0}, "stalled", 1),
-            (mild, cfg, {"_newton_direction": _zigzag}, "stalled",
-             1 + 5 + flow_module._PTC_MAX_REJECTIONS)):
+            (mild, cfg, {"_newton_direction": _zigzag}, "stalled", 2)):
         plain = flow_run(sphere, u0, config, grid=grid)
         for name, value in patch.items():
             monkeypatch.setattr(flow_module, name, value)
@@ -1172,12 +1170,6 @@ def _coarse_newton_start():
     return flow_module._Stepper(sphere, small, 2.0, 0.8), u
 
 
-def _first_jacobian(stepper, u):
-    """(v, jac) at u: its velocity and the Jacobian Newton builds there."""
-    v, _ = stepper.velocity(u, flow_module._STEP)
-    return v, flow_module._colored_jacobian(stepper, u, stepper.sigma2)
-
-
 def _break_difference(monkeypatch):
     # every _JACOBIAN evaluation is one of the Jacobian's colored differences
     real = flow_module._Stepper.velocity
@@ -1199,6 +1191,7 @@ def _singular(monkeypatch):
                          ids=["difference_outside_the_cone", "singular_solve"])
 def test_newton_without_a_direction_falls_back_to_u0(breaks, monkeypatch):
     stepper, u = _coarse_newton_start()
+    v, _ = stepper.velocity(u, flow_module._STEP)
     sphere = RoundSphere(5)
     grid = sphere_latitude(5, 64)
     u0 = initial_field("cosine", grid, 0.1)
@@ -1206,9 +1199,7 @@ def test_newton_without_a_direction_falls_back_to_u0(breaks, monkeypatch):
     plain = flow_run(sphere, u0, cfg, grid=grid)
     with monkeypatch.context() as patch:
         breaks(patch)
-        v, jac = _first_jacobian(stepper, u)
-        direction = None if jac is None else flow_module._newton_direction(stepper, u, v,
-                                                                           jac, 0.0)
+        direction = flow_module._newton_direction(stepper, u, v, stepper.sigma2)
     assert direction is None
     with monkeypatch.context() as patch:
         breaks(patch)
@@ -1226,9 +1217,8 @@ def test_newton_past_its_deadline_times_out_at_the_last_accepted_step(monkeypatc
     # a fake clock that ticks once per reading: the loop reads 0 (< 0.5, one
     # iteration), then 1 (past the deadline), and the status check 2
     stepper, u = _coarse_newton_start()
-    v, jac = _first_jacobian(stepper, u)
-    one_step = u + flow_module._newton_direction(stepper, u, v, jac,
-                                                 1.0 / flow_module._PTC_DELTA0)
+    v, _ = stepper.velocity(u, flow_module._STEP)
+    one_step = u + flow_module._newton_direction(stepper, u, v, stepper.sigma2)
     ticks = iter(range(100))
     monkeypatch.setattr(flow_module, "time", type("Clock", (), {
         "monotonic": staticmethod(lambda: float(next(ticks)))}))
@@ -1239,72 +1229,22 @@ def test_newton_past_its_deadline_times_out_at_the_last_accepted_step(monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# pseudo-transient Newton
+# Newton from the hand-over at sup |v| = 1e-1
 
 @pytest.mark.parametrize("points", [32, 64])
 @pytest.mark.parametrize("n", [5, 7])
-def test_pseudo_transient_newton_converges_where_full_steps_stalled(n, points):
+def test_newton_from_the_hand_over_converges_where_sufficient_decrease_stalled(n, points):
     # handed over at sup |v| = 1e-1, full Newton steps that had to cut sup |v|
     # to 3/4 stalled at their first step on these starts (on every grid from
     # 16 to 256 points), and each solve fell back to the flow from u0, at
-    # 34,248-55,953 evaluations on these grids; pseudo-transient Newton
-    # converges in 204-259, where a hand-over at 1e-2 took 680-725
+    # 34,248-55,953 evaluations on these grids; steps accepted at any
+    # decrease converge in 192-253, where a hand-over at 1e-2 took 680-725
     sphere = RoundSphere(n)
     grid = sphere_latitude(n, points)
     rung = continuation(sphere, initial_field("cosine", grid, 0.3), (0.25,))[0]
     assert rung.status == rung.coarse.status == "converged"
     assert rung.coarse.newton_iterations > 0
     assert rung.evaluations <= 400
-
-
-def test_a_rejected_pseudo_step_costs_one_evaluation_and_no_jacobian(monkeypatch):
-    # the first pseudo-step leaves the cone; it is solved again with the same
-    # Jacobian at a pseudo time step _PTC_SHRINK times as long, after one
-    # more evaluation, its trial's
-    stepper, u = _coarse_newton_start()
-    real = flow_module._newton_direction
-    evaluations = _counted_evaluations(monkeypatch)
-    calls = []
-
-    def direction(stepper, u, v, jac, shift):
-        calls.append((len(evaluations), jac, shift))
-        return (_zigzag if len(calls) == 1 else real)(stepper, u, v, jac, shift)
-
-    monkeypatch.setattr(flow_module, "_newton_direction", direction)
-    _, status, iterations = flow_module._newton_finish(stepper, u, 1e-8, None)
-    assert status == "converged" and iterations > 0
-    (first, jac, shift), (second, retry_jac, retry_shift) = calls[:2]
-    # the stage's start and the Jacobian's 5 colored differences
-    assert first == 1 + 5
-    assert second == first + 1
-    assert retry_jac is jac
-    assert shift == 1.0 / flow_module._PTC_DELTA0
-    assert retry_shift == shift / flow_module._PTC_SHRINK
-
-
-def test_a_pseudo_step_onto_an_exact_equilibrium_raises_nothing(monkeypatch):
-    # on 32 points of S^5 the constant 0 has sup |v| = 0 exactly; a pseudo-step
-    # that lands there ends the pseudo time (delta becomes infinite, with no
-    # division by the zero sup |v|), and the polish step after it is rejected
-    sphere = RoundSphere(5)
-    grid = sphere_latitude(5, 32)
-    stepper = flow_module._Stepper(sphere, grid, 2.0, 0.8)
-    assert stepper.velocity(np.zeros(grid.num_points), flow_module._STEP)[1][
-        flow_module._S_SUPV] == 0.0
-    real = flow_module._newton_direction
-    shifts = []
-
-    def direction(stepper, u, v, jac, shift):
-        shifts.append(shift)
-        return -u if len(shifts) == 1 else real(stepper, u, v, jac, shift)
-
-    monkeypatch.setattr(flow_module, "_newton_direction", direction)
-    with np.errstate(all="raise"):
-        u, status, iterations = flow_module._newton_finish(
-            stepper, 0.01 * np.cos(grid.x), 1e-8, None)
-    assert (status, iterations) == ("converged", 1)
-    assert shifts == [1.0 / flow_module._PTC_DELTA0, 0.0]
-    assert not u.any()
 
 
 def test_the_traced_probe_start_takes_coarse_flow_steps(monkeypatch):
